@@ -25,7 +25,9 @@ from .inference import (
     VariationalState,
     dirichlet_expected_log,
     elbo,
+    elbo_batch,
     elbo_terms,
+    estep_batch,
     read_lambda_csv,
     run_estep,
     update_eta,
@@ -92,7 +94,9 @@ __all__ = [
     "update_eta",
     "update_lambda",
     "run_estep",
+    "estep_batch",
     "elbo",
+    "elbo_batch",
     "elbo_terms",
     "write_lambda_csv",
     "read_lambda_csv",

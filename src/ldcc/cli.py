@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +31,7 @@ from .errors import (
     ModelError,
     NumericError,
 )
-from .inference import read_lambda_csv, run_estep, write_lambda_csv
+from .inference import estep_batch, read_lambda_csv, warn_estep_waste, write_lambda_csv
 from .learning import train, write_training_log
 from .model import ThemeModel, TrainConfig, load_model, save_model
 from .similarity import (
@@ -64,10 +62,6 @@ def _echo_config(command: str, values: dict, out_path: Path, out_is_dir: bool) -
         out_path.parent.mkdir(parents=True, exist_ok=True)
         sidecar = out_path.with_name(out_path.name + ".config.json")
     sidecar.write_text(text + "\n", encoding="utf-8")
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def _random_model(dims, delta_value: float, seed: int) -> ThemeModel:
@@ -195,15 +189,8 @@ def cmd_infer(args) -> int:
             f"data dimension {collection.dimension} does not match model "
             f"dimension {model.D}"
         )
-
-    def work(task):
-        return run_estep(task, model, config)
-
-    if args.threads > 1 and len(collection) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            states = list(pool.map(work, collection))
-    else:
-        states = [work(task) for task in collection]
+    states = estep_batch(collection, model, config)
+    warn_estep_waste("infer", states, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_lambda_csv(out, collection.ids, np.vstack([s.lam for s in states]))
@@ -299,6 +286,9 @@ def cmd_diagram(args) -> int:
     return 0
 
 
+_THREADS_HELP = "accepted for compatibility; has no effect"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldcc",
@@ -346,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--jitter", type=float, default=1e-6)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--max-batches", type=int, default=100)
-    tr.add_argument("--threads", type=int, default=_default_threads())
+    tr.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     tr.add_argument("--out", required=True, help="output directory")
     tr.set_defaults(func=cmd_train)
 
@@ -356,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--e-tol", type=float, default=1e-3)
     inf.add_argument("--max-e-iters", type=int, default=100)
     inf.add_argument("--seed", type=int, default=0)
-    inf.add_argument("--threads", type=int, default=_default_threads())
+    inf.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     inf.add_argument("--out", required=True, help="output CSV path")
     inf.set_defaults(func=cmd_infer)
 

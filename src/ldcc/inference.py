@@ -1,4 +1,4 @@
-"""Per-task variational inference.
+"""Per-task variational inference, solved a batch of tasks at a time.
 
 The mean-field posterior for one task factorizes into per-sample image-theme
 responsibilities r, per-class Dirichlet parameters gamma and theme weights
@@ -7,15 +7,20 @@ blocks in the order r -> gamma -> eta -> lambda, each update being the exact
 coordinate maximizer of the evidence lower bound given the others, so the
 bound never decreases across sweeps.
 
-`run_estep` iterates sweeps through a class-vectorized path equivalent to
-composing the per-class update functions (the test suite asserts the
-equivalence); sweeps stop when the mean absolute change of lambda drops
-below the configured tolerance.
+Given the model, task posteriors are independent.  `estep_batch` stacks the
+samples of many tasks into one matrix with class and task segment indices
+and sweeps all of them at once with segment sums (`np.add.reduceat`); each
+task stops at the sweep where the mean absolute change of its lambda drops
+below the configured tolerance, exactly as it would alone, and `run_estep`
+is a batch of one.  The bound is computed the same way for a whole batch
+(`elbo_batch`) or one task (`elbo`).  The per-class `update_*` functions are
+the readable reference: the test suite composes them to check the sweep.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,8 @@ from .special import (
     xlogy,
 )
 from .streams import estep_stream
+
+logger = logging.getLogger(__name__)
 
 _GAMMA_FLOOR = 1e-8
 _INIT_NOISE_CONCENTRATION = 100.0
@@ -70,14 +77,16 @@ class VariationalState:
 
 
 def _softmax_rows(logits):
-    """Row-normalize exp(logits) via a max shift; rejects degenerate rows."""
-    if np.isnan(logits).any():
-        raise NumericError("NaN logits in a normalization step")
+    """Row-normalize exp(logits) in place via a max shift; rejects degenerate rows."""
     m = logits.max(axis=1)
+    if np.isnan(m).any():
+        raise NumericError("NaN logits in a normalization step")
     if (m == -np.inf).any():
         raise NumericError("a normalization row had all -inf logits")
-    shifted = np.exp(logits - m[:, None])
-    return shifted / shifted.sum(axis=1)[:, None]
+    logits -= m[:, None]
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1)[:, None]
+    return logits
 
 
 def update_r(task, c, state, model, log_pdfs=None):
@@ -120,135 +129,245 @@ def update_lambda(state, delta):
     return np.asarray(delta, dtype=np.float64) + state.eta.sum(axis=0)
 
 
-def _task_geometry(task):
-    x, offsets = task.stacked()
-    counts = np.asarray(task.counts)
-    class_index = np.repeat(np.arange(task.num_classes), counts)
-    return x, offsets, class_index
+# Largest number of sample rows solved as one array problem.  Tasks are
+# grouped in order into blocks up to this size (a larger task is a block of
+# its own), so memory stays flat as batches and collections grow.
+_BLOCK_ROWS = 4096
 
 
-def _class_sums(r_all, offsets):
-    return np.add.reduceat(r_all, offsets[:-1], axis=0)
+def _blocks(tasks):
+    """Consecutive runs of tasks holding at most _BLOCK_ROWS samples each."""
+    block, rows = [], 0
+    for task in tasks:
+        if block and rows + task.total_samples > _BLOCK_ROWS:
+            yield block
+            block, rows = [], 0
+        block.append(task)
+        rows += task.total_samples
+    if block:
+        yield block
 
 
-def _split_rows(r_all, offsets):
-    return [r_all[offsets[c] : offsets[c + 1]] for c in range(len(offsets) - 1)]
+class _Segments:
+    """Segment indices of tasks stacked class by class, row by row.
 
-
-def _clamp_gamma(gamma, state):
-    bad = gamma <= 0.0
-    if bad.any():
-        state.gamma_clamps += int(bad.sum())
-        gamma = np.where(bad, _GAMMA_FLOOR, gamma)
-    return gamma
-
-
-def run_estep(task, model, config, rng=None):
-    """Fit the per-task posterior; returns the final VariationalState.
-
-    Responsibilities and theme weights start uniform plus symmetric
-    Dirichlet(100) noise (the noise breaks theme symmetry), gamma and lambda
-    from one application of their update rules.  Sweeps run until the
-    mean absolute lambda change falls below config.e_tol or
-    config.max_e_iters is reached; `state.converged` records which.
-
-    The noise stream is keyed by (config.seed, digest of task.id), so the
-    same seed and task give the same state regardless of batch order.
+    Rows of a class and classes of a task are contiguous, so per-class and
+    per-task sums are `np.add.reduceat` over the start offsets.
     """
-    if task.dimension != model.D:
-        raise DataError(
-            f"task {task.id!r} has dimension {task.dimension}, model expects {model.D}"
+
+    def __init__(self, class_counts, task_classes):
+        self.class_counts = class_counts
+        self.task_classes = task_classes
+        self.row_class = np.repeat(np.arange(class_counts.size), class_counts)
+        self.class_task = np.repeat(np.arange(task_classes.size), task_classes)
+        self.class_starts = np.cumsum(class_counts) - class_counts
+        self.task_starts = np.cumsum(task_classes) - task_classes
+        self.task_row_starts = self.class_starts[self.task_starts]
+
+    @classmethod
+    def of(cls, tasks):
+        return cls(
+            np.array([n for task in tasks for n in task.counts]),
+            np.array([task.num_classes for task in tasks]),
         )
-    if rng is None:
-        rng = estep_stream(config.seed, task.id)
-    x, offsets, class_index = _task_geometry(task)
-    log_pdfs = model.log_pdfs(x)
+
+    def subset(self, keep):
+        """Segments of the tasks where keep is true, with class and row masks."""
+        keep_classes = keep[self.class_task]
+        keep_rows = keep_classes[self.row_class]
+        sub = _Segments(self.class_counts[keep_classes], self.task_classes[keep])
+        return sub, keep_classes, keep_rows
+
+
+def _stacked_samples(tasks):
+    return np.concatenate([task.stacked()[0] for task in tasks])
+
+
+def _update_gamma_rows(r, eta, alpha_m1, seg):
+    """Batched gamma update; returns gamma and the clamped entries per task.
+
+    Rows of alpha below one can push entries nonpositive; those are set to
+    a small floor.
+    """
+    gamma = 1.0 + np.add.reduceat(r, seg.class_starts, axis=0) + eta @ alpha_m1
+    bad = gamma <= 0.0
+    if not bad.any():
+        return gamma, np.zeros(seg.task_classes.size, dtype=np.int64)
+    clamps = np.bincount(seg.class_task, bad.sum(axis=1), seg.task_classes.size)
+    return np.where(bad, _GAMMA_FLOOR, gamma), clamps.astype(np.int64)
+
+
+def _estep_block(tasks, model, config):
+    """`estep_batch` for one block of tasks."""
+    seg = _Segments.of(tasks)
+    log_pdfs = model.log_pdfs(_stacked_samples(tasks))
     alpha_m1 = model.alpha - 1.0
     log_norm = log_beta_rows(model.alpha)
-    delta = model.delta
 
-    r_all = rng.standard_gamma(_INIT_NOISE_CONCENTRATION, (x.shape[0], model.K))
-    r_all /= r_all.sum(axis=1)[:, None]
-    eta = rng.standard_gamma(_INIT_NOISE_CONCENTRATION, (task.num_classes, model.L))
+    r_noise, eta_noise = [], []
+    for task in tasks:
+        rng = estep_stream(config.seed, task.id)
+        r_noise.append(
+            rng.standard_gamma(_INIT_NOISE_CONCENTRATION, (task.total_samples, model.K))
+        )
+        eta_noise.append(
+            rng.standard_gamma(_INIT_NOISE_CONCENTRATION, (task.num_classes, model.L))
+        )
+    r = np.concatenate(r_noise)
+    r /= r.sum(axis=1)[:, None]
+    eta = np.concatenate(eta_noise)
     eta /= eta.sum(axis=1)[:, None]
+    gamma, clamps = _update_gamma_rows(r, eta, alpha_m1, seg)
+    lam = model.delta + np.add.reduceat(eta, seg.task_starts, axis=0)
 
-    state = VariationalState(
-        _split_rows(r_all, offsets),
-        np.empty((task.num_classes, model.K)),
-        eta,
-        np.empty(model.L),
-    )
-    state.gamma = _clamp_gamma(1.0 + _class_sums(r_all, offsets) + eta @ alpha_m1, state)
-    state.lam = delta + eta.sum(axis=0)
+    # Final values, filled in as tasks stop.  The arrays above always hold
+    # the running tasks only; `live` and the index arrays map them back.
+    out_r = np.empty_like(log_pdfs)
+    out_gamma, out_eta, out_lam = np.empty_like(gamma), np.empty_like(eta), np.empty_like(lam)
+    out_clamps = np.zeros(len(tasks), dtype=np.int64)
+    iterations = np.zeros(len(tasks), dtype=np.int64)
+    converged = np.zeros(len(tasks), dtype=bool)
+    live = seg
+    live_tasks = np.arange(len(tasks))
+    live_classes = np.arange(gamma.shape[0])
+    live_rows = np.arange(log_pdfs.shape[0])
+    expected_log_theta = dirichlet_expected_log(gamma)
 
     for it in range(1, config.max_e_iters + 1):
-        expected_log_theta = dirichlet_expected_log(state.gamma)
-        r_all = _softmax_rows(expected_log_theta[class_index] + log_pdfs)
-        gamma = _clamp_gamma(
-            1.0 + _class_sums(r_all, offsets) + state.eta @ alpha_m1, state
-        )
+        r = expected_log_theta[live.row_class]
+        r += log_pdfs
+        r = _softmax_rows(r)
+        gamma, new_clamps = _update_gamma_rows(r, eta, alpha_m1, live)
+        clamps += new_clamps
         expected_log_theta = dirichlet_expected_log(gamma)
-        expected_log_phi = dirichlet_expected_log(state.lam)
+        expected_log_phi = dirichlet_expected_log(lam)
         eta = _softmax_rows(
-            expected_log_phi[None, :] - log_norm[None, :] + expected_log_theta @ alpha_m1.T
+            expected_log_phi[live.class_task] - log_norm[None, :]
+            + expected_log_theta @ alpha_m1.T
         )
-        lam = delta + eta.sum(axis=0)
+        new_lam = model.delta + np.add.reduceat(eta, live.task_starts, axis=0)
+        done = np.abs(new_lam - lam).mean(axis=1) < config.e_tol
+        lam = new_lam
 
-        change = np.abs(lam - state.lam).mean()
-        state.r = _split_rows(r_all, offsets)
-        state.gamma = gamma
-        state.eta = eta
-        state.lam = lam
-        state.iterations = it
-        if change < config.e_tol:
-            state.converged = True
+        stop = done if it < config.max_e_iters else np.ones_like(done)
+        if not stop.any():
+            continue
+        stopped = live_tasks[stop]
+        iterations[stopped] = it
+        converged[stopped] = done[stop]
+        out_clamps[stopped] = clamps[stop]
+        out_lam[stopped] = lam[stop]
+        stop_classes = stop[live.class_task]
+        stop_rows = stop_classes[live.row_class]
+        out_gamma[live_classes[stop_classes]] = gamma[stop_classes]
+        out_eta[live_classes[stop_classes]] = eta[stop_classes]
+        out_r[live_rows[stop_rows]] = r[stop_rows]
+        if stop.all():
             break
-    return state
+        keep = ~stop
+        live, keep_classes, keep_rows = live.subset(keep)
+        live_tasks, clamps, lam = live_tasks[keep], clamps[keep], lam[keep]
+        live_classes, gamma, eta = (
+            live_classes[keep_classes], gamma[keep_classes], eta[keep_classes]
+        )
+        expected_log_theta = expected_log_theta[keep_classes]
+        live_rows, log_pdfs = live_rows[keep_rows], log_pdfs[keep_rows]
+
+    r_blocks = np.split(out_r, seg.class_starts[1:])
+    ends = seg.task_starts + seg.task_classes
+    return [
+        VariationalState(
+            r_blocks[a:b], out_gamma[a:b], out_eta[a:b], out_lam[d],
+            iterations=int(iterations[d]),
+            converged=bool(converged[d]),
+            gamma_clamps=int(out_clamps[d]),
+        )
+        for d, (a, b) in enumerate(zip(seg.task_starts, ends))
+    ]
 
 
-def elbo_terms(task, state, model, log_pdfs=None):
-    """The nine evidence-lower-bound expectations for one task.
+def estep_batch(tasks, model, config):
+    """Fit the posterior of every task; returns VariationalStates in task order.
 
-    Keys log_px, log_pz, log_ptheta, log_py, log_pphi are added and
-    log_qz, log_qtheta, log_qy, log_qphi subtracted to form the bound.
-    Entropy sums use the 0 ln 0 = 0 convention.
+    Per task, responsibilities and theme weights start uniform plus
+    symmetric Dirichlet(100) noise (the noise breaks theme symmetry), gamma
+    and lambda from one application of their update rules.  Sweeps run
+    until the mean absolute lambda change falls below config.e_tol or
+    config.max_e_iters is reached; `state.converged` records which, and
+    `state.gamma_clamps` counts the gamma entries floored while the task
+    ran.
+
+    The tasks are solved together in blocks of stacked samples, and a task
+    that stops is taken out of the sweeps, so each result is the one the
+    task reaches alone.  Its noise stream is keyed by (config.seed, digest
+    of task.id), so the same seed and task give the same state regardless
+    of batch order or composition.
     """
-    x, offsets, _ = _task_geometry(task)
+    for task in tasks:
+        if task.dimension != model.D:
+            raise DataError(
+                f"task {task.id!r} has dimension {task.dimension}, model expects {model.D}"
+            )
+    return [
+        state for block in _blocks(tasks) for state in _estep_block(block, model, config)
+    ]
+
+
+def run_estep(task, model, config):
+    """Fit one task's posterior: `estep_batch` for a batch of one."""
+    return estep_batch([task], model, config)[0]
+
+
+def warn_estep_waste(where, states, config) -> None:
+    """One warning if any E-step stopped at max_e_iters or clamped gamma."""
+    capped = sum(not state.converged for state in states)
+    clamps = sum(state.gamma_clamps for state in states)
+    if capped or clamps:
+        logger.warning(
+            "%s: %d of %d E-steps stopped at max_e_iters=%d; %d gamma entries clamped",
+            where, capped, len(states), config.max_e_iters, clamps,
+        )
+
+
+def _elbo_terms(tasks, states, model, log_pdfs=None):
+    """The nine bound expectations of each task, as arrays over the tasks."""
+    seg = _Segments.of(tasks)
     if log_pdfs is None:
-        log_pdfs = model.log_pdfs(x)
-    r_all = np.concatenate(state.r)
-    counts = _class_sums(r_all, offsets)
-    expected_log_theta = dirichlet_expected_log(state.gamma)
-    expected_log_phi = dirichlet_expected_log(state.lam)
+        log_pdfs = model.log_pdfs(_stacked_samples(tasks))
+    r = np.concatenate([block for state in states for block in state.r])
+    gamma = np.concatenate([state.gamma for state in states])
+    eta = np.concatenate([state.eta for state in states])
+    lam = np.stack([state.lam for state in states])
+    expected_log_theta = dirichlet_expected_log(gamma)
+    expected_log_phi = dirichlet_expected_log(lam)
     alpha_m1 = model.alpha - 1.0
     log_norm = log_beta_rows(model.alpha)
-
     theta_affinity = expected_log_theta @ alpha_m1.T - log_norm[None, :]
-    terms = {
-        "log_px": float((r_all * log_pdfs).sum()),
-        "log_pz": float((counts * expected_log_theta).sum()),
-        "log_ptheta": float((state.eta * theta_affinity).sum()),
-        "log_py": float((state.eta * expected_log_phi[None, :]).sum()),
-        "log_pphi": float(
-            -log_beta_dirichlet(model.delta)
-            + ((model.delta - 1.0) * expected_log_phi).sum()
+    counts = np.add.reduceat(r, seg.class_starts, axis=0)
+
+    def over_rows(values):
+        return np.add.reduceat(values.sum(axis=1), seg.task_row_starts)
+
+    def over_classes(values):
+        return np.add.reduceat(values, seg.task_starts)
+
+    return {
+        "log_px": over_rows(r * log_pdfs),
+        "log_pz": over_classes((counts * expected_log_theta).sum(axis=1)),
+        "log_ptheta": over_classes((eta * theta_affinity).sum(axis=1)),
+        "log_py": over_classes((eta * expected_log_phi[seg.class_task]).sum(axis=1)),
+        "log_pphi": -log_beta_dirichlet(model.delta)
+        + ((model.delta - 1.0) * expected_log_phi).sum(axis=1),
+        "log_qz": over_rows(xlogy(r, r)),
+        "log_qtheta": over_classes(
+            ((gamma - 1.0) * expected_log_theta).sum(axis=1) - log_beta_rows(gamma)
         ),
-        "log_qz": float(xlogy(r_all, r_all).sum()),
-        "log_qtheta": float(
-            (-log_beta_rows(state.gamma)).sum()
-            + ((state.gamma - 1.0) * expected_log_theta).sum()
-        ),
-        "log_qy": float(xlogy(state.eta, state.eta).sum()),
-        "log_qphi": float(
-            -log_beta_dirichlet(state.lam) + ((state.lam - 1.0) * expected_log_phi).sum()
-        ),
+        "log_qy": over_classes(xlogy(eta, eta).sum(axis=1)),
+        "log_qphi": -log_beta_rows(lam) + ((lam - 1.0) * expected_log_phi).sum(axis=1),
     }
-    return terms
 
 
-def elbo(task, state, model, log_pdfs=None) -> float:
-    """Evidence lower bound for one task under its variational state."""
-    t = elbo_terms(task, state, model, log_pdfs=log_pdfs)
+def _bound(t):
     return (
         t["log_px"]
         + t["log_pz"]
@@ -260,6 +379,35 @@ def elbo(task, state, model, log_pdfs=None) -> float:
         - t["log_qy"]
         - t["log_qphi"]
     )
+
+
+def elbo_batch(tasks, states, model) -> np.ndarray:
+    """Evidence lower bound of each task under its state, in task order."""
+    states = list(states)
+    if len(states) != len(tasks):
+        raise ValueError(f"{len(tasks)} tasks but {len(states)} states")
+    bounds, start = [], 0
+    for block in _blocks(tasks):
+        stop = start + len(block)
+        bounds.append(_bound(_elbo_terms(block, states[start:stop], model)))
+        start = stop
+    return np.concatenate(bounds)
+
+
+def elbo_terms(task, state, model, log_pdfs=None):
+    """The nine evidence-lower-bound expectations for one task.
+
+    Keys log_px, log_pz, log_ptheta, log_py, log_pphi are added and
+    log_qz, log_qtheta, log_qy, log_qphi subtracted to form the bound.
+    Entropy sums use the 0 ln 0 = 0 convention.
+    """
+    terms = _elbo_terms([task], [state], model, log_pdfs=log_pdfs)
+    return {key: float(value[0]) for key, value in terms.items()}
+
+
+def elbo(task, state, model, log_pdfs=None) -> float:
+    """Evidence lower bound for one task under its variational state."""
+    return float(_bound(_elbo_terms([task], [state], model, log_pdfs=log_pdfs))[0])
 
 
 def write_lambda_csv(path, ids, lambdas) -> None:

@@ -1,9 +1,10 @@
 """Online learning of the shared themes.
 
-Each batch runs independent E-steps, pools responsibility-weighted moments
-into one M-step estimate of the Gaussian themes, builds a Newton step for
-the Dirichlet rows alpha from the batch posteriors, and blends everything
-into the running model with step size rho_b = (tau0 + b)^(-tau1).
+Each batch solves the E-steps of all its tasks together (`estep_batch`),
+pools responsibility-weighted moments into one M-step estimate of the
+Gaussian themes, builds a Newton step for the Dirichlet rows alpha from the
+batch posteriors, and blends everything into the running model with step
+size rho_b = (tau0 + b)^(-tau1).
 
 Sufficient statistics are raw moments (count, weighted sum, weighted second
 moment), so pooling tasks is an associative sum and a full batch reproduces
@@ -15,13 +16,12 @@ from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelError, NumericError
-from .inference import dirichlet_expected_log, elbo, run_estep
+from .inference import dirichlet_expected_log, elbo_batch, estep_batch, warn_estep_waste
 from .model import ThemeModel, TrainConfig, init_model
 from .special import digamma, trigamma
 from .streams import shuffle_stream
@@ -252,23 +252,6 @@ def write_training_log(path, rows) -> None:
             )
 
 
-def _batch_estep(tasks, model, config, threads):
-    """E-steps for a batch; results gathered in task order regardless of threads."""
-
-    def work(task):
-        state = run_estep(task, model, config)
-        return state, elbo(task, state, model)
-
-    if threads is not None and threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(task) for task in tasks]
-    states = [s for s, _ in results]
-    elbos = [e for _, e in results]
-    return states, elbos
-
-
 def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
           delta: float = 0.5, threads: int | None = 1):
     """Online variational training over a task collection.
@@ -276,8 +259,14 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
     Tasks are visited in a seed-shuffled order, in consecutive mini-batches
     of config.batch_size cycling through the collection, for
     config.max_batches batches.  Returns the final model and the per-batch
-    diagnostic rows.
+    diagnostic rows.  A batch whose E-steps stop at config.max_e_iters or
+    clamp gamma entries logs one warning with both counts.
+
+    threads is accepted for compatibility and has no effect: every batch is
+    solved as one array problem on the calling thread.
     """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     model = init_model(
         tasks, num_task_themes, num_image_themes, delta, config.seed,
         jitter=config.jitter,
@@ -296,7 +285,9 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
             batch_ids = np.asarray(take)
         batch = [tasks[int(i)] for i in batch_ids]
 
-        states, elbos = _batch_estep(batch, model, config, threads)
+        states = estep_batch(batch, model, config)
+        elbos = elbo_batch(batch, states, model)
+        warn_estep_waste(f"batch {batch_index}", states, config)
         stats = accumulate_stats(batch, states)
         means, covs, active = local_mstep(stats, config.jitter)
         work = alpha_newton_work(states, model.alpha)
@@ -304,9 +295,6 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
         rho = learning_rate(config.tau0, config.tau1, batch_index)
         model = online_update(model, means, covs, direction, rho, active=active)
 
-        clamps = sum(s.gamma_clamps for s in states)
-        if clamps:
-            logger.debug("batch %d: %d gamma entries clamped", batch_index, clamps)
         log_rows.append(
             TrainLogRow(
                 batch=batch_index,

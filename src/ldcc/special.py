@@ -136,23 +136,6 @@ def log_beta_rows(u):
     return lg.sum(axis=1) - _lgamma_vec(arr.sum(axis=1)).astype(np.float64)
 
 
-def log_sum_exp(v):
-    """ln sum exp of a vector, computed with the max shifted out.
-
-    Entries may be -inf (zero weight); +inf and NaN are rejected.  A vector
-    that is all -inf yields -inf.
-    """
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("log_sum_exp expects a non-empty 1-d vector")
-    if np.isnan(arr).any() or (arr == np.inf).any():
-        raise DomainError("log_sum_exp entries must be finite or -inf")
-    m = arr.max()
-    if m == -np.inf:
-        return -np.inf
-    return float(m + np.log(np.exp(arr - m).sum()))
-
-
 def xlogy(x, y):
     """x * ln y with the 0 * ln 0 = 0 convention, elementwise."""
     x = np.asarray(x, dtype=np.float64)

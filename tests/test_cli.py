@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -223,6 +224,26 @@ class TestInfer:
         assert lam.shape == (10, 2)
         assert np.all(lam > 0) and np.isfinite(lam).all()
         assert (tmp_path / "lambdas.csv.config.json").exists()
+
+    def test_capped_esteps_warn_once(self, small_collection, tmp_path, capsys, caplog):
+        model = ThemeModel(
+            np.array([[0.0, 0.0], [3.0, 0.0]]), np.stack([np.eye(2)] * 2),
+            np.array([[2.0, 0.5], [0.5, 2.0]]), np.array([0.5, 0.5]),
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        with caplog.at_level(logging.WARNING, logger="ldcc"):
+            code, _, _ = run(
+                capsys,
+                "infer", "--model", str(path),
+                "--data", str(small_collection / "manifest.json"),
+                "--max-e-iters", "1", "--e-tol", "1e-12",
+                "--out", str(tmp_path / "lambdas.csv"),
+            )
+        assert code == 0
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(messages) == 1
+        assert messages[0].startswith("infer: 10 of 10 E-steps stopped at max_e_iters=1;")
 
     def test_degenerate_model_closed_form(self, small_collection, tmp_path, capsys):
         # L = K = 1: lambda is exactly delta + C for every task

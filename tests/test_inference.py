@@ -8,11 +8,14 @@ from scipy import stats
 from helpers import naive_elbo_terms
 from ldcc.data import Task
 from ldcc.errors import DataError, FormatError
+import ldcc.inference as inference
 from ldcc.inference import (
     VariationalState,
     dirichlet_expected_log,
     elbo,
+    elbo_batch,
     elbo_terms,
+    estep_batch,
     read_lambda_csv,
     run_estep,
     update_eta,
@@ -322,6 +325,82 @@ class TestRunEstep:
         assert np.allclose(got.gamma, state.gamma, atol=1e-12)
         assert np.allclose(got.eta, state.eta, atol=1e-12)
         assert np.allclose(got.lam, state.lam, atol=1e-12)
+
+
+class TestEstepBatch:
+    """A mixed batch must give every task the state it reaches alone."""
+
+    config = TrainConfig(seed=3, e_tol=1e-3, max_e_iters=10)
+
+    def model(self):
+        # The third theme sits far from most samples and has alpha entries
+        # below float resolution, so its gamma entries round to zero and are
+        # clamped in tasks that give it no responsibility.
+        return ThemeModel(
+            np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 60.0]]),
+            np.stack([np.eye(2)] * 3),
+            np.array([[3.0, 0.8, 1e-18], [0.7, 2.5, 1e-18]]),
+            np.array([0.5, 0.5]),
+        )
+
+    def tasks(self):
+        rng = np.random.default_rng(5)
+
+        def task(task_id, centers, shots):
+            return Task(task_id, [
+                (np.asarray(c, dtype=float) + rng.normal(size=(n, 2))).astype(np.float32)
+                for c, n in zip(centers, shots)
+            ])
+
+        return [
+            task("top", [[0, 60], [0, 60]], [3, 5]),
+            task("top3", [[0, 60], [0, 60], [0, 60]], [4, 1, 6]),
+            task("ambig", [[3, 0], [3, 0], [3, 0]], [4, 9, 2]),
+            task("near", [[0, 0], [0, 0], [0, 0], [6, 0]], [3, 7, 2, 5]),
+            task("mix", [[0, 0], [6, 0], [3, 0], [0, 60], [6, 0]], [2, 2, 6, 3, 4]),
+        ]
+
+    def assert_same(self, got, want):
+        assert len(got.r) == len(want.r)
+        for a, b in zip(got.r, want.r):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+        assert np.allclose(got.gamma, want.gamma, rtol=0, atol=1e-12)
+        assert np.allclose(got.eta, want.eta, rtol=0, atol=1e-12)
+        assert np.allclose(got.lam, want.lam, rtol=0, atol=1e-12)
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        assert got.gamma_clamps == want.gamma_clamps
+
+    def test_matches_batches_of_one(self, monkeypatch):
+        model, tasks, cfg = self.model(), self.tasks(), self.config
+        alone = [run_estep(task, model, cfg) for task in tasks]
+        # The batch covers the cases a task can end in.
+        cap = cfg.max_e_iters
+        assert any(s.converged and s.iterations <= 6 for s in alone)
+        assert any(not s.converged and s.iterations == cap for s in alone)
+        assert any(s.gamma_clamps > 0 for s in alone)
+        assert any(s.gamma_clamps == 0 for s in alone)
+
+        runs = [(tasks, estep_batch(tasks, model, cfg))]
+        runs.append((tasks[::-1], estep_batch(tasks[::-1], model, cfg)))
+        for block_rows in (12, 20):
+            # Blocks of one task and blocks of several; a task larger than
+            # the block is a block of its own.
+            monkeypatch.setattr(inference, "_BLOCK_ROWS", block_rows)
+            runs.append((tasks, estep_batch(tasks, model, cfg)))
+        for batch, states in runs:
+            by_id = {task.id: state for task, state in zip(batch, states)}
+            for task, want in zip(tasks, alone):
+                self.assert_same(by_id[task.id], want)
+            bounds = elbo_batch(batch, states, model)
+            for task, state, bound in zip(batch, states, bounds):
+                assert bound == pytest.approx(elbo(task, state, model), rel=1e-12, abs=1e-12)
+
+    def test_elbo_batch_needs_one_state_per_task(self):
+        tasks, model = self.tasks(), self.model()
+        states = estep_batch(tasks, model, self.config)
+        with pytest.raises(ValueError):
+            elbo_batch(tasks, states[:-1], model)
 
 
 class TestExactMaximizers:

@@ -375,6 +375,18 @@ class TestTrain:
         assert m1 == m2
         assert log1 == log2
 
+    def test_estep_blocks_do_not_change_result(self, monkeypatch):
+        import ldcc.inference as inference_module
+
+        coll = self.collection()
+        cfg = TrainConfig(seed=5, max_batches=3, batch_size=6)
+        m1, log1 = train(coll, 2, 3, cfg)
+        # Blocks of one or two tasks instead of the whole batch.
+        monkeypatch.setattr(inference_module, "_BLOCK_ROWS", 20)
+        m2, log2 = train(coll, 2, 3, cfg)
+        assert m1 == m2
+        assert log1 == log2
+
     def test_log_rows_and_rates(self):
         coll = self.collection()
         cfg = TrainConfig(seed=2, max_batches=5, batch_size=4)
@@ -402,6 +414,28 @@ class TestTrain:
         assert model.K == 1 and model.L == 1
         assert np.isfinite(rows[-1].mean_elbo)
 
+    def test_warns_once_per_batch_about_capped_esteps(self, caplog):
+        coll = self.collection()
+        cfg = TrainConfig(seed=5, max_batches=3, batch_size=6, max_e_iters=1, e_tol=1e-12)
+        with caplog.at_level(logging.WARNING, logger="ldcc"):
+            _, rows = train(coll, 2, 3, cfg)
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(messages) == len(rows) == 3
+        for batch, message in enumerate(messages, start=1):
+            assert message.startswith(f"batch {batch}: 6 of 6 E-steps stopped at max_e_iters=1;")
+            assert message.endswith(" gamma entries clamped")
+
+    def test_no_warning_when_esteps_converge(self, caplog):
+        coll = self.collection()
+        cfg = TrainConfig(seed=5, max_batches=2, batch_size=6)
+        with caplog.at_level(logging.WARNING, logger="ldcc"):
+            train(coll, 2, 3, cfg)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_rejects_nonpositive_threads(self):
+        with pytest.raises(ValueError):
+            train(self.collection(), 2, 3, TrainConfig(max_batches=1), threads=0)
+
     def test_batches_cycle_through_collection(self):
         # batch_size below the collection size must still visit every task
         # within ceil(M / B) batches; check via a wrapper counting E-steps.
@@ -409,18 +443,18 @@ class TestTrain:
         seen = []
         import ldcc.learning as learning_module
 
-        original = learning_module.run_estep
+        original = learning_module.estep_batch
 
-        def spy(task, model, config, rng=None):
-            seen.append(task.id)
-            return original(task, model, config, rng=rng)
+        def spy(tasks, model, config):
+            seen.extend(task.id for task in tasks)
+            return original(tasks, model, config)
 
-        learning_module.run_estep = spy
+        learning_module.estep_batch = spy
         try:
             cfg = TrainConfig(seed=4, max_batches=7, batch_size=2)
             train(coll, 2, 2, cfg)
         finally:
-            learning_module.run_estep = original
+            learning_module.estep_batch = original
         assert set(seen) == set(coll.ids)
         assert len(seen) == 14
 

@@ -10,7 +10,6 @@ from ldcc.special import (
     digamma,
     log_beta_dirichlet,
     log_gamma,
-    log_sum_exp,
     trigamma,
     xlogy,
 )
@@ -174,52 +173,6 @@ class TestLogBeta:
             log_beta_dirichlet(np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             log_beta_dirichlet(np.array([1.0, np.nan]))
-
-
-class TestLogSumExp:
-    def test_equal_pair(self):
-        assert log_sum_exp(np.array([3.0, 3.0])) == pytest.approx(
-            3.0 + math.log(2.0), abs=1e-14
-        )
-
-    def test_huge_inputs_do_not_overflow(self):
-        assert log_sum_exp(np.array([1000.0, 1000.0])) == pytest.approx(
-            1000.0 + math.log(2.0), abs=1e-12
-        )
-
-    def test_single(self):
-        assert log_sum_exp(np.array([-4.5])) == -4.5
-
-    def test_neg_inf_entries_allowed(self):
-        assert log_sum_exp(np.array([-np.inf, 0.0])) == pytest.approx(0.0, abs=1e-14)
-        assert log_sum_exp(np.array([-np.inf, -np.inf])) == -np.inf
-
-    @given(
-        st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8),
-        st.floats(min_value=-100, max_value=100),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_shift_property(self, values, shift):
-        a = np.array(values)
-        assert log_sum_exp(a + shift) == pytest.approx(
-            log_sum_exp(a) + shift, rel=1e-12, abs=1e-9
-        )
-
-    def test_dominates_max(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a = rng.normal(size=6) * 10
-            v = log_sum_exp(a)
-            assert v >= a.max()
-            assert v <= a.max() + math.log(a.size) + 1e-12
-
-    def test_rejects_nan_and_plus_inf(self):
-        with pytest.raises(DomainError):
-            log_sum_exp(np.array([np.nan, 1.0]))
-        with pytest.raises(DomainError):
-            log_sum_exp(np.array([np.inf, 1.0]))
-        with pytest.raises(DomainError):
-            log_sum_exp(np.array([]))
 
 
 class TestXlogy:
