@@ -14,7 +14,7 @@ from ldcc.data import generate_synthetic
 from ldcc.inference import run_estep
 from ldcc.learning import train
 from ldcc.model import ThemeModel, TrainConfig
-from ldcc.similarity import dirichlet_kl, select_tasks
+from ldcc.similarity import distance_matrix, select_tasks
 
 planted = ThemeModel(
     mu=np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]]),
@@ -36,8 +36,7 @@ themes = latents.task_themes
 
 # Embeddings of same-theme tasks should sit close together in KL.
 M = len(train_tasks)
-kl = np.array([[dirichlet_kl(train_lam[i], train_lam[j]) for j in range(M)]
-               for i in range(M)])
+kl = distance_matrix(train_lam, train_lam).matrix
 off = ~np.eye(M, dtype=bool)
 same = themes[:, None] == themes[None, :]
 print("mean KL within a theme: %.3f" % kl[same & off].mean())

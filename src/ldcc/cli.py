@@ -214,7 +214,7 @@ def cmd_infer(args) -> int:
 def cmd_distance(args) -> int:
     test_ids, test_lambdas = read_lambda_csv(args.test_lambdas)
     _, train_lambdas = read_lambda_csv(args.train_lambdas)
-    report = distance_matrix(test_lambdas, train_lambdas)
+    report = distance_matrix(test_lambdas, train_lambdas, keep_matrix=False)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_distance_csv(out, test_ids, report.mean_kl)

@@ -176,13 +176,21 @@ def learning_rate(tau0: float, tau1: float, batch_index: int) -> float:
 
 
 def _damped_alpha_step(alpha_row, step_row):
-    """Halve a row's Newton step until the row stays positive, then floor."""
+    """Halve a row's Newton step until the row stays positive, then floor.
+
+    Returns the new row, whether all _MAX_HALVINGS halvings were used, and
+    how many of its entries were raised to _ALPHA_FLOOR.
+    """
     step = step_row.copy()
+    exhausted = False
     for _ in range(_MAX_HALVINGS):
         if (alpha_row - step > 0).all():
             break
         step *= 0.5
-    return np.maximum(alpha_row - step, _ALPHA_FLOOR)
+    else:
+        exhausted = True
+    row = alpha_row - step
+    return np.maximum(row, _ALPHA_FLOOR), exhausted, int((row < _ALPHA_FLOOR).sum())
 
 
 def online_update(model, means, covs, newton_direction, rho, active=None) -> ThemeModel:
@@ -191,7 +199,8 @@ def online_update(model, means, covs, newton_direction, rho, active=None) -> The
     Gaussian themes move along the convex combination (1 - rho) old +
     rho new; inactive themes (no batch mass) keep their previous values.
     alpha takes a damped Newton step alpha - rho * direction, floored
-    entrywise.  The result is re-validated and re-factorized.
+    entrywise; rows that use every halving or hit the floor are logged in
+    one warning.  The result is re-validated and re-factorized.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
@@ -209,12 +218,21 @@ def online_update(model, means, covs, newton_direction, rho, active=None) -> The
         covs = np.where(active[:, None, None], covs, model.sigma)
     new_mu = (1.0 - rho) * model.mu + rho * means
     new_sigma = (1.0 - rho) * model.sigma + rho * covs
-    new_alpha = np.vstack(
-        [
-            _damped_alpha_step(model.alpha[l], rho * newton_direction[l])
-            for l in range(model.L)
-        ]
-    )
+    steps = [
+        _damped_alpha_step(model.alpha[l], rho * newton_direction[l])
+        for l in range(model.L)
+    ]
+    new_alpha = np.vstack([row for row, _, _ in steps])
+    exhausted = [l for l, (_, used_all, _) in enumerate(steps) if used_all]
+    floored = {l: count for l, (_, _, count) in enumerate(steps) if count}
+    if exhausted or floored:
+        logger.warning(
+            "alpha rows %s used all %d step halvings; entries floored at %g per row: %s",
+            exhausted,
+            _MAX_HALVINGS,
+            _ALPHA_FLOOR,
+            floored,
+        )
     try:
         return model.with_updates(mu=new_mu, sigma=new_sigma, alpha=new_alpha)
     except ModelError as exc:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, NumericError
-from .special import digamma, log_beta_dirichlet
+from .errors import DataError, DomainError, FormatError, NumericError
+from .special import digamma, log_beta_dirichlet, log_beta_rows
 
 _NEGATIVE_KL_TOL = -1e-9
 
@@ -50,33 +50,58 @@ class DistanceReport:
     matrix: np.ndarray | None = None
 
 
-def distance_matrix(test_lambdas, train_lambdas, keep_matrix=True) -> DistanceReport:
-    """KL of every test posterior from every training posterior.
+def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
+    """KL[Dir(test_i) || Dir(train_d)] for every pair, checked and clamped at 0.
 
-    Entry (i, d) is dirichlet_kl(test_i, train_d); mean_kl averages each row.
+    All pairs are computed in one array pass.  With
+    E_i = psi(a_i) - psi(sum a_i), entry (i, d) is
+
+        (ln B(b_d) - ln B(a_i)) + (a_i . E_i - E_i . b_d).
+
+    Both dot products add the themes one at a time in the same order, so an
+    identical pair gives exactly 0, equal training rows give bit-equal
+    columns, and the result does not depend on BLAS or its thread count.
     """
-    test_lambdas = np.asarray(test_lambdas, dtype=np.float64)
-    train_lambdas = np.asarray(train_lambdas, dtype=np.float64)
-    if test_lambdas.ndim != 2 or train_lambdas.ndim != 2:
+    test = np.asarray(test_lambdas, dtype=np.float64)
+    train = np.asarray(train_lambdas, dtype=np.float64)
+    if test.ndim != 2 or train.ndim != 2:
         raise ValueError("lambda inputs must be 2-d (tasks by themes)")
-    if test_lambdas.shape[1] != train_lambdas.shape[1]:
+    if test.shape[1] != train.shape[1]:
         raise DataError(
             f"test and train lambdas disagree on theme count: "
-            f"{test_lambdas.shape[1]} vs {train_lambdas.shape[1]}"
+            f"{test.shape[1]} vs {train.shape[1]}"
         )
-    matrix = np.empty((test_lambdas.shape[0], train_lambdas.shape[0]))
-    for i, a in enumerate(test_lambdas):
-        for d, b in enumerate(train_lambdas):
-            matrix[i, d] = dirichlet_kl(a, b)
+    if test.shape[1] == 0:
+        raise DomainError("dirichlet parameters need at least one theme")
+    with np.errstate(over="ignore"):
+        if not (np.isfinite(test.sum(axis=1)).all() and np.isfinite(train.sum(axis=1)).all()):
+            raise NumericError("dirichlet parameters overflow the KL computation")
+    expected = digamma(test) - digamma(test.sum(axis=1))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        self_term = test[:, 0] * expected[:, 0]
+        matrix = np.multiply.outer(expected[:, 0], train[:, 0])
+        scratch = np.empty_like(matrix)
+        for k in range(1, test.shape[1]):
+            self_term += test[:, k] * expected[:, k]
+            matrix += np.multiply.outer(expected[:, k], train[:, k], out=scratch)
+        np.subtract(self_term[:, None], matrix, out=matrix)
+        matrix += np.subtract(log_beta_rows(train)[None, :], log_beta_rows(test)[:, None], out=scratch)
     if matrix.min() < _NEGATIVE_KL_TOL or not np.isfinite(matrix).all():
         raise NumericError(
             f"KL matrix contains invalid entries (min {matrix.min()})"
         )
-    matrix = np.maximum(matrix, 0.0)
-    report = DistanceReport(mean_kl=matrix.mean(axis=1))
-    if keep_matrix:
-        report.matrix = matrix
-    return report
+    return np.maximum(matrix, 0.0, out=matrix)
+
+
+def distance_matrix(test_lambdas, train_lambdas, keep_matrix=True) -> DistanceReport:
+    """KL of every test posterior from every training posterior.
+
+    Entry (i, d) is dirichlet_kl(test_i, train_d), clamped at 0; mean_kl
+    averages each row.  The whole matrix costs one O(n_test * n_train * L)
+    array pass.
+    """
+    matrix = _kl_matrix(test_lambdas, train_lambdas)
+    return DistanceReport(mean_kl=matrix.mean(axis=1), matrix=matrix if keep_matrix else None)
 
 
 @dataclass
@@ -156,8 +181,7 @@ def select_tasks(train_lambdas, test_lambdas, count: int) -> list[int]:
         )
     if count == 0:
         return []
-    report = distance_matrix(test_lambdas, train_lambdas)
-    scores = report.matrix.mean(axis=0)
+    scores = _kl_matrix(test_lambdas, train_lambdas).mean(axis=0)
     order = np.lexsort((np.arange(scores.size), scores))
     return [int(i) for i in order[:count]]
 

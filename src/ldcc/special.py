@@ -2,16 +2,16 @@
 
 digamma and trigamma use the classic recurrence shift (six steps of
 psi(x) = psi(x+1) - 1/x, so the argument lands at >= 6) followed by the
-de Moivre asymptotic expansion in 1/x^2.  Arguments are validated rather
-than clamped: non-positive, non-finite, or denormal-range inputs raise
-DomainError so silent upstream corruption cannot hide here.
+de Moivre asymptotic expansion in 1/x^2.  The log-gamma family is
+scipy.special.gammaln.  Arguments are validated rather than clamped:
+non-positive, non-finite, or denormal-range inputs raise DomainError so
+silent upstream corruption cannot hide here.
 
 All functions accept scalars or numpy arrays and return matching shapes.
 """
 
-import math
-
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -43,17 +43,6 @@ _PSI1_TAIL = (
 
 _SHIFT = 6
 
-def _lgamma(x):
-    # math.lgamma raises once the result itself overflows (x above ~2.5e305);
-    # the mathematically consistent value there is +inf.
-    try:
-        return math.lgamma(x)
-    except OverflowError:
-        return math.inf
-
-
-_lgamma_vec = np.frompyfunc(_lgamma, 1, 1)
-
 
 def _positive_array(x, name):
     """Validate x > 0 elementwise (finite, not below the denormal cutoff)."""
@@ -77,9 +66,8 @@ def _horner(w, coefficients):
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
     arr, scalar = _positive_array(x, "log_gamma")
-    if scalar:
-        return _lgamma(float(arr))
-    return _lgamma_vec(arr).astype(np.float64)
+    out = gammaln(arr)
+    return float(out) if scalar else out
 
 
 def digamma(x):
@@ -123,8 +111,7 @@ def log_beta_dirichlet(u):
         raise DomainError("log_beta_dirichlet expects a non-empty 1-d vector")
     if arr.size == 1:
         return 0.0
-    head = float(_lgamma_vec(arr).astype(np.float64).sum())
-    return head - _lgamma(float(arr.sum()))
+    return float(gammaln(arr).sum() - gammaln(arr.sum()))
 
 
 def log_beta_rows(u):
@@ -132,8 +119,7 @@ def log_beta_rows(u):
     arr, _ = _positive_array(u, "log_beta_rows")
     if arr.ndim != 2:
         raise DomainError("log_beta_rows expects a 2-d array")
-    lg = _lgamma_vec(arr).astype(np.float64)
-    return lg.sum(axis=1) - _lgamma_vec(arr.sum(axis=1)).astype(np.float64)
+    return gammaln(arr).sum(axis=1) - gammaln(arr.sum(axis=1))
 
 
 def xlogy(x, y):

@@ -296,6 +296,25 @@ class TestOnlineUpdate:
         )
         assert out.alpha[0, 0] == 1e-6
 
+    def test_alpha_damping_limits_warn_once(self, caplog):
+        m = ThemeModel(
+            np.zeros((1, 1)), np.ones((1, 1, 1)), np.array([[1.0], [1.0], [8.0]]), np.ones(3)
+        )
+        # row 0 uses all halvings, row 1 lands below the floor, row 2 is fine
+        direction = np.array([[1e30], [1.0 - 1e-7], [4.0]])
+        with caplog.at_level(logging.WARNING, logger="ldcc.learning"):
+            out = online_update(m, np.zeros((1, 1)), np.ones((1, 1, 1)), direction, rho=1.0)
+        assert out.alpha[:, 0].tolist() == [1e-6, 1e-6, 4.0]
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert messages == [
+            "alpha rows [0] used all 20 step halvings; entries floored at 1e-06 per row: {0: 1, 1: 1}"
+        ]
+        # two halvings keep rows 0 and 1 positive: no warning
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ldcc.learning"):
+            online_update(m, np.zeros((1, 1)), np.ones((1, 1, 1)), np.full((3, 1), 2.0), rho=1.0)
+        assert not caplog.records
+
     def test_rows_damped_independently(self):
         m = ThemeModel(
             np.zeros((1, 1)),

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import psi
 
 from helpers import mc_dirichlet_kl
 from ldcc.errors import DataError, FormatError, NumericError
+from ldcc.special import log_beta_dirichlet
 from ldcc.similarity import (
     DiagramBin,
     correlation_diagram,
@@ -94,6 +99,33 @@ class TestDistanceMatrix:
         with pytest.raises(NumericError):
             distance_matrix(np.array([[1e308, 1e308]]), np.array([[1e-300, 1.0]]))
 
+    def test_cross_term_overflow_raises_numeric(self):
+        # psi(1e-300) ~ -1e300 against a 1e300 training entry overflows the
+        # cross term although every row sum is finite.
+        test = np.array([[1e-300, 1.0], [2.0, 3.0]])
+        train = np.array([[1.0, 1.0], [1e300, 1.0]])
+        with pytest.raises(NumericError):
+            distance_matrix(test, train)
+        with pytest.raises(NumericError):
+            select_tasks(train, test, 1)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_entries_match_scalar_kl(self, data):
+        themes = data.draw(st.integers(1, 8))
+        entries = st.floats(min_value=1e-3, max_value=1e3)
+        test = data.draw(arrays(np.float64, (data.draw(st.integers(1, 4)), themes), elements=entries))
+        train = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), themes), elements=entries))
+        matrix = distance_matrix(test, train).matrix
+        for i, a in enumerate(test):
+            # Tolerance relative to the magnitudes of the terms both
+            # formulas add: the log-betas and the two cross products a.E and
+            # b.E, which reach ~1e6 here while their difference may be small.
+            e = np.abs(psi(a) - psi(a.sum()))
+            for d, b in enumerate(train):
+                magnitude = abs(log_beta_dirichlet(a)) + abs(log_beta_dirichlet(b)) + a @ e + b @ e
+                assert abs(matrix[i, d] - dirichlet_kl(a, b)) <= 1e-12 * (1.0 + magnitude)
+
 
 class TestCorrelationDiagram:
     def test_two_bin_hand_instance(self):
@@ -175,6 +207,24 @@ class TestSelectTasks:
         )
         want = list(np.argsort(scores, kind="stable")[:5])
         assert got == [int(i) for i in want]
+
+    def test_brute_force_oracle_with_duplicate_rows(self):
+        # Duplicated training rows tie exactly; the oracle breaks ties by
+        # ascending index, so the selection must match it id for id.
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            distinct = rng.uniform(0.2, 8.0, size=(5, 3))
+            train = distinct[rng.integers(0, 5, size=15)]
+            test = rng.uniform(0.2, 8.0, size=(int(rng.integers(1, 4)), 3))
+            count = int(rng.integers(1, 16))
+            scores = np.array(
+                [
+                    np.mean([max(dirichlet_kl(t, train[d]), 0.0) for t in test])
+                    for d in range(15)
+                ]
+            )
+            want = np.lexsort((np.arange(15), scores))[:count]
+            assert select_tasks(train, test, count) == [int(i) for i in want]
 
     def test_zero_count(self):
         lam = np.ones((3, 2))
