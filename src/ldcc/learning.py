@@ -95,15 +95,11 @@ def local_mstep(stats: LocalThemeStats, jitter: float):
     return means, covs, active
 
 
-def _eta_moments(states, alpha):
+def _eta_moments(states):
     """Batch sums S_l = sum eta_dcl and T_lk = sum eta_dcl E[ln theta_dck]."""
-    num_rows, num_themes = alpha.shape
-    mass = np.zeros(num_rows)
-    weighted_log_theta = np.zeros((num_rows, num_themes))
-    for state in states:
-        mass += state.eta.sum(axis=0)
-        weighted_log_theta += state.eta.T @ dirichlet_expected_log(state.gamma)
-    return mass, weighted_log_theta
+    eta = np.concatenate([state.eta for state in states])
+    gamma = np.concatenate([state.gamma for state in states])
+    return eta.sum(axis=0), eta.T @ dirichlet_expected_log(gamma)
 
 
 def alpha_gradient(states, alpha) -> np.ndarray:
@@ -112,10 +108,7 @@ def alpha_gradient(states, alpha) -> np.ndarray:
     g_lk = sum_{d,c} eta_dcl [psi(sum_k' alpha_lk') - psi(alpha_lk)
                               + E ln theta_dck]
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    mass, weighted_log_theta = _eta_moments(states, alpha)
-    centered = digamma(alpha.sum(axis=1))[:, None] - digamma(alpha)
-    return mass[:, None] * centered + weighted_log_theta
+    return alpha_newton_work(states, alpha).gradient
 
 
 @dataclass
@@ -138,7 +131,7 @@ class AlphaNewtonWork:
 def alpha_newton_work(states, alpha) -> AlphaNewtonWork:
     """Assemble gradient, Hessian diagonal, and rank-one terms per row."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    mass, weighted_log_theta = _eta_moments(states, alpha)
+    mass, weighted_log_theta = _eta_moments(states)
     active = mass > 0.0
     centered = digamma(alpha.sum(axis=1))[:, None] - digamma(alpha)
     gradient = mass[:, None] * centered + weighted_log_theta

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import CheckpointError, DomainError, ModelError
 from .streams import init_stream
@@ -99,20 +98,26 @@ class ThemeModel:
     def log_pdfs(self, x: np.ndarray) -> np.ndarray:
         """Gaussian log-densities of rows of x under every theme, (n, K).
 
-        Mahalanobis terms come from triangular solves against the cached
-        factors; no covariance is ever inverted explicitly.
+        Mahalanobis terms come from forward substitution against the cached
+        Cholesky factors, one feature at a time over the differences of all
+        rows to all themes at once; no covariance is ever inverted
+        explicitly.  The sums run in a fixed order without BLAS or LAPACK,
+        so results do not depend on the thread count.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.D:
             raise ModelError(f"expected samples of shape (n, {self.D}), got {x.shape}")
-        n = x.shape[0]
-        out = np.empty((n, self.K))
-        for k in range(self.K):
-            diff = (x - self.mu[k]).T
-            solved = solve_triangular(self.chol_factors[k], diff, lower=True)
-            maha = np.einsum("ij,ij->j", solved, solved)
-            out[:, k] = -0.5 * (self.D * _LOG_2PI + self.log_dets[k] + maha)
-        return out
+        chol = self.chol_factors
+        # z[i], (K, n), starts as feature i of x_n - mu_k and is overwritten
+        # with feature i of the solution of L_k z = x_n - mu_k.
+        z = np.ascontiguousarray(x.T)[:, None, :] - self.mu.T[:, :, None]
+        for i in range(self.D):
+            z[i] -= np.einsum("kj,jkn->kn", chol[:, i, :i], z[:i])
+            z[i] /= chol[:, i, i, None]
+        out = np.einsum("ikn,ikn->kn", z, z)
+        out += self.D * _LOG_2PI + self.log_dets[:, None]
+        out *= -0.5
+        return out.T.copy()
 
     def __eq__(self, other):
         return (
@@ -136,9 +141,7 @@ def gaussian_log_pdf(model: ThemeModel, x, k: int) -> float:
         raise DomainError("gaussian_log_pdf requires finite samples")
     if not 0 <= k < model.K:
         raise ValueError(f"theme index {k} out of range [0, {model.K})")
-    diff = x - model.mu[k]
-    solved = solve_triangular(model.chol_factors[k], diff, lower=True)
-    return float(-0.5 * (model.D * _LOG_2PI + model.log_dets[k] + solved @ solved))
+    return float(model.log_pdfs(x[None, :])[0, k])
 
 
 def init_model(

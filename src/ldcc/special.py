@@ -1,8 +1,7 @@
 """Special functions underlying the variational updates.
 
-digamma and trigamma use the classic recurrence shift (six steps of
-psi(x) = psi(x+1) - 1/x, so the argument lands at >= 6) followed by the
-de Moivre asymptotic expansion in 1/x^2.  The log-gamma family is
+digamma is scipy.special.psi, trigamma is the Hurwitz zeta function
+scipy.special.zeta(2, x), and the log-gamma family is
 scipy.special.gammaln.  Arguments are validated rather than clamped:
 non-positive, non-finite, or denormal-range inputs raise DomainError so
 silent upstream corruption cannot hide here.
@@ -11,56 +10,26 @@ All functions accept scalars or numpy arrays and return matching shapes.
 """
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, psi, zeta
 
 from .errors import DomainError
 
 _TINY = 1e-300
 
-# Asymptotic tail coefficients, B_2n / (2n): psi(y) = ln y - 1/(2y) - sum c_n y^(-2n).
-_PSI_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
-
-# B_2n: psi'(y) = 1/y + 1/(2y^2) + y^(-3) * sum b_n y^(-2(n-1)).
-_PSI1_TAIL = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
-
-_SHIFT = 6
-
 
 def _positive_array(x, name):
-    """Validate x > 0 elementwise (finite, not below the denormal cutoff)."""
+    """Validate x > 0 elementwise (finite, not below the denormal cutoff).
+
+    The comparisons are False for NaN, so one min and one max reject it too.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    if arr.size and (not np.isfinite(arr).all() or (arr < _TINY).any()):
-        raise DomainError(
-            f"{name} requires finite inputs >= {_TINY:g}; "
-            f"got min {arr.min() if np.isfinite(arr).all() else 'non-finite'}"
-        )
-    return arr, scalar
-
-
-def _horner(w, coefficients):
-    acc = np.zeros_like(w)
-    for c in reversed(coefficients):
-        acc = w * (c + acc)
-    return acc
+    if arr.size:
+        low, high = arr.min(), arr.max()
+        if not (low >= _TINY and high < np.inf):
+            raise DomainError(
+                f"{name} requires finite inputs >= {_TINY:g}; got min {low}, max {high}"
+            )
+    return arr, arr.ndim == 0
 
 
 def log_gamma(x):
@@ -73,35 +42,19 @@ def log_gamma(x):
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x) for x > 0."""
     arr, scalar = _positive_array(x, "digamma")
-    with np.errstate(over="ignore"):
-        shifted = arr + float(_SHIFT)
-        recurrence = np.sum(1.0 / (arr[..., None] + np.arange(float(_SHIFT))), axis=-1)
-        w = 1.0 / (shifted * shifted)
-        out = np.log(shifted) - 0.5 / shifted - _horner(w, _PSI_TAIL) - recurrence
+    out = psi(arr)
     return float(out) if scalar else out
 
 
 def trigamma(x):
-    """psi'(x), the derivative of digamma, for x > 0."""
+    """psi'(x), the derivative of digamma, for x > 0.
+
+    This is the Hurwitz zeta function zeta(2, x).  Near the domain edge the
+    true value exceeds the float range and the result is +inf.
+    """
     arr, scalar = _positive_array(x, "trigamma")
-    # 1/x^2 overflows for x near the domain edge; the mathematically huge
-    # result degrades to +inf, matching what the true value would round to.
-    with np.errstate(over="ignore", divide="ignore"):
-        shifted = arr + float(_SHIFT)
-        recurrence = np.sum(
-            (1.0 / (arr[..., None] + np.arange(float(_SHIFT)))) ** 2, axis=-1
-        )
-        w = 1.0 / (shifted * shifted)
-        out = 1.0 / shifted + 0.5 * w + (w / shifted) * _poly(w, _PSI1_TAIL)
-        out = out + recurrence
+    out = zeta(2.0, arr)
     return float(out) if scalar else out
-
-
-def _poly(w, coefficients):
-    acc = np.zeros_like(w)
-    for c in reversed(coefficients):
-        acc = c + w * acc
-    return acc
 
 
 def log_beta_dirichlet(u):

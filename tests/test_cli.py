@@ -1,10 +1,15 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ldcc
 from ldcc.cli import main
 from ldcc.data import load_latents, load_tasks
 from ldcc.inference import read_lambda_csv, write_lambda_csv
@@ -165,6 +170,28 @@ class TestTrain:
         assert (a / "model.json").read_bytes() == (c / "model.json").read_bytes()
         assert (a / "training_log.csv").read_bytes() == (b / "training_log.csv").read_bytes()
         assert (a / "training_log.csv").read_bytes() == (c / "training_log.csv").read_bytes()
+
+    def test_identical_across_blas_thread_counts(self, small_collection, tmp_path):
+        # BLAS reads its thread count at start-up, so each count needs its
+        # own process.
+        source = str(Path(ldcc.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+            argv = self.train_args(small_collection, out)
+            result = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from ldcc.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(out)
+        a, b = outputs
+        assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
+        assert (a / "training_log.csv").read_bytes() == (b / "training_log.csv").read_bytes()
 
     def test_rerun_from_echoed_config(self, small_collection, tmp_path, capsys):
         first = tmp_path / "first"

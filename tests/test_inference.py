@@ -330,7 +330,10 @@ class TestRunEstep:
 class TestEstepBatch:
     """A mixed batch must give every task the state it reaches alone."""
 
-    config = TrainConfig(seed=3, e_tol=1e-3, max_e_iters=10)
+    # At max_e_iters=7 three tasks (ambig, near, mix) stop at the cap and top
+    # converges at sweep 6, so the capped case does not rest on one task
+    # whose gamma entries cancel to about zero and clamp chaotically.
+    config = TrainConfig(seed=3, e_tol=1e-3, max_e_iters=7)
 
     def model(self):
         # The third theme sits far from most samples and has alpha entries

@@ -121,6 +121,28 @@ class TestGaussianLogPdf:
             )
             assert abs(gaussian_log_pdf(m, x, 0) - expected) <= 1e-8
 
+    def test_all_themes_match_explicit_inverse(self):
+        # Several themes and rows at once, against an explicit inverse and
+        # slogdet: rotated covariances whose eigenvalues span four decades.
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            K, D, n = int(rng.integers(1, 7)), int(rng.integers(1, 9)), 7
+            rotations = np.linalg.qr(rng.normal(size=(K, D, D)))[0]
+            eigenvalues = 10.0 ** rng.uniform(-2.0, 2.0, size=(K, D))
+            sigma = np.einsum("kij,kj,klj->kil", rotations, eigenvalues, rotations)
+            sigma = 0.5 * (sigma + np.transpose(sigma, (0, 2, 1)))
+            mu = rng.normal(size=(K, D))
+            m = ThemeModel(mu, sigma, np.ones((1, K)), np.ones(1))
+            x = rng.normal(size=(n, D)) * 2
+            table = m.log_pdfs(x)
+            assert table.shape == (n, K)
+            for k in range(K):
+                _, logdet = np.linalg.slogdet(sigma[k])
+                diff = x - mu[k]
+                quad = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(sigma[k]), diff)
+                expected = -0.5 * (D * math.log(2 * math.pi) + logdet + quad)
+                assert np.max(np.abs(table[:, k] - expected)) <= 1e-8
+
     def test_batch_matches_single(self):
         m = make_model(K=3, D=2)
         rng = np.random.default_rng(1)
