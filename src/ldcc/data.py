@@ -56,6 +56,8 @@ class Task:
             raise DataError(f"task {task_id!r}: classes disagree on dimension {widths}")
         self.id = task_id
         self.classes = tuple(blocks)
+        self.counts = tuple(b.shape[0] for b in blocks)
+        self.total_samples = sum(self.counts)
         self._stacked = None
 
     @property
@@ -65,14 +67,6 @@ class Task:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(b.shape[0] for b in self.classes)
-
-    @property
-    def total_samples(self) -> int:
-        return sum(self.counts)
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All samples as one float64 (T, D) array plus class start offsets."""

@@ -12,9 +12,15 @@ samples of many tasks into one matrix with class and task segment indices
 and sweeps all of them at once with segment sums (`np.add.reduceat`); each
 task stops at the sweep where the mean absolute change of its lambda drops
 below the configured tolerance, exactly as it would alone, and `run_estep`
-is a batch of one.  The bound is computed the same way for a whole batch
-(`elbo_batch`) or one task (`elbo`).  The per-class `update_*` functions are
-the readable reference: the test suite composes them to check the sweep.
+is a batch of one.  The sweep's arrays are theme-major: r and the
+log-densities are (K, rows), gamma (K, classes), eta (L, classes) and
+lambda (L, tasks).  K and L are small, and numpy pays a loop per row to
+reduce along a short inner axis, but sums or maxes over K contiguous rows
+in K elementwise passes.  States are transposed back to the row-major
+`VariationalState` shapes once per block.  The bound is computed the same
+way for a whole batch (`elbo_batch`) or one task (`elbo`).  The per-class
+`update_*` functions are the readable reference: the test suite composes
+them to check the sweep.
 """
 
 from __future__ import annotations
@@ -46,11 +52,9 @@ def dirichlet_expected_log(u):
     Accepts a single parameter vector or a stack of rows.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 1:
-        return digamma(u) - digamma(u.sum())
-    if u.ndim == 2:
-        return digamma(u) - digamma(u.sum(axis=1))[:, None]
-    raise ValueError(f"expected a vector or matrix, got ndim={u.ndim}")
+    if u.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or matrix, got ndim={u.ndim}")
+    return digamma(u) - digamma(u.sum(axis=-1, keepdims=True))
 
 
 class VariationalState:
@@ -76,17 +80,29 @@ class VariationalState:
         return self.gamma.shape[0]
 
 
-def _softmax_rows(logits):
-    """Row-normalize exp(logits) in place via a max shift; rejects degenerate rows."""
-    m = logits.max(axis=1)
+def _softmax(logits, axis):
+    """Normalize exp(logits) in place along axis via a max shift; rejects degenerate slices."""
+    m = logits.max(axis=axis, keepdims=True)
     if np.isnan(m).any():
         raise NumericError("NaN logits in a normalization step")
     if (m == -np.inf).any():
         raise NumericError("a normalization row had all -inf logits")
-    logits -= m[:, None]
+    logits -= m
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1)[:, None]
+    logits /= logits.sum(axis=axis, keepdims=True)
     return logits
+
+
+def _floor_gamma(gamma):
+    """Floor entries <= 0 at _GAMMA_FLOOR in place; returns how many, per class.
+
+    gamma is one class's (K,) vector or theme-major (K, classes).
+    """
+    bad = gamma <= 0.0
+    if not bad.any():
+        return 0
+    gamma[bad] = _GAMMA_FLOOR
+    return bad.sum(axis=0)
 
 
 def update_r(task, c, state, model, log_pdfs=None):
@@ -94,20 +110,16 @@ def update_r(task, c, state, model, log_pdfs=None):
     if log_pdfs is None:
         log_pdfs = model.log_pdfs(task.classes[c].astype(np.float64))
     expected_log_theta = dirichlet_expected_log(state.gamma[c])
-    return _softmax_rows(expected_log_theta[None, :] + log_pdfs)
+    return _softmax(expected_log_theta[None, :] + log_pdfs, axis=1)
 
 
 def update_gamma(state, c, alpha):
     """Dirichlet parameter for class c: 1 + sum_n r + eta-mixed (alpha - 1).
 
-    Rows of alpha below one can push entries nonpositive; those are clamped
-    to a small floor and counted on the state.
+    Nonpositive entries are floored and counted on the state.
     """
     gamma = 1.0 + state.r[c].sum(axis=0) + state.eta[c] @ (alpha - 1.0)
-    bad = gamma <= 0.0
-    if bad.any():
-        state.gamma_clamps += int(bad.sum())
-        gamma = np.where(bad, _GAMMA_FLOOR, gamma)
+    state.gamma_clamps += int(_floor_gamma(gamma))
     return gamma
 
 
@@ -121,7 +133,7 @@ def update_eta(state, c, model):
     expected_log_phi = dirichlet_expected_log(state.lam)
     log_norm = log_beta_rows(model.alpha)
     logits = expected_log_phi - log_norm + (model.alpha - 1.0) @ expected_log_theta
-    return _softmax_rows(logits[None, :])[0]
+    return _softmax(logits, axis=0)
 
 
 def update_lambda(state, delta):
@@ -183,42 +195,35 @@ def _stacked_samples(tasks):
     return np.concatenate([task.stacked()[0] for task in tasks])
 
 
-def _update_gamma_rows(r, eta, alpha_m1, seg):
-    """Batched gamma update; returns gamma and the clamped entries per task.
-
-    Rows of alpha below one can push entries nonpositive; those are set to
-    a small floor.
-    """
-    gamma = 1.0 + np.add.reduceat(r, seg.class_starts, axis=0) + eta @ alpha_m1
-    bad = gamma <= 0.0
-    if not bad.any():
-        return gamma, np.zeros(seg.task_classes.size, dtype=np.int64)
-    clamps = np.bincount(seg.class_task, bad.sum(axis=1), seg.task_classes.size)
-    return np.where(bad, _GAMMA_FLOOR, gamma), clamps.astype(np.int64)
+def _update_gamma(r, eta, alpha_m1, seg, clamps):
+    """Theme-major gamma update, (K, classes); adds floored entries per task to clamps."""
+    gamma = 1.0 + np.add.reduceat(r, seg.class_starts, axis=1) + alpha_m1.T @ eta
+    floored = _floor_gamma(gamma)
+    if np.any(floored):
+        clamps += np.bincount(seg.class_task, floored, clamps.size).astype(np.int64)
+    return gamma
 
 
 def _estep_block(tasks, model, config):
-    """`estep_batch` for one block of tasks."""
+    """`estep_batch` for one block of tasks, on theme-major arrays (module docstring)."""
     seg = _Segments.of(tasks)
-    log_pdfs = model.log_pdfs(_stacked_samples(tasks))
+    log_pdfs = np.ascontiguousarray(model.log_pdfs(_stacked_samples(tasks)).T)
     alpha_m1 = model.alpha - 1.0
-    log_norm = log_beta_rows(model.alpha)
+    log_norm = log_beta_rows(model.alpha)[:, None]
+    delta = model.delta[:, None]
 
     r_noise, eta_noise = [], []
     for task in tasks:
-        rng = estep_stream(config.seed, task.id)
-        r_noise.append(
-            rng.standard_gamma(_INIT_NOISE_CONCENTRATION, (task.total_samples, model.K))
-        )
-        eta_noise.append(
-            rng.standard_gamma(_INIT_NOISE_CONCENTRATION, (task.num_classes, model.L))
-        )
-    r = np.concatenate(r_noise)
-    r /= r.sum(axis=1)[:, None]
-    eta = np.concatenate(eta_noise)
-    eta /= eta.sum(axis=1)[:, None]
-    gamma, clamps = _update_gamma_rows(r, eta, alpha_m1, seg)
-    lam = model.delta + np.add.reduceat(eta, seg.task_starts, axis=0)
+        noise = estep_stream(config.seed, task.id).standard_gamma
+        r_noise.append(noise(_INIT_NOISE_CONCENTRATION, (task.total_samples, model.K)).T)
+        eta_noise.append(noise(_INIT_NOISE_CONCENTRATION, (task.num_classes, model.L)).T)
+    r = np.concatenate(r_noise, axis=1)
+    r /= r.sum(axis=0)
+    eta = np.concatenate(eta_noise, axis=1)
+    eta /= eta.sum(axis=0)
+    clamps = np.zeros(len(tasks), dtype=np.int64)
+    gamma = _update_gamma(r, eta, alpha_m1, seg, clamps)
+    lam = delta + np.add.reduceat(eta, seg.task_starts, axis=1)
 
     # Final values, filled in as tasks stop.  The arrays above always hold
     # the running tasks only; `live` and the index arrays map them back.
@@ -229,24 +234,24 @@ def _estep_block(tasks, model, config):
     converged = np.zeros(len(tasks), dtype=bool)
     live = seg
     live_tasks = np.arange(len(tasks))
-    live_classes = np.arange(gamma.shape[0])
-    live_rows = np.arange(log_pdfs.shape[0])
-    expected_log_theta = dirichlet_expected_log(gamma)
+    live_classes = np.arange(gamma.shape[1])
+    live_rows = np.arange(log_pdfs.shape[1])
+    # dirichlet_expected_log takes one parameter vector per row; the
+    # transposes are views, so it reduces over the contiguous theme rows.
+    expected_log_theta = dirichlet_expected_log(gamma.T).T
 
     for it in range(1, config.max_e_iters + 1):
-        r = expected_log_theta[live.row_class]
+        r = np.repeat(expected_log_theta, live.class_counts, axis=1)
         r += log_pdfs
-        r = _softmax_rows(r)
-        gamma, new_clamps = _update_gamma_rows(r, eta, alpha_m1, live)
-        clamps += new_clamps
-        expected_log_theta = dirichlet_expected_log(gamma)
-        expected_log_phi = dirichlet_expected_log(lam)
-        eta = _softmax_rows(
-            expected_log_phi[live.class_task] - log_norm[None, :]
-            + expected_log_theta @ alpha_m1.T
-        )
-        new_lam = model.delta + np.add.reduceat(eta, live.task_starts, axis=0)
-        done = np.abs(new_lam - lam).mean(axis=1) < config.e_tol
+        _softmax(r, axis=0)
+        gamma = _update_gamma(r, eta, alpha_m1, live, clamps)
+        expected_log_theta = dirichlet_expected_log(gamma.T).T
+        eta = np.repeat(dirichlet_expected_log(lam.T).T, live.task_classes, axis=1)
+        eta -= log_norm
+        eta += alpha_m1 @ expected_log_theta
+        _softmax(eta, axis=0)
+        new_lam = delta + np.add.reduceat(eta, live.task_starts, axis=1)
+        done = np.abs(new_lam - lam).mean(axis=0) < config.e_tol
         lam = new_lam
 
         stop = done if it < config.max_e_iters else np.ones_like(done)
@@ -256,24 +261,23 @@ def _estep_block(tasks, model, config):
         iterations[stopped] = it
         converged[stopped] = done[stop]
         out_clamps[stopped] = clamps[stop]
-        out_lam[stopped] = lam[stop]
+        out_lam[:, stopped] = lam[:, stop]
         stop_classes = stop[live.class_task]
         stop_rows = stop_classes[live.row_class]
-        out_gamma[live_classes[stop_classes]] = gamma[stop_classes]
-        out_eta[live_classes[stop_classes]] = eta[stop_classes]
-        out_r[live_rows[stop_rows]] = r[stop_rows]
+        out_gamma[:, live_classes[stop_classes]] = gamma[:, stop_classes]
+        out_eta[:, live_classes[stop_classes]] = eta[:, stop_classes]
+        out_r[:, live_rows[stop_rows]] = r[:, stop_rows]
         if stop.all():
             break
         keep = ~stop
         live, keep_classes, keep_rows = live.subset(keep)
-        live_tasks, clamps, lam = live_tasks[keep], clamps[keep], lam[keep]
-        live_classes, gamma, eta = (
-            live_classes[keep_classes], gamma[keep_classes], eta[keep_classes]
-        )
-        expected_log_theta = expected_log_theta[keep_classes]
-        live_rows, log_pdfs = live_rows[keep_rows], log_pdfs[keep_rows]
+        live_tasks, clamps, lam = live_tasks[keep], clamps[keep], lam[:, keep]
+        live_classes, eta = live_classes[keep_classes], eta[:, keep_classes]
+        expected_log_theta = expected_log_theta[:, keep_classes]
+        live_rows, log_pdfs = live_rows[keep_rows], log_pdfs[:, keep_rows]
 
-    r_blocks = np.split(out_r, seg.class_starts[1:])
+    r_blocks = np.split(out_r.T.copy(), seg.class_starts[1:])
+    out_gamma, out_eta, out_lam = out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy()
     ends = seg.task_starts + seg.task_classes
     return [
         VariationalState(

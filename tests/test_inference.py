@@ -7,7 +7,7 @@ from scipy import stats
 
 from helpers import naive_elbo_terms
 from ldcc.data import Task
-from ldcc.errors import DataError, FormatError
+from ldcc.errors import DataError, FormatError, NumericError
 import ldcc.inference as inference
 from ldcc.inference import (
     VariationalState,
@@ -132,6 +132,17 @@ class TestUpdateR:
         a = update_r(task, 0, state, model)
         b = update_r(task, 0, state, model, log_pdfs=table)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_degenerate_row_raises(self, bad):
+        # One row of NaN or all -inf logits cannot be normalized.
+        model = make_model(K=3)
+        task = make_task(C=1, N=4)
+        state = random_state(task, model)
+        table = model.log_pdfs(task.classes[0].astype(np.float64))
+        table[2] = bad
+        with pytest.raises(NumericError):
+            update_r(task, 0, state, model, log_pdfs=table)
 
 
 class TestUpdateGamma:
@@ -398,6 +409,29 @@ class TestEstepBatch:
             bounds = elbo_batch(batch, states, model)
             for task, state, bound in zip(batch, states, bounds):
                 assert bound == pytest.approx(elbo(task, state, model), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("K, L", [(1, 1), (1, 3), (6, 1)])
+    def test_edge_shapes_match_batches_of_one(self, K, L):
+        # Single-theme axes, a one-sample class and a one-class task in one
+        # mixed batch; states come back row-major and C-ordered.
+        model = make_model(K=K, L=L, D=2, seed=K + 10 * L)
+        rng = np.random.default_rng(K + 10 * L)
+
+        def task(task_id, shots):
+            return Task(task_id, [rng.normal(size=(n, 2)).astype(np.float32) for n in shots])
+
+        tasks = [task("single", [6]), task("shot1", [3, 1, 5]), task("wide", [1, 4, 2, 7])]
+        for cfg in (TrainConfig(seed=3, e_tol=1e-3, max_e_iters=4), self.config):
+            alone = [run_estep(t, model, cfg) for t in tasks]
+            states = estep_batch(tasks, model, cfg)
+            for t, got, want in zip(tasks, states, alone):
+                self.assert_same(got, want)
+                assert [b.shape for b in got.r] == [(n, K) for n in t.counts]
+                assert got.gamma.shape == (t.num_classes, K)
+                assert got.eta.shape == (t.num_classes, L)
+                assert got.lam.shape == (L,)
+                for array in (*got.r, got.gamma, got.eta, got.lam):
+                    assert array.flags.c_contiguous
 
     def test_elbo_batch_needs_one_state_per_task(self):
         tasks, model = self.tasks(), self.model()
