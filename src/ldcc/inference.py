@@ -25,12 +25,11 @@ them to check the sweep.
 
 from __future__ import annotations
 
-import csv
 import logging
-from pathlib import Path
 
 import numpy as np
 
+from .data import read_table, write_table
 from .errors import DataError, FormatError, NumericError
 from .special import (
     digamma,
@@ -420,40 +419,17 @@ def write_lambda_csv(path, ids, lambdas) -> None:
     if lambdas.ndim != 2 or lambdas.shape[0] != len(ids):
         raise DataError("lambda matrix must be (num tasks, L) matching ids")
     header = ["task_id"] + [f"lambda_{j + 1}" for j in range(lambdas.shape[1])]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for task_id, row in zip(ids, lambdas):
-            writer.writerow([task_id] + [repr(float(v)) for v in row])
+    rows = ([task_id, *values] for task_id, values in zip(ids, lambdas.tolist()))
+    write_table(path, header, rows)
 
 
 def read_lambda_csv(path):
     """Read a task-embedding CSV back as (ids, (n, L) array)."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty lambda CSV") from None
-        if len(header) < 2 or header[0] != "task_id":
-            raise FormatError(f"{path}: expected header task_id,lambda_1,...")
-        width = len(header) - 1
-        ids, rows = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width + 1:
-                raise FormatError(f"{path}:{line_no}: expected {width + 1} fields")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{line_no}: {exc}") from exc
-            ids.append(row[0])
-            rows.append(values)
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    matrix = np.asarray(rows, dtype=np.float64)
+    rows = read_table(
+        path, lambda header: len(header) >= 2 and header[0] == "task_id",
+        "task_id,lambda_1,...",
+    )
+    matrix = np.asarray([values for _, _, values in rows], dtype=np.float64)
     if (matrix <= 0).any() or not np.isfinite(matrix).all():
         raise FormatError(f"{path}: lambda entries must be positive and finite")
-    return ids, matrix
+    return [task_id for _, task_id, _ in rows], matrix

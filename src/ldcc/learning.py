@@ -14,12 +14,12 @@ rank-one structure H = diag(q) + u 11^T, never forming H.
 
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .data import write_table
 from .errors import ModelError, NumericError
 from .inference import dirichlet_expected_log, elbo_batch, estep_batch, warn_estep_waste
 from .model import ThemeModel, TrainConfig, init_model
@@ -245,22 +245,8 @@ class TrainLogRow:
 
 
 def write_training_log(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["batch", "rho", "mean_elbo", "alpha_min", "alpha_max", "estep_iters_mean"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.batch,
-                    repr(row.rho),
-                    repr(row.mean_elbo),
-                    repr(row.alpha_min),
-                    repr(row.alpha_max),
-                    repr(row.estep_iters_mean),
-                ]
-            )
+    """Per-batch diagnostics as CSV, one column per TrainLogRow field."""
+    write_table(path, [f.name for f in fields(TrainLogRow)], map(astuple, rows))
 
 
 def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
@@ -274,7 +260,9 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
     clamp gamma entries logs one warning with both counts.
 
     threads is accepted for compatibility and has no effect: every batch is
-    solved as one array problem on the calling thread.
+    solved as one array problem on the calling thread.  It stays because
+    the benchmark harness (`perfbench/`) calls `train(..., threads=1)` and
+    may pass `--threads`; dropping it needs a change to that harness.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CheckpointError, DomainError, ModelError
+from .errors import CheckpointError, DataError, DomainError, ModelError
 from .streams import init_stream
 
 if TYPE_CHECKING:
@@ -166,7 +166,7 @@ def init_model(
     pooled = np.concatenate([t.stacked()[0] for t in sample])
     n = pooled.shape[0]
     if num_image_themes > n:
-        raise ValueError(
+        raise DataError(
             f"cannot seed {num_image_themes} image themes from {n} samples"
         )
     rng = init_stream(seed)

@@ -9,13 +9,13 @@ distance-vs-accuracy correlation diagram, and nearest-task selection.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .data import read_table, write_table
 from .errors import DataError, DomainError, FormatError, NumericError
 from .special import digamma, log_beta_dirichlet, log_beta_rows
 
@@ -191,74 +191,39 @@ def write_distance_csv(path, ids, mean_kl) -> None:
     mean_kl = np.asarray(mean_kl, dtype=np.float64)
     if len(ids) != mean_kl.shape[0]:
         raise DataError("ids and mean_kl lengths differ")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["test_id", "mean_kl"])
-        for task_id, value in zip(ids, mean_kl):
-            writer.writerow([task_id, repr(float(value))])
+    write_table(path, ["test_id", "mean_kl"], zip(ids, mean_kl.tolist()))
 
 
 def read_distance_csv(path):
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["test_id", "mean_kl"]:
-            raise FormatError(f"{path}: expected header test_id,mean_kl")
-        ids, values = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}:{line_no}: expected 2 fields")
-            try:
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{line_no}: {exc}") from exc
-            ids.append(row[0])
-    if not ids:
-        raise FormatError(f"{path}: no data rows")
-    return ids, np.asarray(values)
+    """Mean distances back as (ids, values); each must be finite and >= 0."""
+    rows = read_table(
+        path, lambda header: header == ["test_id", "mean_kl"], "test_id,mean_kl"
+    )
+    for line_no, _, (value,) in rows:
+        if not 0.0 <= value < math.inf:
+            raise FormatError(f"{path}:{line_no}: mean_kl must be finite and >= 0")
+    return [task_id for _, task_id, _ in rows], np.asarray([v for _, _, (v,) in rows])
 
 
 def read_accuracy_csv(path):
     """Per-task accuracies: task_id, accuracy in [0, 1]."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["task_id", "accuracy"]:
-            raise FormatError(f"{path}: expected header task_id,accuracy")
-        table = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}:{line_no}: expected 2 fields")
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{line_no}: {exc}") from exc
-            if not 0.0 <= value <= 1.0 or not math.isfinite(value):
-                raise FormatError(f"{path}:{line_no}: accuracy must lie in [0, 1]")
-            if row[0] in table:
-                raise FormatError(f"{path}:{line_no}: duplicate task id {row[0]!r}")
-            table[row[0]] = value
-    if not table:
-        raise FormatError(f"{path}: no data rows")
+    rows = read_table(
+        path, lambda header: header == ["task_id", "accuracy"], "task_id,accuracy"
+    )
+    table = {}
+    for line_no, task_id, (value,) in rows:
+        if not 0.0 <= value <= 1.0:
+            raise FormatError(f"{path}:{line_no}: accuracy must lie in [0, 1]")
+        if task_id in table:
+            raise FormatError(f"{path}:{line_no}: duplicate task id {task_id!r}")
+        table[task_id] = value
     return table
 
 
 def write_diagram_csv(path, bins) -> None:
     """Diagram output: bin, low, high, mean_distance, mean_accuracy, count."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin", "low", "high", "mean_distance", "mean_accuracy", "count"])
-        for b in bins:
-            writer.writerow(
-                [b.index, repr(b.low), repr(b.high), repr(b.mean_distance),
-                 repr(b.mean_accuracy), b.count]
-            )
+    header = ["bin", "low", "high", "mean_distance", "mean_accuracy", "count"]
+    write_table(path, header, map(astuple, bins))
 
 
 def write_selection(path, ids) -> None:

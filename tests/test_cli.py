@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import ldcc
-from ldcc.cli import main
+from ldcc.cli import build_parser, main
 from ldcc.data import load_latents, load_tasks
 from ldcc.inference import read_lambda_csv, write_lambda_csv
 from ldcc.model import ThemeModel, load_model, save_model
@@ -223,6 +224,13 @@ class TestTrain:
             "--out", str(tmp_path / "out"),
         )
         assert code == 3
+
+    def test_more_image_themes_than_samples(self, small_collection, tmp_path, capsys):
+        args = self.train_args(small_collection, tmp_path / "x")
+        args[args.index("--image-themes") + 1] = "500"
+        code, _, err = run(capsys, *args)
+        assert code == 3
+        assert "cannot seed 500 image themes from 120 samples" in err
 
 
 class TestInfer:
@@ -445,6 +453,70 @@ class TestDiagram:
             "--bins", "0", "--out", str(tmp_path / "out.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_distance_is_exit_3(self, tmp_path, capsys, value):
+        dist, acc = self.write_inputs(tmp_path)
+        dist.write_text(f"test_id,mean_kl\nt1,1.0\nt2,{value}\n")
+        code, _, err = run(
+            capsys,
+            "diagram", "--distances", str(dist), "--accuracies", str(acc),
+            "--bins", "2", "--out", str(tmp_path / "out.csv"),
+        )
+        assert code == 3
+        assert "mean_kl must be finite and >= 0" in err
+
+
+def echo_argv(command, data, tmp_path):
+    """A valid argv for one subcommand, with its inputs written under tmp_path."""
+    manifest = str(data / "manifest.json")
+    model = tmp_path / "model.json"
+    save_model(
+        ThemeModel(np.zeros((2, 2)), np.stack([np.eye(2)] * 2), np.ones((2, 2)), np.ones(2)),
+        model,
+    )
+    lam = str(tmp_path / "lam.csv")
+    write_lambda_csv(lam, ["a", "b"], np.array([[1.0, 2.0], [2.0, 1.0]]))
+    dist, acc = tmp_path / "dist.csv", tmp_path / "acc.csv"
+    dist.write_text("test_id,mean_kl\na,1.0\nb,3.0\n")
+    acc.write_text("task_id,accuracy\na,0.9\nb,0.8\n")
+    out = str(tmp_path / "out")
+    return {
+        "gen": gen_args(out),
+        "train": ["train", "--data", manifest, "--task-themes", "2", "--image-themes", "2",
+                  "--batch", "5", "--max-batches", "1", "--out", out],
+        "infer": ["infer", "--model", str(model), "--data", manifest, "--out", out],
+        "distance": ["distance", "--test-lambdas", lam, "--train-lambdas", lam, "--out", out],
+        "select": ["select", "--test-lambdas", lam, "--train-lambdas", lam,
+                   "--count", "1", "--out", out],
+        "diagram": ["diagram", "--distances", str(dist), "--accuracies", str(acc),
+                    "--bins", "2", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, out_is_dir",
+    [("gen", True), ("train", True), ("infer", False), ("distance", False),
+     ("select", False), ("diagram", False)],
+)
+def test_echo_is_every_option(command, out_is_dir, small_collection, tmp_path, capsys):
+    argv = echo_argv(command, small_collection, tmp_path)
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "out"
+    sidecar = out / "config.json" if out_is_dir else tmp_path / "out.config.json"
+    assert sidecar.read_text(encoding="utf-8") == stdout
+    echo = json.loads(stdout)
+    parser = build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+    assert set(echo) == dests | {"command"}
+    expected = vars(parser.parse_args(argv))
+    reparsed = vars(parser.parse_args(config_to_argv(echo)))
+    del expected["func"], reparsed["func"]
+    assert reparsed == expected
 
 
 class TestTopLevel:

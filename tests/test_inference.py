@@ -572,6 +572,14 @@ class TestLambdaCsv:
         header = path.read_text().splitlines()[0]
         assert header == "task_id,lambda_1,lambda_2,lambda_3,lambda_4"
 
+    def test_bytes(self, tmp_path):
+        path = tmp_path / "lambdas.csv"
+        lam = np.array([[np.float64(0.1) + np.float64(0.2), 1.0], [2.5, 1e-300]])
+        write_lambda_csv(path, ["a", "b"], lam)
+        assert path.read_bytes() == (
+            b"task_id,lambda_1,lambda_2\na,0.30000000000000004,1.0\nb,2.5,1e-300\n"
+        )
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope,lambda_1\nx,1.0\n")

@@ -493,3 +493,14 @@ class TestTrainingLog:
         assert lines[1].split(",")[0] == "1"
         assert float(lines[1].split(",")[2]) == -123.456789012345
         assert len(lines) == 3
+
+    def test_bytes_with_numpy_floats(self, tmp_path):
+        from ldcc.learning import TrainLogRow
+
+        x = np.float64(0.1) + np.float64(0.2)
+        path = tmp_path / "log.csv"
+        write_training_log(path, [TrainLogRow(1, x, -x, x, np.float64(2.0), np.float64(3.5))])
+        assert path.read_bytes() == (
+            b"batch,rho,mean_elbo,alpha_min,alpha_max,estep_iters_mean\n"
+            b"1,0.30000000000000004,-0.30000000000000004,0.30000000000000004,2.0,3.5\n"
+        )

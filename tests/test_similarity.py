@@ -266,6 +266,18 @@ class TestCsvHelpers:
         with pytest.raises(FormatError):
             read_distance_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_distance_values_checked(self, tmp_path, value):
+        path = tmp_path / "dist.csv"
+        path.write_text(f"test_id,mean_kl\na,1.0\nb,{value}\n")
+        with pytest.raises(FormatError, match=r"dist\.csv:3: mean_kl must be finite and >= 0"):
+            read_distance_csv(path)
+
+    def test_distance_csv_bytes(self, tmp_path):
+        path = tmp_path / "dist.csv"
+        write_distance_csv(path, ["q", "r"], [np.float64(0.1) + np.float64(0.2), np.float64(0.0)])
+        assert path.read_bytes() == b"test_id,mean_kl\nq,0.30000000000000004\nr,0.0\n"
+
     def test_accuracy_table(self, tmp_path):
         path = tmp_path / "acc.csv"
         path.write_text("task_id,accuracy\nt1,0.5\nt2,1.0\nt3,0.0\n")
