@@ -79,7 +79,7 @@ def _random_model(dims, delta_value: float, seed: int) -> ThemeModel:
     return ThemeModel(mu, sigma, alpha, delta)
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     if args.tasks < 1:
         raise UsageError(f"--tasks must be >= 1, got {args.tasks}")
     if args.classes < 1:
@@ -99,30 +99,27 @@ def cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_tasks(collection, out)
     save_latents(latents, out / "latents.json")
-    _echo_config(args, out_is_dir=True)
-    return 0
 
 
-def cmd_train(args) -> int:
+def _config(args, **fields) -> TrainConfig:
+    """The E-step options common to train and infer plus fields; bad values are usage errors."""
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+    try:
+        return TrainConfig(e_tol=args.e_tol, max_e_iters=args.max_e_iters, seed=args.seed, **fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def cmd_train(args) -> None:
     if args.task_themes < 1 or args.image_themes < 1:
         raise UsageError("--task-themes and --image-themes must be >= 1")
     if args.delta <= 0:
         raise UsageError(f"--delta must be positive, got {args.delta}")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    try:
-        config = TrainConfig(
-            tau0=args.tau0,
-            tau1=args.tau1,
-            batch_size=args.batch,
-            e_tol=args.e_tol,
-            max_e_iters=args.max_e_iters,
-            jitter=args.jitter,
-            seed=args.seed,
-            max_batches=args.max_batches,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = _config(
+        args, tau0=args.tau0, tau1=args.tau1, batch_size=args.batch,
+        jitter=args.jitter, max_batches=args.max_batches,
+    )
     collection = load_tasks(args.data)
     model, log_rows = train(
         collection,
@@ -136,19 +133,10 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     write_training_log(out / "training_log.csv", log_rows)
-    _echo_config(args, out_is_dir=True)
-    return 0
 
 
-def cmd_infer(args) -> int:
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    try:
-        config = TrainConfig(
-            e_tol=args.e_tol, max_e_iters=args.max_e_iters, seed=args.seed
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_infer(args) -> None:
+    config = _config(args)
     model = load_model(args.model)
     collection = load_tasks(args.data)
     states = estep_batch(collection, model, config)
@@ -156,22 +144,18 @@ def cmd_infer(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_lambda_csv(out, collection.ids, np.vstack([s.lam for s in states]))
-    _echo_config(args, out_is_dir=False)
-    return 0
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> None:
     test_ids, test_lambdas = read_lambda_csv(args.test_lambdas)
     _, train_lambdas = read_lambda_csv(args.train_lambdas)
     report = distance_matrix(test_lambdas, train_lambdas, keep_matrix=False)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_distance_csv(out, test_ids, report.mean_kl)
-    _echo_config(args, out_is_dir=False)
-    return 0
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> None:
     test_ids, test_lambdas = read_lambda_csv(args.test_lambdas)
     train_ids, train_lambdas = read_lambda_csv(args.train_lambdas)
     if args.count < 0 or args.count > len(train_ids):
@@ -182,11 +166,9 @@ def cmd_select(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_selection(out, [train_ids[i] for i in indices])
-    _echo_config(args, out_is_dir=False)
-    return 0
 
 
-def cmd_diagram(args) -> int:
+def cmd_diagram(args) -> None:
     if args.bins < 1:
         raise UsageError(f"--bins must be >= 1, got {args.bins}")
     ids, distances = read_distance_csv(args.distances)
@@ -202,8 +184,6 @@ def cmd_diagram(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_diagram_csv(out, bins)
-    _echo_config(args, out_is_dir=False)
-    return 0
 
 
 _THREADS_HELP = "accepted for compatibility; has no effect"
@@ -300,7 +280,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        return args.func(args)
+        args.func(args)
+        _echo_config(args, out_is_dir=args.command in ("gen", "train"))
+        return 0
     except UsageError as exc:
         print(f"ldcc {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,11 @@ is a batch of one.  The sweep's arrays are theme-major: r and the
 log-densities are (K, rows), gamma (K, classes), eta (L, classes) and
 lambda (L, tasks).  K and L are small, and numpy pays a loop per row to
 reduce along a short inner axis, but sums or maxes over K contiguous rows
-in K elementwise passes.  States are transposed back to the row-major
-`VariationalState` shapes once per block.  The bound is computed the same
-way for a whole batch (`elbo_batch`) or one task (`elbo`).  The per-class
+in K elementwise passes.  Each call's private plan (`_Plan`) stacks the
+blocks' samples and init noise once; a block's result stays stacked
+(`_Stacked`, row-major), and its per-task states are built only when asked
+for.  The bound is computed the same way for a whole batch (`elbo_batch`)
+or one task (`elbo`), per-task states being stacked first.  The per-class
 `update_*` functions are the readable reference: the test suite composes
 them to check the sweep.
 """
@@ -26,8 +28,10 @@ them to check the sweep.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 
 import numpy as np
+from scipy.special import psi
 
 from .data import read_table, write_table
 from .errors import DataError, FormatError, NumericError
@@ -74,18 +78,20 @@ class VariationalState:
         self.converged = converged
         self.gamma_clamps = gamma_clamps
 
-    @property
-    def num_classes(self) -> int:
-        return self.gamma.shape[0]
+
+def _expected_log(u):
+    """dirichlet_expected_log without the domain check, for the sweep's gamma
+    and lambda, which are positive by construction."""
+    return psi(u) - psi(u.sum(axis=-1, keepdims=True))
 
 
 def _softmax(logits, axis):
     """Normalize exp(logits) in place along axis via a max shift; rejects degenerate slices."""
     m = logits.max(axis=axis, keepdims=True)
-    if np.isnan(m).any():
-        raise NumericError("NaN logits in a normalization step")
-    if (m == -np.inf).any():
-        raise NumericError("a normalization row had all -inf logits")
+    if not np.isfinite(m).all():
+        raise NumericError("NaN logits in a normalization step" if np.isnan(m).any() else
+                           "a normalization row had all -inf logits" if (m == -np.inf).any()
+                           else "+inf logits in a normalization step")
     logits -= m
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=axis, keepdims=True)
@@ -194,6 +200,113 @@ def _stacked_samples(tasks):
     return np.concatenate([task.stacked()[0] for task in tasks])
 
 
+class _Plan:
+    """The E-step inputs of one `estep_batch` or `train` call that no sweep changes.
+
+    Tasks come in `_Block`s with their stacked samples, segments and init
+    noise.  A task's Dirichlet(100) noise depends only on (seed, task id, K,
+    L) and its shape, so a plan that sees tasks again (`keep_noise`) draws
+    it once.  Plans are never shared, so nothing carries over between calls.
+    """
+
+    def __init__(self, model, config, keep_noise=False):
+        self.key = (config.seed, model.K, model.L)
+        self._noise = {} if keep_noise else None
+
+    def noise(self, task):
+        """Normalized theme-major init noise of one task: r (K, rows), eta (L, classes)."""
+        key = (task.id, task.total_samples, task.num_classes)
+        if self._noise is not None and key in self._noise:
+            return self._noise[key]
+        seed, num_image, num_task = self.key
+        draw = estep_stream(seed, task.id).standard_gamma
+        r = draw(_INIT_NOISE_CONCENTRATION, (task.total_samples, num_image)).T
+        eta = draw(_INIT_NOISE_CONCENTRATION, (task.num_classes, num_task)).T
+        noise = r / r.sum(axis=0), eta / eta.sum(axis=0)
+        if self._noise is not None:
+            self._noise[key] = noise
+        return noise
+
+    def blocks(self, tasks):
+        return (_Block(run, self) for run in _blocks(tasks))
+
+
+class _Block(list):
+    """Tasks solved as one array problem, with samples x (rows, D), segments
+    and init noise r0 (K, rows), eta0 (L, classes) stacked."""
+
+    def __init__(self, tasks, plan):
+        super().__init__(tasks)
+        self.key, self.seg, self.x = plan.key, _Segments.of(tasks), _stacked_samples(tasks)
+        noise = [plan.noise(task) for task in tasks]
+        self.r0 = np.concatenate([r for r, _ in noise], axis=1)
+        self.eta0 = np.concatenate([eta for _, eta in noise], axis=1)
+
+
+class _Stacked:
+    """Consecutive tasks' posteriors in row-major stacks: r (rows, K), gamma
+    (classes, K), eta (classes, L), lam (tasks, L), and from a sweep the
+    per-task iterations, converged and gamma_clamps."""
+
+    def __init__(self, seg, r, gamma, eta, lam, iterations=None, converged=None, gamma_clamps=None):
+        self.seg, self.r, self.gamma, self.eta, self.lam = seg, r, gamma, eta, lam
+        self.iterations, self.converged, self.gamma_clamps = iterations, converged, gamma_clamps
+
+    @classmethod
+    def of(cls, tasks, states):
+        return cls(
+            _Segments.of(tasks), np.concatenate([b for state in states for b in state.r]),
+            np.concatenate([state.gamma for state in states]),
+            np.concatenate([state.eta for state in states]),
+            np.stack([state.lam for state in states]),
+        )
+
+    def classes(self):
+        """This result without its per-sample arrays."""
+        return _Stacked(None, None, self.gamma, self.eta, self.lam,
+                        self.iterations, self.converged, self.gamma_clamps)
+
+    def states(self):
+        r_blocks = np.split(self.r, self.seg.class_starts[1:])
+        starts = self.seg.task_starts
+        return [
+            VariationalState(
+                r_blocks[a:b], self.gamma[a:b], self.eta[a:b], self.lam[d],
+                iterations=int(self.iterations[d]),
+                converged=bool(self.converged[d]),
+                gamma_clamps=int(self.gamma_clamps[d]),
+            )
+            for d, (a, b) in enumerate(zip(starts, starts + self.seg.task_classes))
+        ]
+
+    def bounds(self, model, log_pdfs):
+        """Evidence lower bound of each task, given the row log-densities."""
+        return _bound(_elbo_terms(self, model, log_pdfs))
+
+
+class _States(Sequence):
+    """`estep_batch`'s result: one VariationalState per task, built on first
+    access from the stacked block results it carries (`parts`)."""
+
+    def __init__(self, parts):
+        self.parts, self._states = parts, None
+
+    def __len__(self):
+        return sum(part.lam.shape[0] for part in self.parts)
+
+    def __getitem__(self, index):
+        if self._states is None:
+            self._states = [state for part in self.parts for state in part.states()]
+        return self._states[index]
+
+
+def _task_rows(states):
+    """Each task's responsibilities as one (samples, K) array, in task order."""
+    if not isinstance(states, _States):
+        return [np.concatenate(state.r) for state in states]
+    return [rows for p in states.parts for rows in np.split(p.r, p.seg.task_row_starts[1:])]
+
+
 def _update_gamma(r, eta, alpha_m1, seg, clamps):
     """Theme-major gamma update, (K, classes); adds floored entries per task to clamps."""
     gamma = 1.0 + np.add.reduceat(r, seg.class_starts, axis=1) + alpha_m1.T @ eta
@@ -203,54 +316,49 @@ def _update_gamma(r, eta, alpha_m1, seg, clamps):
     return gamma
 
 
-def _estep_block(tasks, model, config):
-    """`estep_batch` for one block of tasks, on theme-major arrays (module docstring)."""
-    seg = _Segments.of(tasks)
-    log_pdfs = np.ascontiguousarray(model.log_pdfs(_stacked_samples(tasks)).T)
+def _estep_block(block, model, config):
+    """`estep_batch` for one `_Block`, on theme-major arrays (module docstring)."""
+    seg = block.seg
+    log_pdfs = np.ascontiguousarray(model.log_pdfs(block.x).T)
     alpha_m1 = model.alpha - 1.0
     log_norm = log_beta_rows(model.alpha)[:, None]
     delta = model.delta[:, None]
+    num_tasks = len(block)
 
-    r_noise, eta_noise = [], []
-    for task in tasks:
-        noise = estep_stream(config.seed, task.id).standard_gamma
-        r_noise.append(noise(_INIT_NOISE_CONCENTRATION, (task.total_samples, model.K)).T)
-        eta_noise.append(noise(_INIT_NOISE_CONCENTRATION, (task.num_classes, model.L)).T)
-    r = np.concatenate(r_noise, axis=1)
-    r /= r.sum(axis=0)
-    eta = np.concatenate(eta_noise, axis=1)
-    eta /= eta.sum(axis=0)
-    clamps = np.zeros(len(tasks), dtype=np.int64)
-    gamma = _update_gamma(r, eta, alpha_m1, seg, clamps)
+    eta = block.eta0
+    clamps = np.zeros(num_tasks, dtype=np.int64)
+    gamma = _update_gamma(block.r0, eta, alpha_m1, seg, clamps)
     lam = delta + np.add.reduceat(eta, seg.task_starts, axis=1)
+    num_task_themes = lam.shape[0]
 
     # Final values, filled in as tasks stop.  The arrays above always hold
     # the running tasks only; `live` and the index arrays map them back.
     out_r = np.empty_like(log_pdfs)
     out_gamma, out_eta, out_lam = np.empty_like(gamma), np.empty_like(eta), np.empty_like(lam)
-    out_clamps = np.zeros(len(tasks), dtype=np.int64)
-    iterations = np.zeros(len(tasks), dtype=np.int64)
-    converged = np.zeros(len(tasks), dtype=bool)
+    out_clamps = np.zeros(num_tasks, dtype=np.int64)
+    iterations = np.zeros(num_tasks, dtype=np.int64)
+    converged = np.zeros(num_tasks, dtype=bool)
     live = seg
-    live_tasks = np.arange(len(tasks))
+    live_tasks = np.arange(num_tasks)
     live_classes = np.arange(gamma.shape[1])
     live_rows = np.arange(log_pdfs.shape[1])
-    # dirichlet_expected_log takes one parameter vector per row; the
-    # transposes are views, so it reduces over the contiguous theme rows.
-    expected_log_theta = dirichlet_expected_log(gamma.T).T
+    # _expected_log takes one parameter vector per row; the transposes are
+    # views, so it reduces over the contiguous theme rows.
+    expected_log_theta = _expected_log(gamma.T).T
 
     for it in range(1, config.max_e_iters + 1):
         r = np.repeat(expected_log_theta, live.class_counts, axis=1)
         r += log_pdfs
         _softmax(r, axis=0)
         gamma = _update_gamma(r, eta, alpha_m1, live, clamps)
-        expected_log_theta = dirichlet_expected_log(gamma.T).T
-        eta = np.repeat(dirichlet_expected_log(lam.T).T, live.task_classes, axis=1)
+        expected_log_theta = _expected_log(gamma.T).T
+        eta = np.repeat(_expected_log(lam.T).T, live.task_classes, axis=1)
         eta -= log_norm
         eta += alpha_m1 @ expected_log_theta
         _softmax(eta, axis=0)
         new_lam = delta + np.add.reduceat(eta, live.task_starts, axis=1)
-        done = np.abs(new_lam - lam).mean(axis=0) < config.e_tol
+        # The sum over L rows divided by L is bit-identical to ndarray.mean.
+        done = np.abs(new_lam - lam).sum(axis=0) / num_task_themes < config.e_tol
         lam = new_lam
 
         stop = done if it < config.max_e_iters else np.ones_like(done)
@@ -270,23 +378,15 @@ def _estep_block(tasks, model, config):
             break
         keep = ~stop
         live, keep_classes, keep_rows = live.subset(keep)
-        live_tasks, clamps, lam = live_tasks[keep], clamps[keep], lam[:, keep]
-        live_classes, eta = live_classes[keep_classes], eta[:, keep_classes]
-        expected_log_theta = expected_log_theta[:, keep_classes]
-        live_rows, log_pdfs = live_rows[keep_rows], log_pdfs[:, keep_rows]
+        live_tasks, clamps, lam = live_tasks[keep], clamps[keep], np.compress(keep, lam, axis=1)
+        live_classes, eta = live_classes[keep_classes], np.compress(keep_classes, eta, axis=1)
+        expected_log_theta = np.compress(keep_classes, expected_log_theta, axis=1)
+        live_rows, log_pdfs = live_rows[keep_rows], np.compress(keep_rows, log_pdfs, axis=1)
 
-    r_blocks = np.split(out_r.T.copy(), seg.class_starts[1:])
-    out_gamma, out_eta, out_lam = out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy()
-    ends = seg.task_starts + seg.task_classes
-    return [
-        VariationalState(
-            r_blocks[a:b], out_gamma[a:b], out_eta[a:b], out_lam[d],
-            iterations=int(iterations[d]),
-            converged=bool(converged[d]),
-            gamma_clamps=int(out_clamps[d]),
-        )
-        for d, (a, b) in enumerate(zip(seg.task_starts, ends))
-    ]
+    return _Stacked(
+        seg, out_r.T.copy(), out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
+        iterations, converged, out_clamps,
+    )
 
 
 def estep_batch(tasks, model, config):
@@ -304,16 +404,17 @@ def estep_batch(tasks, model, config):
     that stops is taken out of the sweeps, so each result is the one the
     task reaches alone.  Its noise stream is keyed by (config.seed, digest
     of task.id), so the same seed and task give the same state regardless
-    of batch order or composition.
+    of batch order or composition.  The states are built on first access.
     """
     for task in tasks:
         if task.dimension != model.D:
             raise DataError(
                 f"task {task.id!r} has dimension {task.dimension}, model expects {model.D}"
             )
-    return [
-        state for block in _blocks(tasks) for state in _estep_block(block, model, config)
-    ]
+    # `train` passes one block of its own plan at a time.
+    planned = isinstance(tasks, _Block) and tasks.key == (config.seed, model.K, model.L)
+    blocks = [tasks] if planned else _Plan(model, config).blocks(tasks)
+    return _States([_estep_block(block, model, config) for block in blocks])
 
 
 def run_estep(task, model, config):
@@ -322,9 +423,9 @@ def run_estep(task, model, config):
 
 
 def warn_estep_waste(where, states, config) -> None:
-    """One warning if any E-step stopped at max_e_iters or clamped gamma."""
-    capped = sum(not state.converged for state in states)
-    clamps = sum(state.gamma_clamps for state in states)
+    """One warning if any of `estep_batch`'s E-steps stopped at max_e_iters or clamped gamma."""
+    capped = sum(int(np.count_nonzero(~part.converged)) for part in states.parts)
+    clamps = sum(int(part.gamma_clamps.sum()) for part in states.parts)
     if capped or clamps:
         logger.warning(
             "%s: %d of %d E-steps stopped at max_e_iters=%d; %d gamma entries clamped",
@@ -332,15 +433,9 @@ def warn_estep_waste(where, states, config) -> None:
         )
 
 
-def _elbo_terms(tasks, states, model, log_pdfs=None):
-    """The nine bound expectations of each task, as arrays over the tasks."""
-    seg = _Segments.of(tasks)
-    if log_pdfs is None:
-        log_pdfs = model.log_pdfs(_stacked_samples(tasks))
-    r = np.concatenate([block for state in states for block in state.r])
-    gamma = np.concatenate([state.gamma for state in states])
-    eta = np.concatenate([state.eta for state in states])
-    lam = np.stack([state.lam for state in states])
+def _elbo_terms(part, model, log_pdfs):
+    """The nine bound expectations of each task of a `_Stacked`, as arrays over the tasks."""
+    seg, r, gamma, eta, lam = part.seg, part.r, part.gamma, part.eta, part.lam
     expected_log_theta = dirichlet_expected_log(gamma)
     expected_log_phi = dirichlet_expected_log(lam)
     alpha_m1 = model.alpha - 1.0
@@ -389,12 +484,12 @@ def elbo_batch(tasks, states, model) -> np.ndarray:
     states = list(states)
     if len(states) != len(tasks):
         raise ValueError(f"{len(tasks)} tasks but {len(states)} states")
-    bounds, start = [], 0
-    for block in _blocks(tasks):
-        stop = start + len(block)
-        bounds.append(_bound(_elbo_terms(block, states[start:stop], model)))
-        start = stop
-    return np.concatenate(bounds)
+    remaining = iter(states)
+    return np.concatenate([
+        _Stacked.of(block, [next(remaining) for _ in block]).bounds(
+            model, model.log_pdfs(_stacked_samples(block)))
+        for block in _blocks(tasks)
+    ])
 
 
 def elbo_terms(task, state, model, log_pdfs=None):
@@ -404,13 +499,15 @@ def elbo_terms(task, state, model, log_pdfs=None):
     log_qz, log_qtheta, log_qy, log_qphi subtracted to form the bound.
     Entropy sums use the 0 ln 0 = 0 convention.
     """
-    terms = _elbo_terms([task], [state], model, log_pdfs=log_pdfs)
+    if log_pdfs is None:
+        log_pdfs = model.log_pdfs(task.stacked()[0])
+    terms = _elbo_terms(_Stacked.of([task], [state]), model, log_pdfs)
     return {key: float(value[0]) for key, value in terms.items()}
 
 
 def elbo(task, state, model, log_pdfs=None) -> float:
     """Evidence lower bound for one task under its variational state."""
-    return float(_bound(_elbo_terms([task], [state], model, log_pdfs=log_pdfs))[0])
+    return _bound(elbo_terms(task, state, model, log_pdfs))
 
 
 def write_lambda_csv(path, ids, lambdas) -> None:

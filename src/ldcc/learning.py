@@ -1,10 +1,13 @@
 """Online learning of the shared themes.
 
-Each batch solves the E-steps of all its tasks together (`estep_batch`),
+Each batch solves the E-steps of its tasks together (`estep_batch`),
 pools responsibility-weighted moments into one M-step estimate of the
 Gaussian themes, builds a Newton step for the Dirichlet rows alpha from the
 batch posteriors, and blends everything into the running model with step
-size rho_b = (tau0 + b)^(-tau1).
+size rho_b = (tau0 + b)^(-tau1).  As in stochastic variational inference,
+the global step needs only the batch's expected sufficient statistics, so
+`train` builds no per-task states: it solves one block of its plan at a
+time and folds the stacked result into the statistics and the bound.
 
 Sufficient statistics are raw moments (count, weighted sum, weighted second
 moment), so pooling tasks is an associative sum and a full batch reproduces
@@ -21,7 +24,14 @@ import numpy as np
 
 from .data import write_table
 from .errors import ModelError, NumericError
-from .inference import dirichlet_expected_log, elbo_batch, estep_batch, warn_estep_waste
+from .inference import (
+    _Plan,
+    _States,
+    _task_rows,
+    dirichlet_expected_log,
+    estep_batch,
+    warn_estep_waste,
+)
 from .model import ThemeModel, TrainConfig, init_model
 from .special import digamma, trigamma
 from .streams import shuffle_stream
@@ -48,31 +58,34 @@ class LocalThemeStats:
     scatter: np.ndarray
 
 
-def accumulate_stats(tasks, states) -> LocalThemeStats:
-    """Sum per-task moments over a batch, in task order."""
+def accumulate_stats(tasks, states, stats=None) -> LocalThemeStats:
+    """Sum per-task moments over a batch, in task order.
+
+    With stats, the sums continue from it (in place), so a batch taken in
+    parts gives the same bits as the whole batch.
+    """
     if len(tasks) != len(states):
         raise ValueError(f"{len(tasks)} tasks but {len(states)} states")
     if not tasks:
         raise ValueError("cannot accumulate statistics over an empty batch")
     dim = tasks[0].dimension
-    num_themes = states[0].gamma.shape[1]
-    count = np.zeros(num_themes)
-    weighted_sum = np.zeros((num_themes, dim))
-    scatter = np.zeros((num_themes, dim, dim))
-    for task, state in zip(tasks, states):
+    rows = _task_rows(states)
+    if stats is None:
+        k = rows[0].shape[1]
+        stats = LocalThemeStats(np.zeros(k), np.zeros((k, dim)), np.zeros((k, dim, dim)))
+    for task, r_all in zip(tasks, rows):
         if task.dimension != dim:
             raise ValueError(f"task {task.id!r} dimension {task.dimension} != {dim}")
         x, _ = task.stacked()
-        r_all = np.concatenate(state.r)
-        if r_all.shape != (x.shape[0], num_themes):
+        if r_all.shape != (x.shape[0], stats.count.size):
             raise ValueError(
                 f"state for task {task.id!r} has responsibility shape "
-                f"{r_all.shape}, expected {(x.shape[0], num_themes)}"
+                f"{r_all.shape}, expected {(x.shape[0], stats.count.size)}"
             )
-        count += r_all.sum(axis=0)
-        weighted_sum += r_all.T @ x
-        scatter += np.einsum("nk,ni,nj->kij", r_all, x, x)
-    return LocalThemeStats(count, weighted_sum, scatter)
+        stats.count += r_all.sum(axis=0)
+        stats.weighted_sum += r_all.T @ x
+        stats.scatter += np.einsum("nk,ni,nj->kij", r_all, x, x)
+    return stats
 
 
 def local_mstep(stats: LocalThemeStats, jitter: float):
@@ -97,8 +110,9 @@ def local_mstep(stats: LocalThemeStats, jitter: float):
 
 def _eta_moments(states):
     """Batch sums S_l = sum eta_dcl and T_lk = sum eta_dcl E[ln theta_dck]."""
-    eta = np.concatenate([state.eta for state in states])
-    gamma = np.concatenate([state.gamma for state in states])
+    parts = states.parts if isinstance(states, _States) else states
+    eta = np.concatenate([part.eta for part in parts])
+    gamma = np.concatenate([part.gamma for part in parts])
     return eta.sum(axis=0), eta.T @ dirichlet_expected_log(gamma)
 
 
@@ -271,23 +285,24 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
         jitter=config.jitter,
     )
     order = shuffle_stream(config.seed).permutation(len(tasks))
+    cursor, size = 0, min(config.batch_size, len(tasks))
+    # Keep each task's E-step noise when the run visits some task twice.
+    plan = _Plan(model, config, keep_noise=config.max_batches * size > len(tasks))
     log_rows = []
-    cursor = 0
     for batch_index in range(1, config.max_batches + 1):
-        if config.batch_size >= len(tasks):
-            batch_ids = order
-        else:
-            take = []
-            while len(take) < config.batch_size:
-                take.append(order[cursor])
-                cursor = (cursor + 1) % len(order)
-            batch_ids = np.asarray(take)
-        batch = [tasks[int(i)] for i in batch_ids]
+        batch = [tasks[int(order[(cursor + j) % len(order)])] for j in range(size)]
+        cursor = (cursor + size) % len(order)
 
-        states = estep_batch(batch, model, config)
-        elbos = elbo_batch(batch, states, model)
+        stats, parts, elbos = None, [], []
+        for block in plan.blocks(batch):
+            block_states = estep_batch(block, model, config)
+            stats = accumulate_stats(block, block_states, stats)
+            (part,) = block_states.parts
+            elbos.append(part.bounds(model, model.log_pdfs(block.x)))
+            parts.append(part.classes())
+        # The alpha step and the counters need only per-class and per-task arrays.
+        states = _States(parts)
         warn_estep_waste(f"batch {batch_index}", states, config)
-        stats = accumulate_stats(batch, states)
         means, covs, active = local_mstep(stats, config.jitter)
         work = alpha_newton_work(states, model.alpha)
         direction = alpha_newton_direction(work)
@@ -298,10 +313,10 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
             TrainLogRow(
                 batch=batch_index,
                 rho=rho,
-                mean_elbo=float(np.mean(elbos)),
+                mean_elbo=float(np.mean(np.concatenate(elbos))),
                 alpha_min=float(model.alpha.min()),
                 alpha_max=float(model.alpha.max()),
-                estep_iters_mean=float(np.mean([s.iterations for s in states])),
+                estep_iters_mean=float(np.mean(np.concatenate([p.iterations for p in parts]))),
             )
         )
         logger.debug(

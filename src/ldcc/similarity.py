@@ -133,21 +133,11 @@ def correlation_diagram(distances, accuracies, num_bins: int) -> list[DiagramBin
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     if (distances < 0).any() or not np.isfinite(distances).all():
         raise ValueError("distances must be finite and nonnegative")
-    top = distances.max()
-    if top == 0.0:
-        return [
-            DiagramBin(
-                index=1,
-                low=0.0,
-                high=0.0,
-                mean_distance=0.0,
-                mean_accuracy=float(accuracies.mean()),
-                count=int(distances.size),
-            )
-        ]
-    width = top / num_bins
-    assignment = np.ceil(distances / width).astype(int)
-    assignment = np.clip(assignment, 1, num_bins)
+    width = distances.max() / num_bins
+    if width > 0.0:
+        assignment = np.clip(np.ceil(distances / width).astype(int), 1, num_bins)
+    else:
+        assignment = np.ones(distances.size, dtype=int)
     bins = []
     for j in range(1, num_bins + 1):
         members = assignment == j
@@ -194,30 +184,31 @@ def write_distance_csv(path, ids, mean_kl) -> None:
     write_table(path, ["test_id", "mean_kl"], zip(ids, mean_kl.tolist()))
 
 
-def read_distance_csv(path):
-    """Mean distances back as (ids, values); each must be finite and >= 0."""
-    rows = read_table(
-        path, lambda header: header == ["test_id", "mean_kl"], "test_id,mean_kl"
-    )
-    for line_no, _, (value,) in rows:
-        if not 0.0 <= value < math.inf:
-            raise FormatError(f"{path}:{line_no}: mean_kl must be finite and >= 0")
-    return [task_id for _, task_id, _ in rows], np.asarray([v for _, _, (v,) in rows])
-
-
-def read_accuracy_csv(path):
-    """Per-task accuracies: task_id, accuracy in [0, 1]."""
-    rows = read_table(
-        path, lambda header: header == ["task_id", "accuracy"], "task_id,accuracy"
-    )
+def _read_scores(path, header, valid, problem):
+    """A task_id,value CSV as a dict in file order; ids unique, every value valid."""
     table = {}
-    for line_no, task_id, (value,) in rows:
-        if not 0.0 <= value <= 1.0:
-            raise FormatError(f"{path}:{line_no}: accuracy must lie in [0, 1]")
+    for line_no, task_id, (value,) in read_table(path, lambda h: h == header, ",".join(header)):
+        if not valid(value):
+            raise FormatError(f"{path}:{line_no}: {header[1]} {problem}")
         if task_id in table:
             raise FormatError(f"{path}:{line_no}: duplicate task id {task_id!r}")
         table[task_id] = value
     return table
+
+
+def read_distance_csv(path):
+    """Mean distances back as (ids, values); ids unique, values finite and >= 0."""
+    table = _read_scores(
+        path, ["test_id", "mean_kl"], lambda v: 0.0 <= v < math.inf, "must be finite and >= 0"
+    )
+    return list(table), np.asarray(list(table.values()))
+
+
+def read_accuracy_csv(path):
+    """Per-task accuracies: task_id, accuracy in [0, 1]."""
+    return _read_scores(
+        path, ["task_id", "accuracy"], lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"
+    )
 
 
 def write_diagram_csv(path, bins) -> None:

@@ -445,6 +445,19 @@ class TestDiagram:
         assert code == 3
         assert "t2" in err
 
+    def test_duplicate_distance_ids_is_exit_3(self, tmp_path, capsys):
+        dist, acc = self.write_inputs(tmp_path, [("t1", 0.9)])
+        dist.write_text("test_id,mean_kl\nt1,1.0\nt1,3.0\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run(
+            capsys,
+            "diagram", "--distances", str(dist), "--accuracies", str(acc),
+            "--bins", "2", "--out", str(out),
+        )
+        assert code == 3
+        assert "dist.csv:3: duplicate task id 't1'" in err
+        assert not out.exists()
+
     def test_zero_bins(self, tmp_path, capsys):
         dist, acc = self.write_inputs(tmp_path)
         code, _, _ = run(

@@ -145,6 +145,21 @@ class TestUpdateR:
             update_r(task, 0, state, model, log_pdfs=table)
 
 
+    def test_positive_inf_logit_raises(self):
+        # exp(+inf - +inf) is NaN: the whole row would come back NaN with
+        # only a RuntimeWarning, so a +inf logit is rejected like NaN.
+        model = make_model(K=3)
+        task = make_task(C=1, N=4)
+        state = random_state(task, model)
+        table = model.log_pdfs(task.classes[0].astype(np.float64))
+        table[2, 1] = np.inf
+        with np.errstate(all="raise"), pytest.raises(NumericError, match=r"\+inf logits"):
+            update_r(task, 0, state, model, log_pdfs=table)
+        logits = np.array([[0.0, np.inf, 1.0], [0.0, 1.0, 2.0]]).T
+        with np.errstate(all="raise"), pytest.raises(NumericError):
+            inference._softmax(logits, axis=0)
+
+
 class TestUpdateGamma:
     def test_all_ones_alpha(self):
         model = make_model(K=3, L=2)

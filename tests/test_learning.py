@@ -10,8 +10,10 @@ from helpers import (
 )
 from ldcc.data import Task, TaskCollection, generate_synthetic
 from ldcc.errors import NumericError
-from ldcc.inference import VariationalState, run_estep
+import ldcc.inference as inference
+from ldcc.inference import VariationalState, elbo_batch, estep_batch, run_estep
 from ldcc.learning import (
+    TrainLogRow,
     accumulate_stats,
     alpha_gradient,
     alpha_newton_direction,
@@ -22,7 +24,8 @@ from ldcc.learning import (
     train,
     write_training_log,
 )
-from ldcc.model import ThemeModel, TrainConfig
+from ldcc.model import ThemeModel, TrainConfig, init_model, save_model
+from ldcc.streams import shuffle_stream
 
 
 def planted_model():
@@ -476,6 +479,90 @@ class TestTrain:
             learning_module.estep_batch = original
         assert set(seen) == set(coll.ids)
         assert len(seen) == 14
+
+
+def uneven_collection(num_tasks=11, seed=11):
+    """Tasks of 1-4 classes with 1-6 shots each, around the planted means."""
+    rng = np.random.default_rng(seed)
+    mu = planted_model().mu
+    tasks = []
+    for d in range(num_tasks):
+        shots = rng.integers(1, 7, size=rng.integers(1, 5))
+        tasks.append(Task(f"u{d}", [
+            (mu[rng.integers(3)] + rng.normal(size=(n, 2))).astype(np.float32) for n in shots
+        ]))
+    return TaskCollection(tasks)
+
+
+def reference_train(tasks, num_task_themes, num_image_themes, config, delta=0.5):
+    """train() composed from the public per-state API, batch by batch."""
+    model = init_model(
+        tasks, num_task_themes, num_image_themes, delta, config.seed, jitter=config.jitter
+    )
+    order = shuffle_stream(config.seed).permutation(len(tasks))
+    rows, cursor = [], 0
+    for b in range(1, config.max_batches + 1):
+        batch = []
+        for _ in range(min(config.batch_size, len(tasks))):
+            batch.append(tasks[int(order[cursor])])
+            cursor = (cursor + 1) % len(tasks)
+        states = list(estep_batch(batch, model, config))
+        elbos = elbo_batch(batch, states, model)
+        means, covs, active = local_mstep(accumulate_stats(batch, states), config.jitter)
+        direction = alpha_newton_direction(alpha_newton_work(states, model.alpha))
+        rho = learning_rate(config.tau0, config.tau1, b)
+        model = online_update(model, means, covs, direction, rho, active=active)
+        rows.append(TrainLogRow(
+            b, rho, float(np.mean(elbos)), float(model.alpha.min()),
+            float(model.alpha.max()), float(np.mean([s.iterations for s in states])),
+        ))
+    return model, rows
+
+
+def artifact_bytes(result, tmp_path):
+    model, rows = result
+    save_model(model, tmp_path / "model.json")
+    write_training_log(tmp_path / "log.csv", rows)
+    return (tmp_path / "model.json").read_bytes() + (tmp_path / "log.csv").read_bytes()
+
+
+class TestTrainMatchesReference:
+    """train() reads the E-step's stacked blocks and reuses its noise plan;
+    the result must be the public per-state composition's, bit for bit."""
+
+    @pytest.mark.parametrize("max_e_iters", [100, 1])
+    def test_bitwise_equal_to_per_state_composition(self, monkeypatch, max_e_iters):
+        coll = uneven_collection()
+        # Blocks of at most 12 rows: every batch of 7 tasks spans 3 or more
+        # blocks, and with 4 batches of 7 out of 11 tasks, tasks recur.
+        monkeypatch.setattr(inference, "_BLOCK_ROWS", 12)
+        cfg = TrainConfig(seed=6, max_batches=4, batch_size=7, max_e_iters=max_e_iters)
+        batch = [coll[int(i)] for i in shuffle_stream(cfg.seed).permutation(len(coll))[:7]]
+        assert len(list(inference._blocks(batch))) >= 3
+        model, rows = train(coll, 2, 3, cfg)
+        want_model, want_rows = reference_train(coll, 2, 3, cfg)
+        assert model == want_model
+        assert rows == want_rows
+        if max_e_iters == 1:
+            # Every E-step stops at the cap.  (Gamma cannot clamp here: alpha
+            # stays at or above its 1e-6 floor, so every gamma entry is positive.)
+            assert all(r.estep_iters_mean == 1.0 for r in rows)
+
+    def test_plan_does_not_leak_across_calls(self, tmp_path):
+        coll = uneven_collection()
+        cfg_a = TrainConfig(seed=1, max_batches=3, batch_size=4)
+        cfg_b = TrainConfig(seed=2, max_batches=3, batch_size=4)
+        alone = artifact_bytes(train(coll, 2, 3, cfg_b), tmp_path)
+        model = train(coll, 2, 3, cfg_b)[0]
+        before = estep_batch(coll, model, cfg_b)
+        train(coll, 3, 2, cfg_a)  # another seed, K and L
+        assert artifact_bytes(train(coll, 2, 3, cfg_b), tmp_path) == alone
+        after = estep_batch(coll, model, cfg_b)
+        for want, got in zip(before, after):
+            for a, b in zip([*want.r, want.gamma, want.eta, want.lam],
+                            [*got.r, got.gamma, got.eta, got.lam]):
+                assert np.array_equal(a, b)
+            assert (want.iterations, want.converged) == (got.iterations, got.converged)
 
 
 class TestTrainingLog:

@@ -273,6 +273,13 @@ class TestCsvHelpers:
         with pytest.raises(FormatError, match=r"dist\.csv:3: mean_kl must be finite and >= 0"):
             read_distance_csv(path)
 
+    def test_distance_duplicate_ids(self, tmp_path):
+        # A repeated test id would be binned twice by the diagram.
+        path = tmp_path / "dist.csv"
+        path.write_text("test_id,mean_kl\nt1,1.0\nt2,2.0\nt1,3.0\n")
+        with pytest.raises(FormatError, match=r"dist\.csv:4: duplicate task id 't1'"):
+            read_distance_csv(path)
+
     def test_distance_csv_bytes(self, tmp_path):
         path = tmp_path / "dist.csv"
         write_distance_csv(path, ["q", "r"], [np.float64(0.1) + np.float64(0.2), np.float64(0.0)])
