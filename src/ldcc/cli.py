@@ -143,7 +143,7 @@ def cmd_infer(args) -> None:
     warn_estep_waste("infer", states, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_lambda_csv(out, collection.ids, np.vstack([s.lam for s in states]))
+    write_lambda_csv(out, collection.ids, np.concatenate([p.lam for p in states.parts]))
 
 
 def cmd_distance(args) -> None:

@@ -298,7 +298,7 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
             block_states = estep_batch(block, model, config)
             stats = accumulate_stats(block, block_states, stats)
             (part,) = block_states.parts
-            elbos.append(part.bounds(model, model.log_pdfs(block.x)))
+            elbos.append(part.bounds(model, block.log_pdfs.T))
             parts.append(part.classes())
         # The alpha step and the counters need only per-class and per-task arrays.
         states = _States(parts)

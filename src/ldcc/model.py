@@ -95,8 +95,8 @@ class ThemeModel:
             self.delta,
         )
 
-    def log_pdfs(self, x: np.ndarray) -> np.ndarray:
-        """Gaussian log-densities of rows of x under every theme, (n, K).
+    def log_pdfs(self, x: np.ndarray, *, theme_major: bool = False) -> np.ndarray:
+        """Gaussian log-densities of rows of x under every theme, (n, K) or, theme_major, (K, n).
 
         Mahalanobis terms come from forward substitution against the cached
         Cholesky factors, one feature at a time over the differences of all
@@ -117,7 +117,7 @@ class ThemeModel:
         out = np.einsum("ikn,ikn->kn", z, z)
         out += self.D * _LOG_2PI + self.log_dets[:, None]
         out *= -0.5
-        return out.T.copy()
+        return out if theme_major else out.T.copy()
 
     def __eq__(self, other):
         return (

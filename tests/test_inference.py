@@ -6,7 +6,7 @@ from scipy import special as sp
 from scipy import stats
 
 from helpers import naive_elbo_terms
-from ldcc.data import Task
+from ldcc.data import Task, generate_synthetic
 from ldcc.errors import DataError, FormatError, NumericError
 import ldcc.inference as inference
 from ldcc.inference import (
@@ -447,6 +447,24 @@ class TestEstepBatch:
                 assert got.lam.shape == (L,)
                 for array in (*got.r, got.gamma, got.eta, got.lam):
                     assert array.flags.c_contiguous
+
+    @pytest.mark.parametrize("K, L, D", [(3, 2, 2), (4, 3, 4), (6, 4, 8)])
+    def test_block_size_is_bit_invariant(self, monkeypatch, K, L, D):
+        # The benchmark workloads' shapes (5 classes of 16 shots); 110 tasks
+        # are 8800 rows, so 4096- and 8192-row blocks both split the batch.
+        model = make_model(K=K, L=L, D=D, seed=K)
+        tasks = list(generate_synthetic(model, 110, 5, 16, seed=K)[0])
+        cfg = TrainConfig(seed=4, max_e_iters=20)
+        alone = [run_estep(task, model, cfg) for task in tasks]
+        assert any(s.converged for s in alone) and not all(s.converged for s in alone)
+        for block_rows in (12, 4096, 8192, 2**20):
+            monkeypatch.setattr(inference, "_BLOCK_ROWS", block_rows)
+            for got, want in zip(estep_batch(tasks, model, cfg), alone, strict=True):
+                for a, b in zip([*got.r, got.gamma, got.eta, got.lam],
+                                [*want.r, want.gamma, want.eta, want.lam], strict=True):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert (got.iterations, got.converged, got.gamma_clamps) == (
+                    want.iterations, want.converged, want.gamma_clamps)
 
     def test_elbo_batch_needs_one_state_per_task(self):
         tasks, model = self.tasks(), self.model()

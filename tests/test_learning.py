@@ -409,6 +409,22 @@ class TestTrain:
         assert m1 == m2
         assert log1 == log2
 
+    def test_block_size_does_not_change_bytes(self, monkeypatch, tmp_path):
+        # Batches of 110 tasks (8800 rows) span 3 blocks of 4096 rows and 2
+        # of 8192.
+        planted = ThemeModel(
+            np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]]), np.stack([np.eye(2)] * 3),
+            np.array([[6.0, 1.0, 1.0], [1.0, 1.0, 6.0]]), np.array([0.01, 0.01]),
+        )
+        coll, _ = generate_synthetic(planted, 150, 5, 16, seed=3)
+        cfg = TrainConfig(seed=1, max_batches=3, batch_size=110)
+        results = []
+        for block_rows in (4096, 8192):
+            monkeypatch.setattr(inference, "_BLOCK_ROWS", block_rows)
+            model, rows = train(coll, 2, 3, cfg)
+            results.append((artifact_bytes((model, rows), tmp_path), rows))
+        assert results[0] == results[1]
+
     def test_log_rows_and_rates(self):
         coll = self.collection()
         cfg = TrainConfig(seed=2, max_batches=5, batch_size=4)

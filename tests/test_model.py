@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldcc.data import Task, TaskCollection
 from ldcc.errors import CheckpointError, DomainError, ModelError
@@ -142,6 +144,23 @@ class TestGaussianLogPdf:
                 quad = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(sigma[k]), diff)
                 expected = -0.5 * (D * math.log(2 * math.pi) + logdet + quad)
                 assert np.max(np.abs(table[:, k] - expected)) <= 1e-8
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_theme_major_is_transpose(self, data):
+        # The sweep's (K, n) layout must hold the public (n, K) table's bits.
+        K, D = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        base = rng.normal(size=(K, D, D))
+        sigma = np.einsum("kij,klj->kil", base, base) + 0.1 * np.eye(D)
+        m = ThemeModel(rng.normal(size=(K, D)) * 3, sigma, np.ones((1, K)), np.ones(1))
+        x = rng.normal(size=(n, D)) * 4
+        table = m.log_pdfs(x)
+        by_theme = m.log_pdfs(x, theme_major=True)
+        assert by_theme.shape == (K, n)
+        assert by_theme.T.tobytes() == table.tobytes()
+        assert table.flags.c_contiguous and by_theme.flags.c_contiguous
 
     def test_batch_matches_single(self):
         m = make_model(K=3, D=2)
