@@ -8,25 +8,22 @@ coordinate maximizer of the evidence lower bound given the others, so the
 bound never decreases across sweeps.
 
 Given the model, task posteriors are independent.  `estep_batch` stacks the
-samples of many tasks into blocks of up to 8192 rows with class and task
+samples of many tasks into blocks of up to 16384 rows with class and task
 segment indices and sweeps each block at once with segment sums
 (`np.add.reduceat`); each task stops at the sweep where the mean absolute
 change of its lambda drops below the configured tolerance, exactly as it
-would alone, and `run_estep` is a batch of one.  A sweep pays a fixed
-numpy dispatch cost besides its per-row work, so 8192-row blocks halve the
-sweeps of 4096-row ones, for about 1 MB (2%) more peak memory in training,
-where 16384 rows added about 4 MB (6-8%).  The arrays are theme-major: r and the
-log-densities are (K, rows), gamma (K, classes), eta (L, classes) and
-lambda (L, tasks).  numpy sums or maxes over K contiguous rows in K
-elementwise passes, where along a short inner axis it loops per row; the
-sweep calls those ufunc reductions directly.  Each call's private plan
-(`_Plan`) stacks the blocks' samples and init noise once, and a block's
-log-densities are computed once, also for `train`'s bound.  A block's
-result stays stacked (`_Stacked`, row-major); per-task states are built
-only when asked for.  The bound is computed the same way for a whole
-batch (`elbo_batch`) or one task (`elbo`), per-task states being stacked
-first.  The per-class `update_*` functions are the readable reference:
-the test suite composes them to check the sweep.
+would alone, and `run_estep` is a batch of one.  A sweep pays a fixed numpy
+dispatch cost besides its per-row work, so blocks are large: at 16384 rows a
+200-task training batch of 5 x 16 shots is one block, for about 1.3 MB (2%)
+more peak memory than at 8192 rows.  All arrays are theme-major, as numpy
+reduces over K contiguous rows in K elementwise passes but loops per row
+along a short inner axis: r and the log-densities are (K, rows), gamma
+(K, classes), eta (L, classes), lambda (L, tasks).  A block's log-densities
+are computed once, also for `train`'s bound; its result stays stacked and
+theme-major (`_Stacked`) for `train`, and per-task states, with row-major r,
+are built only when asked for.  `elbo_batch` and `elbo` share one bound
+computation.  The per-class `update_*` functions are the readable reference
+that the test suite composes to check the sweep.
 """
 
 from __future__ import annotations
@@ -152,10 +149,10 @@ def update_lambda(state, delta):
     return np.asarray(delta, dtype=np.float64) + state.eta.sum(axis=0)
 
 
-# Largest number of sample rows solved as one array problem (why 8192: see
+# Largest number of sample rows solved as one array problem (why 16384: see
 # the module docstring).  Tasks are grouped in order into blocks up to this
 # size (a larger task is a block of its own), so memory stays flat.
-_BLOCK_ROWS = 8192
+_BLOCK_ROWS = 16384
 
 
 def _blocks(tasks):
@@ -188,11 +185,9 @@ class _Segments:
         self.task_row_starts = self.class_starts[self.task_starts]
 
     @classmethod
-    def of(cls, tasks):
-        return cls(
-            np.array([n for task in tasks for n in task.counts]),
-            np.array([task.num_classes for task in tasks]),
-        )
+    def of(cls, counts):
+        """Segments of tasks with these class row counts, one sequence per task."""
+        return cls(np.array([n for c in counts for n in c]), np.array([len(c) for c in counts]))
 
     def subset(self, keep):
         """Segments of the tasks where keep is true, with class and row masks."""
@@ -209,8 +204,8 @@ def _stacked_samples(tasks):
 class _Plan:
     """The E-step inputs of one `estep_batch` or `train` call that no sweep changes.
 
-    Tasks come in `_Block`s with their stacked samples, segments and init
-    noise.  A task's Dirichlet(100) noise depends only on (seed, task id, K,
+    Tasks come in `_Block`s with their segments and init noise stacked.
+    A task's Dirichlet(100) noise depends only on (seed, task id, K,
     L) and its shape, so a plan that sees tasks again (`keep_noise`) draws
     it once.  Plans are never shared, so nothing carries over between calls.
     """
@@ -239,20 +234,19 @@ class _Plan:
 
 
 class _Block(list):
-    """Tasks solved as one array problem, with samples x (rows, D), segments
-    and init noise counts0 (K, classes), eta0 (L, classes) stacked; its
-    sweep adds the log-densities (K, rows) as log_pdfs."""
+    """Tasks solved as one array problem, with segments and init noise counts0
+    (K, classes), eta0 (L, classes) stacked; its sweep adds log_pdfs (K, rows)."""
 
     def __init__(self, tasks, plan):
         super().__init__(tasks)
-        self.key, self.seg, self.x = plan.key, _Segments.of(tasks), _stacked_samples(tasks)
+        self.key, self.seg = plan.key, _Segments.of([task.counts for task in tasks])
         noise = [plan.noise(task) for task in tasks]
         self.counts0 = np.concatenate([counts for counts, _ in noise], axis=1)
         self.eta0 = np.concatenate([eta for _, eta in noise], axis=1)
 
 
 class _Stacked:
-    """Consecutive tasks' posteriors in row-major stacks: r (rows, K), gamma
+    """Consecutive tasks' posteriors in stacks: r theme-major (K, rows), gamma
     (classes, K), eta (classes, L), lam (tasks, L), and from a sweep the
     per-task iterations, converged and gamma_clamps."""
 
@@ -261,9 +255,10 @@ class _Stacked:
         self.iterations, self.converged, self.gamma_clamps = iterations, converged, gamma_clamps
 
     @classmethod
-    def of(cls, tasks, states):
+    def of(cls, states):
         return cls(
-            _Segments.of(tasks), np.concatenate([b for state in states for b in state.r]),
+            _Segments.of([[len(b) for b in state.r] for state in states]),
+            np.concatenate([b.T for state in states for b in state.r], axis=1),
             np.concatenate([state.gamma for state in states]),
             np.concatenate([state.eta for state in states]),
             np.stack([state.lam for state in states]),
@@ -275,7 +270,7 @@ class _Stacked:
                         self.iterations, self.converged, self.gamma_clamps)
 
     def states(self):
-        r_blocks = np.split(self.r, self.seg.class_starts[1:])
+        r_blocks = np.split(self.r.T.copy(), self.seg.class_starts[1:])
         starts = self.seg.task_starts
         return [
             VariationalState(
@@ -288,7 +283,7 @@ class _Stacked:
         ]
 
     def bounds(self, model, log_pdfs):
-        """Evidence lower bound of each task, given the row log-densities."""
+        """Evidence lower bound of each task, given the (K, rows) log-densities."""
         return _bound(_elbo_terms(self, model, log_pdfs))
 
 
@@ -308,13 +303,6 @@ class _States(Sequence):
         return self._states[index]
 
 
-def _task_rows(states):
-    """Each task's responsibilities as one (samples, K) array, in task order."""
-    if not isinstance(states, _States):
-        return [np.concatenate(state.r) for state in states]
-    return [rows for p in states.parts for rows in np.split(p.r, p.seg.task_row_starts[1:])]
-
-
 def _update_gamma(counts, eta, alpha_m1, seg, clamps):
     """Gamma (K, classes) from r's class sums; adds floored entries per task to clamps."""
     gamma = counts + 1.0 + alpha_m1.T @ eta
@@ -327,7 +315,7 @@ def _estep_block(block, model, config):
     """`estep_batch` for one `_Block`, on theme-major arrays (module docstring)."""
     seg = block.seg
     # Kept on the block, so `train` evaluates its bound from the same pass.
-    block.log_pdfs = log_pdfs = model.log_pdfs(block.x, theme_major=True)
+    block.log_pdfs = log_pdfs = model.log_pdfs(_stacked_samples(block), theme_major=True)
     alpha_m1 = model.alpha - 1.0
     log_norm = log_beta_rows(model.alpha)[:, None]
     delta = model.delta[:, None]
@@ -352,6 +340,7 @@ def _estep_block(block, model, config):
     expected_log_theta = _expected_log(gamma)
 
     for it in range(1, config.max_e_iters + 1):
+        r = None  # drop the last sweep's r before this one's is built
         r = expected_log_theta.repeat(live.class_counts, axis=1)
         r += log_pdfs
         _softmax(r, axis=0)
@@ -383,17 +372,15 @@ def _estep_block(block, model, config):
         out_r[:, live_rows[stop_rows]] = r[:, stop_rows]
         if np.logical_and.reduce(stop):
             break
-        keep = ~stop
+        keep, r = ~stop, None  # r is copied out; drop it before the compaction copies
         live, keep_classes, keep_rows = live.subset(keep)
         live_tasks, clamps, lam = live_tasks[keep], clamps[keep], np.compress(keep, lam, axis=1)
         live_classes, eta = live_classes[keep_classes], np.compress(keep_classes, eta, axis=1)
         expected_log_theta = np.compress(keep_classes, expected_log_theta, axis=1)
         live_rows, log_pdfs = live_rows[keep_rows], np.compress(keep_rows, log_pdfs, axis=1)
 
-    return _Stacked(
-        seg, out_r.T.copy(), out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
-        iterations, converged, out_clamps,
-    )
+    return _Stacked(seg, out_r, out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
+                    iterations, converged, out_clamps)
 
 
 def estep_batch(tasks, model, config):
@@ -441,17 +428,17 @@ def warn_estep_waste(where, states, config) -> None:
 
 
 def _elbo_terms(part, model, log_pdfs):
-    """The nine bound expectations of each task of a `_Stacked`, as arrays over the tasks."""
+    """The nine bound expectations of each task of a `_Stacked` (r and log_pdfs (K, rows))."""
     seg, r, gamma, eta, lam = part.seg, part.r, part.gamma, part.eta, part.lam
     expected_log_theta = dirichlet_expected_log(gamma)
     expected_log_phi = dirichlet_expected_log(lam)
     alpha_m1 = model.alpha - 1.0
     log_norm = log_beta_rows(model.alpha)
     theta_affinity = expected_log_theta @ alpha_m1.T - log_norm[None, :]
-    counts = np.add.reduceat(r, seg.class_starts, axis=0)
+    counts = np.add.reduceat(r, seg.class_starts, axis=1).T
 
     def over_rows(values):
-        return np.add.reduceat(values.sum(axis=1), seg.task_row_starts)
+        return np.add.reduceat(np.add.reduce(values, axis=0), seg.task_row_starts)
 
     def over_classes(values):
         return np.add.reduceat(values, seg.task_starts)
@@ -484,8 +471,8 @@ def elbo_batch(tasks, states, model) -> np.ndarray:
         raise ValueError(f"{len(tasks)} tasks but {len(states)} states")
     remaining = iter(states)
     return np.concatenate([
-        _Stacked.of(block, [next(remaining) for _ in block]).bounds(
-            model, model.log_pdfs(_stacked_samples(block)))
+        _Stacked.of([next(remaining) for _ in block]).bounds(
+            model, model.log_pdfs(_stacked_samples(block), theme_major=True))
         for block in _blocks(tasks)
     ])
 
@@ -499,7 +486,7 @@ def elbo_terms(task, state, model, log_pdfs=None):
     """
     if log_pdfs is None:
         log_pdfs = model.log_pdfs(task.stacked()[0])
-    terms = _elbo_terms(_Stacked.of([task], [state]), model, log_pdfs)
+    terms = _elbo_terms(_Stacked.of([state]), model, np.asarray(log_pdfs).T)
     return {key: float(value[0]) for key, value in terms.items()}
 
 

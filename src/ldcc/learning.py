@@ -9,10 +9,11 @@ the global step needs only the batch's expected sufficient statistics, so
 `train` builds no per-task states: it solves one block of its plan at a
 time and folds the stacked result into the statistics and the bound.
 
-Sufficient statistics are raw moments (count, weighted sum, weighted second
-moment), so pooling tasks is an associative sum and a full batch reproduces
-the exact M-step.  The alpha step solves H dx = g per row through the
-rank-one structure H = diag(q) + u 11^T, never forming H.
+The statistics are raw moments (count, weighted sum, weighted second
+moment), summed per task over the theme-major responsibilities and folded
+in task order: a full batch gives the exact M-step, whatever its blocks.
+The alpha step solves H dx = g per row through the rank-one structure
+H = diag(q) + u 11^T, never forming H.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .data import write_table
 from .errors import ModelError, NumericError
 from .inference import (
     _Plan,
+    _Stacked,
     _States,
-    _task_rows,
     dirichlet_expected_log,
     estep_batch,
     warn_estep_waste,
@@ -58,33 +59,41 @@ class LocalThemeStats:
     scatter: np.ndarray
 
 
+def _fold(running, products, starts):
+    """Add each task's sum of products (K, rows) over its rows to running, in task order."""
+    sums = np.add.reduceat(products, starts, axis=1)
+    sums[:, 0] += running
+    running[...] = np.add.accumulate(sums, axis=1, out=sums)[:, -1]
+
+
 def accumulate_stats(tasks, states, stats=None) -> LocalThemeStats:
-    """Sum per-task moments over a batch, in task order.
+    """Sum each task's moments (segment sums of r, r x_i, r x_i x_j) in task order.
 
     With stats, the sums continue from it (in place), so a batch taken in
-    parts gives the same bits as the whole batch.
+    parts or E-step blocks gives the same bits as the whole batch.
     """
     if len(tasks) != len(states):
         raise ValueError(f"{len(tasks)} tasks but {len(states)} states")
     if not tasks:
         raise ValueError("cannot accumulate statistics over an empty batch")
-    dim = tasks[0].dimension
-    rows = _task_rows(states)
+    # Samples (D, rows); tasks of different dimensions do not concatenate.
+    x = np.concatenate([task.stacked()[0].T for task in tasks], axis=1)
+    parts = states.parts if isinstance(states, _States) else [_Stacked.of(states)]
+    k, dim = parts[0].r.shape[0], x.shape[0]
+    shots = np.concatenate([part.seg.class_counts for part in parts])
+    if not np.array_equal(shots, [n for task in tasks for n in task.counts]):
+        raise ValueError("the states' responsibilities do not match the tasks' classes")
     if stats is None:
-        k = rows[0].shape[1]
         stats = LocalThemeStats(np.zeros(k), np.zeros((k, dim)), np.zeros((k, dim, dim)))
-    for task, r_all in zip(tasks, rows):
-        if task.dimension != dim:
-            raise ValueError(f"task {task.id!r} dimension {task.dimension} != {dim}")
-        x, _ = task.stacked()
-        if r_all.shape != (x.shape[0], stats.count.size):
-            raise ValueError(
-                f"state for task {task.id!r} has responsibility shape "
-                f"{r_all.shape}, expected {(x.shape[0], stats.count.size)}"
-            )
-        stats.count += r_all.sum(axis=0)
-        stats.weighted_sum += r_all.T @ x
-        stats.scatter += np.einsum("nk,ni,nj->kij", r_all, x, x)
+    for part in parts:
+        r, starts = part.r, part.seg.task_row_starts
+        xs, x = x[:, :r.shape[1]], x[:, r.shape[1]:]
+        _fold(stats.count, r, starts)
+        for i in range(dim):
+            rx = r * xs[i]
+            _fold(stats.weighted_sum[:, i], rx, starts)
+            for j in range(dim):
+                _fold(stats.scatter[:, i, j], rx * xs[j], starts)
     return stats
 
 
@@ -298,8 +307,9 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
             block_states = estep_batch(block, model, config)
             stats = accumulate_stats(block, block_states, stats)
             (part,) = block_states.parts
-            elbos.append(part.bounds(model, block.log_pdfs.T))
+            elbos.append(part.bounds(model, block.log_pdfs))
             parts.append(part.classes())
+            del block_states, part  # no per-sample arrays alive while the next block sweeps
         # The alpha step and the counters need only per-class and per-task arrays.
         states = _States(parts)
         warn_estep_waste(f"batch {batch_index}", states, config)

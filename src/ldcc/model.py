@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 _LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_JITTER = 1e-6
+_LOG_PDF_ROWS = 4096
 
 
 class ThemeModel:
@@ -99,22 +100,24 @@ class ThemeModel:
         """Gaussian log-densities of rows of x under every theme, (n, K) or, theme_major, (K, n).
 
         Mahalanobis terms come from forward substitution against the cached
-        Cholesky factors, one feature at a time over the differences of all
-        rows to all themes at once; no covariance is ever inverted
-        explicitly.  The sums run in a fixed order without BLAS or LAPACK,
-        so results do not depend on the thread count.
+        Cholesky factors, one feature at a time over the (D, K, rows)
+        differences of up to _LOG_PDF_ROWS rows to all themes; no covariance
+        is inverted.  The sums run in a fixed order without BLAS or LAPACK,
+        so results depend neither on the thread count nor on the row split.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.D:
             raise ModelError(f"expected samples of shape (n, {self.D}), got {x.shape}")
-        chol = self.chol_factors
-        # z[i], (K, n), starts as feature i of x_n - mu_k and is overwritten
-        # with feature i of the solution of L_k z = x_n - mu_k.
-        z = np.ascontiguousarray(x.T)[:, None, :] - self.mu.T[:, :, None]
-        for i in range(self.D):
-            z[i] -= np.einsum("kj,jkn->kn", chol[:, i, :i], z[:i])
-            z[i] /= chol[:, i, i, None]
-        out = np.einsum("ikn,ikn->kn", z, z)
+        chol, out = self.chol_factors, np.empty((self.K, len(x)))
+        pieces = -(-len(x) // _LOG_PDF_ROWS) or 1  # near-equal: one row would sum in another order
+        for rows, part in zip(np.array_split(x, pieces), np.array_split(out, pieces, axis=1)):
+            # z[i], (K, n), starts as feature i of x_n - mu_k and is overwritten
+            # with feature i of the solution of L_k z = x_n - mu_k.
+            z = np.ascontiguousarray(rows.T)[:, None, :] - self.mu.T[:, :, None]
+            for i in range(self.D):
+                z[i] -= np.einsum("kj,jkn->kn", chol[:, i, :i], z[:i])
+                z[i] /= chol[:, i, i, None]
+            np.einsum("ikn,ikn->kn", z, z, out=part)
         out += self.D * _LOG_2PI + self.log_dets[:, None]
         out *= -0.5
         return out if theme_major else out.T.copy()

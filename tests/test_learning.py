@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     dense_newton_solve,
@@ -13,6 +15,7 @@ from ldcc.errors import NumericError
 import ldcc.inference as inference
 from ldcc.inference import VariationalState, elbo_batch, estep_batch, run_estep
 from ldcc.learning import (
+    LocalThemeStats,
     TrainLogRow,
     accumulate_stats,
     alpha_gradient,
@@ -94,6 +97,87 @@ class TestAccumulateStats:
             accumulate_stats([task], [state, state])
         with pytest.raises(ValueError):
             accumulate_stats([], [])
+
+    def test_states_of_other_tasks_raise(self):
+        # An 80-row and a 60-row task: their states in the other order cover
+        # the same 140 rows, but not task by task.
+        rng = np.random.default_rng(5)
+        tasks = [Task(name, [rng.normal(size=(n, 2)) for _ in range(5)])
+                 for name, n in (("a", 16), ("b", 12))]
+        states = estep_batch(tasks, planted_model(), TrainConfig(seed=1))
+        for other in (states, list(states)):
+            with pytest.raises(ValueError, match="classes"):
+                accumulate_stats(tasks[::-1], other)
+        # Stats of another number of image themes fail to broadcast before
+        # any entry changes.
+        for themes in (1, 2, 4):
+            stats = LocalThemeStats(
+                np.zeros(themes), np.zeros((themes, 2)), np.zeros((themes, 2, 2)))
+            with pytest.raises(ValueError):
+                accumulate_stats(tasks, states, stats)
+            assert not stats.count.any()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_task_loop(self, data):
+        # Tasks of 1-4 classes of 1-20 shots, so some tasks pass the 8-row
+        # pairwise-summation threshold and some do not.
+        K, D = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tasks, states = [], []
+        for d in range(data.draw(st.integers(1, 12))):
+            shots = rng.integers(1, 21, size=rng.integers(1, 5))
+            tasks.append(Task(f"t{d}", [
+                (3.0 * rng.normal(size=(n, D)) + rng.normal(size=D)).astype(np.float32)
+                for n in shots
+            ]))
+            states.append(VariationalState(
+                [rng.dirichlet(np.ones(K), size=n) for n in shots],
+                np.ones((shots.size, K)), np.ones((shots.size, 1)), np.ones(1),
+            ))
+        got = accumulate_stats(tasks, states)
+        want, scale = per_task_loop_stats(tasks, states)
+        for name in ("count", "weighted_sum", "scatter"):
+            error = np.abs(getattr(got, name) - getattr(want, name))
+            assert (error <= 1e-12 * getattr(scale, name)).all(), name
+        # The same batch fed in two parts through stats= gives the same bits.
+        cut = data.draw(st.integers(0, len(tasks) - 1))
+        parts = accumulate_stats(tasks[:cut], states[:cut]) if cut else None
+        parts = accumulate_stats(tasks[cut:], states[cut:], parts)
+        assert stats_bytes(parts) == stats_bytes(got)
+
+    def test_block_size_does_not_change_bytes(self, monkeypatch):
+        # 60 tasks of 5 x 16 shots (4800 rows) are 60 blocks of 12 rows, 2
+        # of 4096 and 1 of 16384; the per-state list is the stacked path.
+        tasks = list(generate_synthetic(planted_model(), 60, 5, 16, seed=8)[0])
+        cfg = TrainConfig(seed=2, max_e_iters=30)
+        got = []
+        for block_rows in (12, 4096, 16384):
+            monkeypatch.setattr(inference, "_BLOCK_ROWS", block_rows)
+            states = estep_batch(tasks, planted_model(), cfg)
+            got.append(stats_bytes(accumulate_stats(tasks, states)))
+            got.append(stats_bytes(accumulate_stats(tasks, list(states))))
+        assert all(g == got[0] for g in got)
+
+
+def per_task_loop_stats(tasks, states):
+    """The reference: one `r.T @ x` and one einsum per task, summed in task
+    order; and the same sums over |x|, which scale the error bound."""
+    K, D = states[0].r[0].shape[1], tasks[0].dimension
+    out = []
+    for transform in (lambda x: x, np.abs):
+        stats = LocalThemeStats(np.zeros(K), np.zeros((K, D)), np.zeros((K, D, D)))
+        for task, state in zip(tasks, states):
+            x, r = transform(task.stacked()[0]), np.concatenate(state.r)
+            stats.count += r.sum(axis=0)
+            stats.weighted_sum += r.T @ x
+            stats.scatter += np.einsum("nk,ni,nj->kij", r, x, x)
+        out.append(stats)
+    return out
+
+
+def stats_bytes(stats):
+    return stats.count.tobytes() + stats.weighted_sum.tobytes() + stats.scatter.tobytes()
 
 
 class TestLocalMstep:
@@ -410,8 +494,8 @@ class TestTrain:
         assert log1 == log2
 
     def test_block_size_does_not_change_bytes(self, monkeypatch, tmp_path):
-        # Batches of 110 tasks (8800 rows) span 3 blocks of 4096 rows and 2
-        # of 8192.
+        # Batches of 110 tasks (8800 rows) span 3 blocks of 4096 rows, 2 of
+        # 8192 and 1 of 16384.
         planted = ThemeModel(
             np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]]), np.stack([np.eye(2)] * 3),
             np.array([[6.0, 1.0, 1.0], [1.0, 1.0, 6.0]]), np.array([0.01, 0.01]),
@@ -419,11 +503,11 @@ class TestTrain:
         coll, _ = generate_synthetic(planted, 150, 5, 16, seed=3)
         cfg = TrainConfig(seed=1, max_batches=3, batch_size=110)
         results = []
-        for block_rows in (4096, 8192):
+        for block_rows in (4096, 8192, 16384):
             monkeypatch.setattr(inference, "_BLOCK_ROWS", block_rows)
             model, rows = train(coll, 2, 3, cfg)
             results.append((artifact_bytes((model, rows), tmp_path), rows))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
 
     def test_log_rows_and_rates(self):
         coll = self.collection()

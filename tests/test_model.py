@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ldcc.data import Task, TaskCollection
 from ldcc.errors import CheckpointError, DomainError, ModelError
+import ldcc.model as model_module
 from ldcc.model import (
     ThemeModel,
     TrainConfig,
@@ -16,6 +18,19 @@ from ldcc.model import (
     load_model,
     save_model,
 )
+
+
+def one_pass_log_pdfs(m, x):
+    """ThemeModel.log_pdfs, theme-major, with the differences of all rows to
+    all themes in one (D, K, n) array: the reference for its row split."""
+    z = np.ascontiguousarray(x.T)[:, None, :] - m.mu.T[:, :, None]
+    for i in range(m.D):
+        z[i] -= np.einsum("kj,jkn->kn", m.chol_factors[:, i, :i], z[:i])
+        z[i] /= m.chol_factors[:, i, i, None]
+    out = np.einsum("ikn,ikn->kn", z, z)
+    out += m.D * math.log(2.0 * math.pi) + m.log_dets[:, None]
+    out *= -0.5
+    return out
 
 
 def make_model(K=2, D=2, L=2):
@@ -161,6 +176,24 @@ class TestGaussianLogPdf:
         assert by_theme.shape == (K, n)
         assert by_theme.T.tobytes() == table.tobytes()
         assert table.flags.c_contiguous and by_theme.flags.c_contiguous
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_split_keeps_bytes(self, data):
+        # log_pdfs works through the rows in near-equal pieces of at most
+        # _LOG_PDF_ROWS; pieces of two rows or more (any limit of 4 or more)
+        # must give the bytes of all rows in one pass.
+        K, D = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        n = data.draw(st.integers(1, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        base = rng.normal(size=(K, D, D))
+        sigma = np.einsum("kij,klj->kil", base, base) + 0.1 * np.eye(D)
+        m = ThemeModel(rng.normal(size=(K, D)) * 3, sigma, np.ones((1, K)), np.ones(1))
+        x = rng.normal(size=(n, D)) * 4
+        want = one_pass_log_pdfs(m, x)
+        for rows in (4, data.draw(st.integers(4, max(4, n))), n, 4096):
+            with mock.patch.object(model_module, "_LOG_PDF_ROWS", rows):
+                assert m.log_pdfs(x, theme_major=True).tobytes() == want.tobytes()
 
     def test_batch_matches_single(self):
         m = make_model(K=3, D=2)
