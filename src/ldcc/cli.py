@@ -80,25 +80,18 @@ def _random_model(dims, delta_value: float, seed: int) -> ThemeModel:
 
 
 def cmd_gen(args) -> None:
-    if args.tasks < 1:
-        raise UsageError(f"--tasks must be >= 1, got {args.tasks}")
-    if args.classes < 1:
-        raise UsageError(f"--classes must be >= 1, got {args.classes}")
-    if args.shots < 1:
-        raise UsageError(f"--shots must be >= 1, got {args.shots}")
+    for flag in ("tasks", "classes", "shots"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if args.delta <= 0:
         raise UsageError(f"--delta must be positive, got {args.delta}")
     if args.model is not None:
         model = load_model(args.model)
     else:
         model = _random_model(args.random_model, args.delta, args.seed)
-    collection, latents = generate_synthetic(
-        model, args.tasks, args.classes, args.shots, args.seed
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_tasks(collection, out)
-    save_latents(latents, out / "latents.json")
+    collection, latents = generate_synthetic(model, args.tasks, args.classes, args.shots, args.seed)
+    save_tasks(collection, args.out)  # makes the directory
+    save_latents(latents, Path(args.out) / "latents.json")
 
 
 def _config(args, **fields) -> TrainConfig:

@@ -9,7 +9,10 @@ little-endian binary file per task plus a JSON manifest:
 
 Feature blocks are kept as float32 in memory, mirroring the file format, so
 save/load round-trips are bit-exact.  Numerical work elsewhere promotes to
-float64 at the task boundary.
+float64 at the task boundary.  Each task file is written with one write and
+read with one read, and a task's values are checked for finiteness once.
+The generator's categorical draws are numpy's `Generator.choice` algorithm
+written out (`_categorical`), without its per-call argument checks.
 
 Every CSV artifact (lambdas, distances, accuracies, diagrams, training logs)
 is one table format, written and read by `write_table` and `read_table`: a
@@ -49,14 +52,12 @@ class Task:
         for block in classes:
             arr = np.ascontiguousarray(block, dtype=np.float32)
             if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-                raise DataError(
-                    f"task {task_id!r}: each class needs a non-empty 2-d sample block"
-                )
-            if not np.isfinite(arr).all():
-                raise DataError(f"task {task_id!r}: sample values must be finite")
+                raise DataError(f"task {task_id!r}: each class needs a non-empty 2-d sample block")
             blocks.append(arr)
         if not blocks:
             raise DataError(f"task {task_id!r}: at least one class required")
+        if not np.isfinite(np.concatenate(blocks, axis=None)).all():
+            raise DataError(f"task {task_id!r}: sample values must be finite")
         widths = {b.shape[1] for b in blocks}
         if len(widths) != 1:
             raise DataError(f"task {task_id!r}: classes disagree on dimension {widths}")
@@ -178,6 +179,14 @@ def _dirichlet(rng: np.random.Generator, concentration: np.ndarray) -> np.ndarra
     raise DataError("dirichlet sampling underflowed repeatedly; concentration too small")
 
 
+def _categorical(rng: np.random.Generator, p: np.ndarray, size=None):
+    """`rng.choice(len(p), size, p=p)` for a normalized p, without its argument
+    checks: numpy's own algorithm, so the same draws and the same stream position."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def generate_synthetic(
     model: "ThemeModel", num_tasks: int, num_classes: int, shots: int, seed: int
 ) -> tuple[TaskCollection, LatentRecord]:
@@ -189,30 +198,26 @@ def generate_synthetic(
     vector x ~ N(mu_z, Sigma_z).
 
     Each task draws from its own counter-based stream keyed by (seed, task
-    index), so generation is order-independent and parallelizable.
+    index), in the order phi, then per class y, theta, z and the noise, so
+    generation is order-independent and parallelizable.
     """
     if num_tasks < 1 or num_classes < 1 or shots < 1:
         raise ValueError("num_tasks, num_classes, and shots must all be >= 1")
-    L, K, D = model.L, model.K, model.D
+    L, D = model.L, model.D
     tasks = []
     phis = np.empty((num_tasks, L))
     ys = np.empty((num_tasks, num_classes), dtype=np.int64)
     zs = np.empty((num_tasks, num_classes, shots), dtype=np.int64)
+    eps = np.empty((num_classes, shots, D))
     for d in range(num_tasks):
         rng = task_stream(seed, d)
-        phi = _dirichlet(rng, model.delta)
-        blocks = []
+        phis[d] = _dirichlet(rng, model.delta)
         for c in range(num_classes):
-            y = int(rng.choice(L, p=phi))
-            theta = _dirichlet(rng, model.alpha[y])
-            z = rng.choice(K, size=shots, p=theta)
-            eps = rng.standard_normal((shots, D))
-            x = model.mu[z] + np.einsum("nij,nj->ni", model.chol_factors[z], eps)
-            blocks.append(x)
-            ys[d, c] = y
-            zs[d, c] = z
-        phis[d] = phi
-        tasks.append(Task(f"task_{d:05d}", blocks))
+            ys[d, c] = _categorical(rng, phis[d])
+            zs[d, c] = _categorical(rng, _dirichlet(rng, model.alpha[ys[d, c]]), shots)
+            rng.standard_normal(out=eps[c])
+        x = model.mu[zs[d]] + np.einsum("cnij,cnj->cni", model.chol_factors[zs[d]], eps)
+        tasks.append(Task(f"task_{d:05d}", x.astype(np.float32)))
     return TaskCollection(tasks), LatentRecord(phis, ys, zs)
 
 
@@ -223,11 +228,10 @@ def save_tasks(collection: TaskCollection, out_dir, manifest_name="manifest.json
     entries = []
     for task in collection:
         filename = f"{task.id}.task"
-        with open(out_dir / filename, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, task.num_classes, task.dimension))
-            for block in task.classes:
-                fh.write(_COUNT.pack(block.shape[0]))
-                fh.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
+        parts = [_HEADER.pack(_MAGIC, _VERSION, task.num_classes, task.dimension)]
+        for block in task.classes:
+            parts += [_COUNT.pack(block.shape[0]), np.ascontiguousarray(block, dtype="<f4").tobytes()]
+        (out_dir / filename).write_bytes(b"".join(parts))
         entries.append({"id": task.id, "path": filename})
     manifest_path = out_dir / manifest_name
     manifest = {"dimension": collection.dimension, "tasks": entries}
@@ -235,49 +239,51 @@ def save_tasks(collection: TaskCollection, out_dir, manifest_name="manifest.json
     return manifest_path
 
 
-def _read_exact(fh, n, offset, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated task file while reading {what}", offset)
-    return buf
-
-
 def load_task_file(path, task_id: str, expected_dim=None) -> Task:
-    """Parse one binary task file, validating structure as it goes."""
+    """Parse one binary task file, read whole; class blocks are views of its bytes."""
     with open(path, "rb") as fh:
-        header = _read_exact(fh, _HEADER.size, 0, "header")
-        magic, version, num_classes, dim = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", 0)
-        if version != _VERSION:
-            raise FormatError(f"unsupported version {version}, expected {_VERSION}", 4)
-        if num_classes < 1:
-            raise FormatError("class count must be >= 1", 6)
-        if dim < 1:
-            raise FormatError("dimension must be >= 1", 10)
-        if expected_dim is not None and dim != expected_dim:
-            raise FormatError(
-                f"dimension {dim} does not match manifest dimension {expected_dim}", 10
-            )
-        offset = _HEADER.size
-        blocks = []
-        for c in range(num_classes):
-            raw = _read_exact(fh, _COUNT.size, offset, f"count of class {c}")
-            (n_c,) = _COUNT.unpack(raw)
-            offset += _COUNT.size
-            if n_c < 1:
-                raise FormatError(f"class {c} sample count must be >= 1", offset - 4)
-            nbytes = 4 * n_c * dim
-            raw = _read_exact(fh, nbytes, offset, f"samples of class {c}")
-            block = np.frombuffer(raw, dtype="<f4").reshape(n_c, dim)
+        buf = fh.read()
+    blocks, starts = [], []
+
+    def fail(message, offset=None):
+        # A front-to-back reader meets a non-finite value already read first.
+        for c, block in enumerate(blocks):
             if not np.isfinite(block).all():
-                raise FormatError(f"non-finite value in class {c}", offset)
-            offset += nbytes
-            blocks.append(block)
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("trailing bytes after final class block", offset)
-    return Task(task_id, blocks)
+                return FormatError(f"non-finite value in class {c}", starts[c])
+        return message and FormatError(message, offset)
+
+    if len(buf) < _HEADER.size:
+        raise FormatError("truncated task file while reading header", 0)
+    magic, version, num_classes, dim = _HEADER.unpack_from(buf)
+    if magic != _MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", 0)
+    if version != _VERSION:
+        raise FormatError(f"unsupported version {version}, expected {_VERSION}", 4)
+    if num_classes < 1:
+        raise FormatError("class count must be >= 1", 6)
+    if dim < 1:
+        raise FormatError("dimension must be >= 1", 10)
+    if expected_dim is not None and dim != expected_dim:
+        raise FormatError(f"dimension {dim} does not match manifest dimension {expected_dim}", 10)
+    offset = _HEADER.size
+    for c in range(num_classes):
+        if len(buf) < offset + _COUNT.size:
+            raise fail(f"truncated task file while reading count of class {c}", offset)
+        (n_c,) = _COUNT.unpack_from(buf, offset)
+        if n_c < 1:
+            raise fail(f"class {c} sample count must be >= 1", offset)
+        offset += _COUNT.size
+        if len(buf) < offset + 4 * n_c * dim:
+            raise fail(f"truncated task file while reading samples of class {c}", offset)
+        blocks.append(np.frombuffer(buf, "<f4", n_c * dim, offset).reshape(n_c, dim))
+        starts.append(offset)
+        offset += 4 * n_c * dim
+    if len(buf) > offset:
+        raise fail("trailing bytes after final class block", offset)
+    try:
+        return Task(task_id, blocks)  # checks every value once
+    except DataError as exc:  # a non-finite value, or a bad task id
+        raise fail(None) or exc
 
 
 def load_tasks(manifest_path) -> TaskCollection:

@@ -303,9 +303,14 @@ class _States(Sequence):
         return self._states[index]
 
 
+def _gemm(a, b):
+    """a @ b; a one-column b is padded to two, as BLAS would sum it in another order (GEMV)."""
+    return a @ b if b.shape[1] > 1 else (a @ b.repeat(2, axis=1))[:, :1]
+
+
 def _update_gamma(counts, eta, alpha_m1, seg, clamps):
     """Gamma (K, classes) from r's class sums; adds floored entries per task to clamps."""
-    gamma = counts + 1.0 + alpha_m1.T @ eta
+    gamma = counts + 1.0 + _gemm(alpha_m1.T, eta)
     if np.minimum.reduce(gamma, axis=None) <= 0.0:
         clamps += np.bincount(seg.class_task, _floor_gamma(gamma), clamps.size).astype(np.int64)
     return gamma
@@ -349,7 +354,7 @@ def _estep_block(block, model, config):
         expected_log_theta = _expected_log(gamma)
         eta = _expected_log(lam).repeat(live.task_classes, axis=1)
         eta -= log_norm
-        eta += alpha_m1 @ expected_log_theta
+        eta += _gemm(alpha_m1, expected_log_theta)
         _softmax(eta, axis=0)
         new_lam = delta + np.add.reduceat(eta, live.task_starts, axis=1)
         change = np.abs(np.subtract(lam, new_lam, out=lam), out=lam)

@@ -104,12 +104,15 @@ class ThemeModel:
         differences of up to _LOG_PDF_ROWS rows to all themes; no covariance
         is inverted.  The sums run in a fixed order without BLAS or LAPACK,
         so results depend neither on the thread count nor on the row split.
+        A lone row is solved as the first of two: einsum sums it in another order.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.D:
             raise ModelError(f"expected samples of shape (n, {self.D}), got {x.shape}")
+        n = len(x)
+        x = x if n > 1 else x.repeat(2, axis=0)
         chol, out = self.chol_factors, np.empty((self.K, len(x)))
-        pieces = -(-len(x) // _LOG_PDF_ROWS) or 1  # near-equal: one row would sum in another order
+        pieces = min(-(-len(x) // _LOG_PDF_ROWS), len(x) // 2) or 1  # near-equal, two rows or more
         for rows, part in zip(np.array_split(x, pieces), np.array_split(out, pieces, axis=1)):
             # z[i], (K, n), starts as feature i of x_n - mu_k and is overwritten
             # with feature i of the solution of L_k z = x_n - mu_k.
@@ -120,7 +123,7 @@ class ThemeModel:
             np.einsum("ikn,ikn->kn", z, z, out=part)
         out += self.D * _LOG_2PI + self.log_dets[:, None]
         out *= -0.5
-        return out if theme_major else out.T.copy()
+        return np.ascontiguousarray(out[:, :n]) if theme_major else out[:, :n].T.copy()
 
     def __eq__(self, other):
         return (

@@ -1,13 +1,19 @@
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldcc.cli import _random_model
 from ldcc.data import (
     LatentRecord,
     Task,
     TaskCollection,
+    _categorical,
+    _dirichlet,
     generate_synthetic,
     load_latents,
     load_task_file,
@@ -17,6 +23,7 @@ from ldcc.data import (
 )
 from ldcc.errors import DataError, FormatError
 from ldcc.model import ThemeModel
+from ldcc.streams import task_stream
 
 
 def simple_model(L=2, K=2, D=2, delta=(1.0, 1.0)):
@@ -185,6 +192,47 @@ class TestGenerator:
         se = np.sqrt(p * (1 - p) / (M * C))
         assert abs(freq - p) < 4 * se
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_categorical_is_choice(self, data):
+        # The same draws as Generator.choice, and the stream left where
+        # choice leaves it, for the normalized p that _dirichlet gives;
+        # small concentrations underflow some entries to exact zeros.
+        n = data.draw(st.integers(1, 32))
+        concentration = data.draw(st.sampled_from([0.001, 0.01, 0.1, 1.0, 5.0]))
+        size = data.draw(st.sampled_from([None, 1, 16]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        p = _dirichlet(task_stream(seed, 1), np.full(n, concentration))
+        ours, numpy_s = task_stream(seed, 2), task_stream(seed, 2)
+        got, want = _categorical(ours, p, size), numpy_s.choice(n, size, p=p)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        assert ours.random() == numpy_s.random()
+
+    @pytest.mark.parametrize("name, digest", [
+        ("planted", "b051abcc56dddfa48aed4a1bb70c21535bcfb8e396822661f6d302784d4dafab"),
+        ("random", "6074e377c165643e9bb18caee37491e2193965c518b5eacee9283d59250fc922"),
+    ])
+    def test_golden_bytes(self, tmp_path, name, digest):
+        # The written task files, manifest and latents of two fixed draws.
+        # A change to the draw order, the arithmetic or the formats moves
+        # these digests; they must then be re-recorded deliberately.
+        if name == "planted":  # the acceptance model; delta 0.01 gives phi exact zeros
+            model, seed = ThemeModel(
+                np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]]),
+                np.stack([np.eye(2)] * 3),
+                np.array([[6.0, 1.0, 1.0], [1.0, 1.0, 6.0]]),
+                np.array([0.01, 0.01]),
+            ), 7
+        else:  # ldcc gen --random-model 3 4 4 --seed 3
+            model, seed = _random_model((3, 4, 4), 0.5, 3), 3
+        coll, rec = generate_synthetic(model, 12, 5, 16, seed)
+        save_tasks(coll, tmp_path)
+        save_latents(rec, tmp_path / "latents.json")
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert h.hexdigest() == digest
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             generate_synthetic(simple_model(), 0, 2, 3, seed=0)
@@ -274,6 +322,60 @@ class TestFormatErrors:
         path.write_bytes(payload)
         with pytest.raises(FormatError):
             load_task_file(path, "t")
+
+    def three_classes(self, tmp_path):
+        # Classes of 2, 3 and 4 samples in D = 2; returns the file's bytes
+        # and the offsets of each class's count and samples.
+        rng = np.random.default_rng(3)
+        task = Task("t", [rng.normal(size=(n, 2)).astype(np.float32) for n in (2, 3, 4)])
+        save_tasks(TaskCollection([task]), tmp_path)
+        counts, samples, offset = [], [], 14
+        for n in (2, 3, 4):
+            counts.append(offset)
+            samples.append(offset + 4)
+            offset += 4 + 8 * n
+        raw = (tmp_path / "t.task").read_bytes()
+        assert len(raw) == offset
+        return tmp_path / "t.task", raw, counts, samples
+
+    def test_non_finite_offset_is_its_class(self, tmp_path):
+        path, raw, _, samples = self.three_classes(tmp_path)
+        for c in range(3):
+            bad = bytearray(raw)
+            bad[samples[c] + 4:samples[c] + 8] = struct.pack("<f", np.nan)
+            path.write_bytes(bad)
+            with pytest.raises(FormatError, match=f"non-finite value in class {c}") as err:
+                load_task_file(path, "t")
+            assert err.value.offset == samples[c]
+
+    def test_truncation_offsets(self, tmp_path):
+        path, raw, counts, samples = self.three_classes(tmp_path)
+        path.write_bytes(raw[:counts[1] + 2])
+        with pytest.raises(FormatError, match="count of class 1") as err:
+            load_task_file(path, "t")
+        assert err.value.offset == counts[1]
+        path.write_bytes(raw[:samples[2] + 5])
+        with pytest.raises(FormatError, match="samples of class 2") as err:
+            load_task_file(path, "t")
+        assert err.value.offset == samples[2]
+
+    def test_non_finite_before_later_fault(self, tmp_path):
+        # A non-finite value is reported before a fault further on in the
+        # file, as a reader going front to back meets them.
+        path, raw, counts, samples = self.three_classes(tmp_path)
+        bad = bytearray(raw)
+        bad[samples[1]:samples[1] + 4] = struct.pack("<f", -np.inf)
+        for tail in (bad[:samples[2] + 5], bad + b"\x00",
+                     bad[:counts[2]] + struct.pack("<I", 0) + bad[samples[2]:]):
+            path.write_bytes(tail)
+            with pytest.raises(FormatError, match="non-finite value in class 1") as err:
+                load_task_file(path, "t")
+            assert err.value.offset == samples[1]
+        with pytest.raises(FormatError, match="non-finite value in class 1"):
+            load_task_file(path, "")  # before the task id is checked
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="task id"):
+            load_task_file(path, "")
 
     def test_manifest_not_json(self, tmp_path):
         bad = tmp_path / "manifest.json"

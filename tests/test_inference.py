@@ -449,6 +449,27 @@ class TestEstepBatch:
                     assert array.flags.c_contiguous
 
     @pytest.mark.parametrize("K, L, D", [(3, 2, 2), (4, 3, 4), (6, 4, 8)])
+    def test_one_sample_task_keeps_bytes(self, K, L, D):
+        # A task of one sample is one row alone; its state must be the bytes
+        # it gets among other tasks' rows.
+        model = make_model(K=K, L=L, D=D, seed=K)
+        tasks = list(generate_synthetic(model, 6, 5, 16, seed=K)[0])
+        rng = np.random.default_rng(K)
+        for i in range(4):
+            tasks.insert(2 * i, Task(f"one_{i}", [rng.normal(size=(1, D)).astype(np.float32) * 3]))
+        for cfg in (TrainConfig(seed=4, max_e_iters=20), TrainConfig(seed=5, max_e_iters=3)):
+            states = estep_batch(tasks, model, cfg)
+            for task, got in zip(tasks, states):
+                if task.total_samples != 1:
+                    continue
+                want = run_estep(task, model, cfg)
+                for a, b in zip([*got.r, got.gamma, got.eta, got.lam],
+                                [*want.r, want.gamma, want.eta, want.lam], strict=True):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert (got.iterations, got.converged, got.gamma_clamps) == (
+                    want.iterations, want.converged, want.gamma_clamps)
+
+    @pytest.mark.parametrize("K, L, D", [(3, 2, 2), (4, 3, 4), (6, 4, 8)])
     def test_block_size_is_bit_invariant(self, monkeypatch, K, L, D):
         # The benchmark workloads' shapes (5 classes of 16 shots); 110 tasks
         # are 8800 rows, so 4096- and 8192-row blocks both split the batch.

@@ -22,8 +22,12 @@ from ldcc.model import (
 
 def one_pass_log_pdfs(m, x):
     """ThemeModel.log_pdfs, theme-major, with the differences of all rows to
-    all themes in one (D, K, n) array: the reference for its row split."""
-    z = np.ascontiguousarray(x.T)[:, None, :] - m.mu.T[:, :, None]
+    all themes in one (D, K, n) array: the reference for its row split.  A
+    single row is the first of two, as log_pdfs solves it: einsum would sum
+    a one-row pass in another order than any larger one."""
+    if len(x) == 1:
+        return one_pass_log_pdfs(m, x.repeat(2, axis=0))[:, :1]
+    z =np.ascontiguousarray(x.T)[:, None, :] - m.mu.T[:, :, None]
     for i in range(m.D):
         z[i] -= np.einsum("kj,jkn->kn", m.chol_factors[:, i, :i], z[:i])
         z[i] /= m.chol_factors[:, i, i, None]
@@ -194,6 +198,28 @@ class TestGaussianLogPdf:
         for rows in (4, data.draw(st.integers(4, max(4, n))), n, 4096):
             with mock.patch.object(model_module, "_LOG_PDF_ROWS", rows):
                 assert m.log_pdfs(x, theme_major=True).tobytes() == want.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_row_keeps_bytes(self, data):
+        # A row alone, and gaussian_log_pdf of it, carry the bytes it has
+        # among 50 rows.
+        K, D = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 16))
+        j = data.draw(st.integers(0, 49))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        base = rng.normal(size=(K, D, D))
+        sigma = np.einsum("kij,klj->kil", base, base) + 0.1 * np.eye(D)
+        m = ThemeModel(rng.normal(size=(K, D)) * 3, sigma, np.ones((1, K)), np.ones(1))
+        x = rng.normal(size=(50, D)) * 4
+        table = m.log_pdfs(x)
+        one = m.log_pdfs(x[j:j + 1])
+        assert one.shape == (1, K) and one.flags.c_contiguous
+        assert one.tobytes() == table[j:j + 1].tobytes()
+        by_theme = m.log_pdfs(x[j:j + 1], theme_major=True)
+        assert by_theme.shape == (K, 1) and by_theme.flags.c_contiguous
+        assert by_theme.tobytes() == table[j].tobytes()
+        k = data.draw(st.integers(0, K - 1))
+        assert gaussian_log_pdf(m, x[j], k) == table[j, k]
 
     def test_batch_matches_single(self):
         m = make_model(K=3, D=2)
