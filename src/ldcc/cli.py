@@ -31,7 +31,8 @@ from .errors import (
     ModelError,
     NumericError,
 )
-from .inference import estep_batch, read_lambda_csv, warn_estep_waste, write_lambda_csv
+from .inference import _estep_parts, _Stacked, _States
+from .inference import read_lambda_csv, warn_estep_waste, write_lambda_csv
 from .learning import train, write_training_log
 from .model import ThemeModel, TrainConfig, load_model, save_model
 from .similarity import (
@@ -132,7 +133,8 @@ def cmd_infer(args) -> None:
     config = _config(args)
     model = load_model(args.model)
     collection = load_tasks(args.data)
-    states = estep_batch(collection, model, config)
+    # Only lambda and the counters are read, so each block drops r when it is done.
+    states = _States(list(map(_Stacked.classes, _estep_parts(collection, model, config))))
     warn_estep_waste("infer", states, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

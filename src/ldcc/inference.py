@@ -405,6 +405,11 @@ def estep_batch(tasks, model, config):
     of task.id), so the same seed and task give the same state regardless
     of batch order or composition.  The states are built on first access.
     """
+    return _States(list(_estep_parts(tasks, model, config)))
+
+
+def _estep_parts(tasks, model, config):
+    """`estep_batch`'s stacked block results, each solved when drawn; dimensions checked first."""
     for task in tasks:
         if task.dimension != model.D:
             raise DataError(
@@ -413,7 +418,7 @@ def estep_batch(tasks, model, config):
     # `train` passes one block of its own plan at a time.
     planned = isinstance(tasks, _Block) and tasks.key == (config.seed, model.K, model.L)
     blocks = [tasks] if planned else _Plan(model, config).blocks(tasks)
-    return _States([_estep_block(block, model, config) for block in blocks])
+    return (_estep_block(block, model, config) for block in blocks)
 
 
 def run_estep(task, model, config):

@@ -20,6 +20,9 @@ from .errors import DataError, DomainError, FormatError, NumericError
 from .special import digamma, log_beta_dirichlet, log_beta_rows
 
 _NEGATIVE_KL_TOL = -1e-9
+# The last training pool `_kl_matrix` was given, as (a copy, its log_beta_rows).
+# It is read and replaced in single assignments, so threads may share it.
+_pool_terms = (np.empty((0, 0)), None)
 
 
 def dirichlet_kl(a, b) -> float:
@@ -61,7 +64,12 @@ def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
     Both dot products add the themes one at a time in the same order, so an
     identical pair gives exactly 0, equal training rows give bit-equal
     columns, and the result does not depend on BLAS or its thread count.
+
+    The pool's ln B(b_d) are kept with a copy of the last pool (8 bytes per
+    entry) and reused, exactly, for a pool of equal shape and values: a NaN
+    never equals, and a 0 fails `log_beta_rows` before it is kept.
     """
+    global _pool_terms
     test = np.asarray(test_lambdas, dtype=np.float64)
     train = np.asarray(train_lambdas, dtype=np.float64)
     if test.ndim != 2 or train.ndim != 2:
@@ -78,6 +86,10 @@ def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
             raise NumericError("dirichlet parameters overflow the KL computation")
     expected = digamma(test) - digamma(test.sum(axis=1))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
+        pool, pool_log_beta = _pool_terms
+        if not np.array_equal(pool, train):
+            pool_log_beta = log_beta_rows(train)
+            _pool_terms = (train.copy(), pool_log_beta)
         self_term = test[:, 0] * expected[:, 0]
         matrix = np.multiply.outer(expected[:, 0], train[:, 0])
         scratch = np.empty_like(matrix)
@@ -85,11 +97,9 @@ def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
             self_term += test[:, k] * expected[:, k]
             matrix += np.multiply.outer(expected[:, k], train[:, k], out=scratch)
         np.subtract(self_term[:, None], matrix, out=matrix)
-        matrix += np.subtract(log_beta_rows(train)[None, :], log_beta_rows(test)[:, None], out=scratch)
+        matrix += np.subtract(pool_log_beta[None, :], log_beta_rows(test)[:, None], out=scratch)
     if matrix.min() < _NEGATIVE_KL_TOL or not np.isfinite(matrix).all():
-        raise NumericError(
-            f"KL matrix contains invalid entries (min {matrix.min()})"
-        )
+        raise NumericError(f"KL matrix contains invalid entries (min {matrix.min()})")
     return np.maximum(matrix, 0.0, out=matrix)
 
 
@@ -160,20 +170,20 @@ def select_tasks(train_lambdas, test_lambdas, count: int) -> list[int]:
     """Indices of the `count` training tasks closest to the test set.
 
     A training task's score is its mean KL from all test posteriors;
-    smallest scores win, ties broken by ascending index.
+    smallest scores win, ties broken by ascending index.  The pool's terms
+    are reused while the same pool comes back (`_kl_matrix`), and only the
+    scores at or below the `count`-th smallest, found by partition, are sorted.
     """
     train_lambdas = np.asarray(train_lambdas, dtype=np.float64)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count > train_lambdas.shape[0]:
-        raise ValueError(
-            f"cannot select {count} of {train_lambdas.shape[0]} training tasks"
-        )
+        raise ValueError(f"cannot select {count} of {train_lambdas.shape[0]} training tasks")
     if count == 0:
         return []
     scores = _kl_matrix(test_lambdas, train_lambdas).mean(axis=0)
-    order = np.lexsort((np.arange(scores.size), scores))
-    return [int(i) for i in order[:count]]
+    near = np.flatnonzero(scores <= np.partition(scores, count - 1)[count - 1])
+    return near[np.lexsort((near, scores[near]))][:count].tolist()
 
 
 def write_distance_csv(path, ids, mean_kl) -> None:

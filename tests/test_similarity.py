@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import psi
 
 from helpers import mc_dirichlet_kl
+from ldcc import similarity
 from ldcc.errors import DataError, FormatError, NumericError
 from ldcc.special import log_beta_dirichlet
 from ldcc.similarity import (
@@ -247,6 +250,114 @@ class TestSelectTasks:
         test = np.array([[1.0, 5.0]])
         got = select_tasks(train, test, 3)
         assert got[0] == 0
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lexsort_oracle_on_tie_heavy_pools(self, data):
+        # Pool rows repeat a few integer vectors with entries in 1..3, one
+        # ordering per multiset. Over every such vector and every mean of up
+        # to three integer test rows, distinct rows differ in score by at
+        # least 1e-5 relative, far above rounding (at L = 1 every score is
+        # exactly 0). So only equal rows tie, and the scalar oracle orders
+        # the rest as select does.
+        themes = data.draw(st.integers(1, 4))
+        row = st.lists(st.integers(1, 3), min_size=themes, max_size=themes)
+        bases = data.draw(st.lists(row.map(sorted).map(tuple), min_size=1, max_size=4, unique=True))
+        picks = data.draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=16))
+        train = np.array(bases, dtype=np.float64)[picks]
+        test = np.array(data.draw(st.lists(row, min_size=1, max_size=3)), dtype=np.float64)
+        scores = np.array(
+            [np.mean([max(dirichlet_kl(t, b), 0.0) for t in test]) for b in train]
+        )
+        want = np.lexsort((np.arange(len(train)), scores))
+        for count in range(len(train) + 1):
+            assert select_tasks(train, test, count) == [int(i) for i in want[:count]]
+
+
+def _cold(fn, *args):
+    """fn(*args) after dropping the pool terms `_kl_matrix` keeps between calls."""
+    similarity._pool_terms = (np.empty((0, 0)), None)
+    return fn(*args)
+
+
+def _outcome(fn, *args):
+    """fn(*args) as comparable bytes, or the type and message of what it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result.mean_kl.tobytes() + result.matrix.tobytes() if fn is distance_matrix else result
+
+
+class TestPoolTermReuse:
+    """`_kl_matrix` reuses the last pool's log-beta terms; every result must be
+    the one a first (cold) call gives."""
+
+    rng = np.random.default_rng(12)
+    test = rng.uniform(0.5, 6.0, size=(2, 3))
+
+    def check(self, pool, count=7):
+        for _ in range(2):  # the first call may refresh the kept terms, the second reuses them
+            assert _outcome(select_tasks, pool, self.test, count) == _cold(
+                _outcome, select_tasks, pool, self.test, count
+            )
+            assert _outcome(distance_matrix, self.test, pool) == _cold(
+                _outcome, distance_matrix, self.test, pool
+            )
+
+    def test_pool_mutated_in_place(self):
+        pool = np.random.default_rng(13).uniform(0.5, 6.0, size=(30, 3))
+        self.check(pool)
+        for d in range(4):
+            pool[d, 1] = np.nextafter(pool[d, 1], np.inf)  # one ulp
+            self.check(pool)
+            pool[10 + d] = self.test[d % 2]  # now the closest row
+            self.check(pool)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf])
+    def test_invalid_entry_raises_as_a_first_call(self, bad):
+        pool = np.random.default_rng(14).uniform(0.5, 6.0, size=(30, 3))
+        self.check(pool)
+        good, pool[5, 2] = pool[5, 2], bad
+        for fn, args in [(select_tasks, (pool, self.test, 7)), (distance_matrix, (self.test, pool))]:
+            raised = _outcome(fn, *args)
+            assert raised == _cold(_outcome, fn, *args)
+            assert isinstance(raised, tuple) and issubclass(raised[0], Exception)
+        pool[5, 2] = good
+        self.check(pool)
+
+    def test_alternating_equal_and_reshaped_pools(self):
+        rng = np.random.default_rng(15)
+        first, second = rng.uniform(0.5, 6.0, size=(2, 30, 3))
+        for pool in [first, second, first, first.copy(), second[:20], first[::2], second.T.copy().T]:
+            self.check(pool)
+
+    def test_threads_share_the_kept_terms(self):
+        # More threads than cores and a short switch interval, so the callers
+        # interleave between reading the kept entry and replacing it.
+        pools = list(np.random.default_rng(17).uniform(0.5, 6.0, size=(3, 30, 3)))
+        want = [_cold(select_tasks, pool, self.test, 7) for pool in pools]
+
+        def work(i):
+            return all(
+                select_tasks(pools[(i + j) % 3], self.test, 7) == want[(i + j) % 3]
+                for j in range(200)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as executor:
+                results = list(executor.map(work, range(6), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * 6
+
+    def test_mean_kl_is_cold_identical(self):
+        pool = np.random.default_rng(16).uniform(0.5, 6.0, size=(30, 3))
+        for _ in range(3):
+            want = _cold(distance_matrix, self.test, pool, False).mean_kl
+            assert distance_matrix(self.test, pool, False).mean_kl.tobytes() == want.tobytes()
 
 
 class TestCsvHelpers:
