@@ -25,15 +25,10 @@ from .inference import (
     VariationalState,
     dirichlet_expected_log,
     elbo,
-    elbo_batch,
     elbo_terms,
     estep_batch,
     read_lambda_csv,
     run_estep,
-    update_eta,
-    update_gamma,
-    update_lambda,
-    update_r,
     write_lambda_csv,
 )
 from .learning import (
@@ -41,10 +36,8 @@ from .learning import (
     LocalThemeStats,
     TrainLogRow,
     accumulate_stats,
-    alpha_gradient,
     alpha_newton_direction,
     alpha_newton_work,
-    learning_rate,
     local_mstep,
     online_update,
     train,
@@ -53,7 +46,6 @@ from .learning import (
 from .model import (
     ThemeModel,
     TrainConfig,
-    gaussian_log_pdf,
     init_model,
     load_model,
     save_model,
@@ -84,19 +76,13 @@ __all__ = [
     "ThemeModel",
     "TrainConfig",
     "init_model",
-    "gaussian_log_pdf",
     "save_model",
     "load_model",
     "VariationalState",
     "dirichlet_expected_log",
-    "update_r",
-    "update_gamma",
-    "update_eta",
-    "update_lambda",
     "run_estep",
     "estep_batch",
     "elbo",
-    "elbo_batch",
     "elbo_terms",
     "write_lambda_csv",
     "read_lambda_csv",
@@ -105,10 +91,8 @@ __all__ = [
     "TrainLogRow",
     "accumulate_stats",
     "local_mstep",
-    "alpha_gradient",
     "alpha_newton_work",
     "alpha_newton_direction",
-    "learning_rate",
     "online_update",
     "train",
     "write_training_log",

@@ -16,8 +16,8 @@ written out (`_categorical`), without its per-call argument checks.
 
 Every CSV artifact (lambdas, distances, accuracies, diagrams, training logs)
 is one table format, written and read by `write_table` and `read_table`: a
-header row, then UTF-8 rows with "\n" line ends, a key in the first column
-and floats written at full precision as `repr(float(v))`.
+header row, then UTF-8 rows with "\n" line ends, a unique key in the first
+column and floats written at full precision as `repr(float(v))`.
 """
 
 from __future__ import annotations
@@ -347,7 +347,8 @@ def read_table(path, header_ok, describe) -> list[tuple[int, str, list[float]]]:
 
     header_ok(header) must accept the header row (describe names the
     expected one in the error).  Each row must be as wide as the header and
-    hold numbers after its key; a file without data rows is malformed.
+    hold numbers after its key, and no key may repeat; a file without data
+    rows is malformed.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -355,7 +356,7 @@ def read_table(path, header_ok, describe) -> list[tuple[int, str, list[float]]]:
         header = next(reader, None)
         if header is None or not header_ok(header):
             raise FormatError(f"{path}: expected header {describe}")
-        rows = []
+        rows, keys = [], set()
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -365,6 +366,9 @@ def read_table(path, header_ok, describe) -> list[tuple[int, str, list[float]]]:
                 rows.append((line_no, row[0], [float(v) for v in row[1:]]))
             except ValueError as exc:
                 raise FormatError(f"{path}:{line_no}: {exc}") from exc
+            if row[0] in keys:
+                raise FormatError(f"{path}:{line_no}: duplicate task id {row[0]!r}")
+            keys.add(row[0])
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return rows

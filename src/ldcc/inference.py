@@ -7,29 +7,25 @@ blocks in the order r -> gamma -> eta -> lambda, each update being the exact
 coordinate maximizer of the evidence lower bound given the others, so the
 bound never decreases across sweeps.
 
-Given the model, task posteriors are independent.  `estep_batch` stacks the
-samples of many tasks into blocks of up to 16384 rows with class and task
-segment indices and sweeps each block at once with segment sums
+Given the model, task posteriors are independent.  `estep_blocks` stacks
+the samples of consecutive tasks into blocks of up to 16384 rows with class
+and task segment indices, and sweeps each block at once with segment sums
 (`np.add.reduceat`); each task stops at the sweep where the mean absolute
 change of its lambda drops below the configured tolerance, exactly as it
-would alone, and `run_estep` is a batch of one.  A sweep pays a fixed numpy
-dispatch cost besides its per-row work, so blocks are large: at 16384 rows a
-200-task training batch of 5 x 16 shots is one block, for about 1.3 MB (2%)
-more peak memory than at 8192 rows.  All arrays are theme-major, as numpy
-reduces over K contiguous rows in K elementwise passes but loops per row
-along a short inner axis: r and the log-densities are (K, rows), gamma
-(K, classes), eta (L, classes), lambda (L, tasks).  A block's log-densities
-are computed once, also for `train`'s bound; its result stays stacked and
-theme-major (`_Stacked`) for `train`, and per-task states, with row-major r,
-are built only when asked for.  `elbo_batch` and `elbo` share one bound
-computation.  The per-class `update_*` functions are the readable reference
-that the test suite composes to check the sweep.
+would alone.  All arrays are theme-major, as numpy reduces over K
+contiguous rows in K elementwise passes but loops per row along a short
+inner axis: r and the log-densities are (K, rows), gamma (K, classes), eta
+(L, classes), lambda (L, tasks).  Each block's result comes back stacked
+(`_Stacked`) with the log-densities its sweep used, so `train` reads the
+statistics and the bound from it directly.  `estep_batch` unstacks the
+blocks into one VariationalState per task, and `run_estep` is a batch of
+one.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 from scipy.special import psi
@@ -113,45 +109,11 @@ def _floor_gamma(gamma):
     return bad.sum(axis=0)
 
 
-def update_r(task, c, state, model, log_pdfs=None):
-    """Responsibilities for class c: softmax of E[ln theta] + Gaussian log-pdf."""
-    if log_pdfs is None:
-        log_pdfs = model.log_pdfs(task.classes[c].astype(np.float64))
-    expected_log_theta = dirichlet_expected_log(state.gamma[c])
-    return _softmax(expected_log_theta[None, :] + log_pdfs, axis=1)
-
-
-def update_gamma(state, c, alpha):
-    """Dirichlet parameter for class c: 1 + sum_n r + eta-mixed (alpha - 1).
-
-    Nonpositive entries are floored and counted on the state.
-    """
-    gamma = 1.0 + state.r[c].sum(axis=0) + state.eta[c] @ (alpha - 1.0)
-    state.gamma_clamps += int(_floor_gamma(gamma))
-    return gamma
-
-
-def update_eta(state, c, model):
-    """Task-theme weights for class c.
-
-    Logits combine E[ln phi], each theme row's Dirichlet log-normalizer, and
-    that row's affinity for the class's expected log image-theme profile.
-    """
-    expected_log_theta = dirichlet_expected_log(state.gamma[c])
-    expected_log_phi = dirichlet_expected_log(state.lam)
-    log_norm = log_beta_rows(model.alpha)
-    logits = expected_log_phi - log_norm + (model.alpha - 1.0) @ expected_log_theta
-    return _softmax(logits, axis=0)
-
-
-def update_lambda(state, delta):
-    """Task-level Dirichlet parameter: delta + per-theme eta mass."""
-    return np.asarray(delta, dtype=np.float64) + state.eta.sum(axis=0)
-
-
-# Largest number of sample rows solved as one array problem (why 16384: see
-# the module docstring).  Tasks are grouped in order into blocks up to this
-# size (a larger task is a block of its own), so memory stays flat.
+# Largest number of sample rows solved as one array problem.  A sweep pays a
+# fixed numpy dispatch cost besides its per-row work, so blocks are large: a
+# 200-task batch of 5 x 16 shots is one block.  Tasks are grouped in order
+# into blocks up to this size (a larger task is a block of its own), so
+# memory stays flat.
 _BLOCK_ROWS = 16384
 
 
@@ -197,12 +159,8 @@ class _Segments:
         return sub, keep_classes, keep_rows
 
 
-def _stacked_samples(tasks):
-    return np.concatenate([task.stacked()[0] for task in tasks])
-
-
 class _Plan:
-    """The E-step inputs of one `estep_batch` or `train` call that no sweep changes.
+    """The E-step inputs of one `estep_blocks` or `train` call that no sweep changes.
 
     Tasks come in `_Block`s with their segments and init noise stacked.
     A task's Dirichlet(100) noise depends only on (seed, task id, K,
@@ -211,7 +169,7 @@ class _Plan:
     """
 
     def __init__(self, model, config, keep_noise=False):
-        self.key = (config.seed, model.K, model.L)
+        self.key, self.dim = (config.seed, model.K, model.L), model.D
         self._noise = {} if keep_noise else None
 
     def noise(self, task):
@@ -230,16 +188,23 @@ class _Plan:
         return noise
 
     def blocks(self, tasks):
+        """The tasks' `_Block`s, built as drawn; every dimension is checked first."""
+        tasks = list(tasks)  # read twice, so an iterator of tasks is read once here
+        for task in tasks:
+            if task.dimension != self.dim:
+                raise DataError(
+                    f"task {task.id!r} has dimension {task.dimension}, model expects {self.dim}"
+                )
         return (_Block(run, self) for run in _blocks(tasks))
 
 
 class _Block(list):
     """Tasks solved as one array problem, with segments and init noise counts0
-    (K, classes), eta0 (L, classes) stacked; its sweep adds log_pdfs (K, rows)."""
+    (K, classes), eta0 (L, classes) stacked."""
 
     def __init__(self, tasks, plan):
         super().__init__(tasks)
-        self.key, self.seg = plan.key, _Segments.of([task.counts for task in tasks])
+        self.seg = _Segments.of([task.counts for task in tasks])
         noise = [plan.noise(task) for task in tasks]
         self.counts0 = np.concatenate([counts for counts, _ in noise], axis=1)
         self.eta0 = np.concatenate([eta for _, eta in noise], axis=1)
@@ -248,11 +213,14 @@ class _Block(list):
 class _Stacked:
     """Consecutive tasks' posteriors in stacks: r theme-major (K, rows), gamma
     (classes, K), eta (classes, L), lam (tasks, L), and from a sweep the
-    per-task iterations, converged and gamma_clamps."""
+    per-task iterations, converged and gamma_clamps, and the (K, rows)
+    log_pdfs it used."""
 
-    def __init__(self, seg, r, gamma, eta, lam, iterations=None, converged=None, gamma_clamps=None):
+    def __init__(self, seg, r, gamma, eta, lam, iterations=None, converged=None,
+                 gamma_clamps=None, log_pdfs=None):
         self.seg, self.r, self.gamma, self.eta, self.lam = seg, r, gamma, eta, lam
         self.iterations, self.converged, self.gamma_clamps = iterations, converged, gamma_clamps
+        self.log_pdfs = log_pdfs
 
     @classmethod
     def of(cls, states):
@@ -282,25 +250,9 @@ class _Stacked:
             for d, (a, b) in enumerate(zip(starts, starts + self.seg.task_classes))
         ]
 
-    def bounds(self, model, log_pdfs):
-        """Evidence lower bound of each task, given the (K, rows) log-densities."""
-        return _bound(_elbo_terms(self, model, log_pdfs))
-
-
-class _States(Sequence):
-    """`estep_batch`'s result: one VariationalState per task, built on first
-    access from the stacked block results it carries (`parts`)."""
-
-    def __init__(self, parts):
-        self.parts, self._states = parts, None
-
-    def __len__(self):
-        return sum(part.lam.shape[0] for part in self.parts)
-
-    def __getitem__(self, index):
-        if self._states is None:
-            self._states = [state for part in self.parts for state in part.states()]
-        return self._states[index]
+    def bounds(self, model):
+        """Evidence lower bound of each task, from the sweep's log-densities."""
+        return _bound(_elbo_terms(self, model, self.log_pdfs))
 
 
 def _gemm(a, b):
@@ -317,10 +269,10 @@ def _update_gamma(counts, eta, alpha_m1, seg, clamps):
 
 
 def _estep_block(block, model, config):
-    """`estep_batch` for one `_Block`, on theme-major arrays (module docstring)."""
+    """`estep_blocks` for one `_Block`, on theme-major arrays (module docstring)."""
     seg = block.seg
-    # Kept on the block, so `train` evaluates its bound from the same pass.
-    block.log_pdfs = log_pdfs = model.log_pdfs(_stacked_samples(block), theme_major=True)
+    samples = np.concatenate([task.stacked()[0] for task in block])
+    all_log_pdfs = log_pdfs = model.log_pdfs(samples, theme_major=True)
     alpha_m1 = model.alpha - 1.0
     log_norm = log_beta_rows(model.alpha)[:, None]
     delta = model.delta[:, None]
@@ -385,7 +337,19 @@ def _estep_block(block, model, config):
         live_rows, log_pdfs = live_rows[keep_rows], np.compress(keep_rows, log_pdfs, axis=1)
 
     return _Stacked(seg, out_r, out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
-                    iterations, converged, out_clamps)
+                    iterations, converged, out_clamps, all_log_pdfs)
+
+
+def estep_blocks(tasks, model, config, plan=None):
+    """Solve the tasks' E-steps a block at a time; yields each block's `_Stacked`.
+
+    Every task's dimension is checked before any block is solved.  `train`
+    passes its own `_Plan`, which keeps each task's init noise between
+    batches.
+    """
+    if plan is None:
+        plan = _Plan(model, config)
+    return (_estep_block(block, model, config) for block in plan.blocks(tasks))
 
 
 def estep_batch(tasks, model, config):
@@ -403,22 +367,9 @@ def estep_batch(tasks, model, config):
     that stops is taken out of the sweeps, so each result is the one the
     task reaches alone.  Its noise stream is keyed by (config.seed, digest
     of task.id), so the same seed and task give the same state regardless
-    of batch order or composition.  The states are built on first access.
+    of batch order or composition.
     """
-    return _States(list(_estep_parts(tasks, model, config)))
-
-
-def _estep_parts(tasks, model, config):
-    """`estep_batch`'s stacked block results, each solved when drawn; dimensions checked first."""
-    for task in tasks:
-        if task.dimension != model.D:
-            raise DataError(
-                f"task {task.id!r} has dimension {task.dimension}, model expects {model.D}"
-            )
-    # `train` passes one block of its own plan at a time.
-    planned = isinstance(tasks, _Block) and tasks.key == (config.seed, model.K, model.L)
-    blocks = [tasks] if planned else _Plan(model, config).blocks(tasks)
-    return (_estep_block(block, model, config) for block in blocks)
+    return list(chain.from_iterable(map(_Stacked.states, estep_blocks(tasks, model, config))))
 
 
 def run_estep(task, model, config):
@@ -426,14 +377,16 @@ def run_estep(task, model, config):
     return estep_batch([task], model, config)[0]
 
 
-def warn_estep_waste(where, states, config) -> None:
-    """One warning if any of `estep_batch`'s E-steps stopped at max_e_iters or clamped gamma."""
-    capped = sum(int(np.count_nonzero(~part.converged)) for part in states.parts)
-    clamps = sum(int(part.gamma_clamps.sum()) for part in states.parts)
+def warn_estep_waste(where, parts, config) -> None:
+    """One warning if any E-step of these `estep_blocks` results stopped at
+    max_e_iters or clamped gamma."""
+    converged = np.concatenate([part.converged for part in parts])
+    capped = int(np.count_nonzero(~converged))
+    clamps = sum(int(part.gamma_clamps.sum()) for part in parts)
     if capped or clamps:
         logger.warning(
             "%s: %d of %d E-steps stopped at max_e_iters=%d; %d gamma entries clamped",
-            where, capped, len(states), config.max_e_iters, clamps,
+            where, capped, converged.size, config.max_e_iters, clamps,
         )
 
 
@@ -474,19 +427,6 @@ def _bound(t):
             - t["log_qz"] - t["log_qtheta"] - t["log_qy"] - t["log_qphi"])
 
 
-def elbo_batch(tasks, states, model) -> np.ndarray:
-    """Evidence lower bound of each task under its state, in task order."""
-    states = list(states)
-    if len(states) != len(tasks):
-        raise ValueError(f"{len(tasks)} tasks but {len(states)} states")
-    remaining = iter(states)
-    return np.concatenate([
-        _Stacked.of([next(remaining) for _ in block]).bounds(
-            model, model.log_pdfs(_stacked_samples(block), theme_major=True))
-        for block in _blocks(tasks)
-    ])
-
-
 def elbo_terms(task, state, model, log_pdfs=None):
     """The nine evidence-lower-bound expectations for one task.
 
@@ -516,7 +456,7 @@ def write_lambda_csv(path, ids, lambdas) -> None:
 
 
 def read_lambda_csv(path):
-    """Read a task-embedding CSV back as (ids, (n, L) array)."""
+    """Read a task-embedding CSV back as (ids, (n, L) array); ids are unique."""
     rows = read_table(
         path, lambda header: len(header) >= 2 and header[0] == "task_id",
         "task_id,lambda_1,...",

@@ -1,13 +1,13 @@
 """Online learning of the shared themes.
 
-Each batch solves the E-steps of its tasks together (`estep_batch`),
+Each batch solves the E-steps of its tasks together (`estep_blocks`),
 pools responsibility-weighted moments into one M-step estimate of the
 Gaussian themes, builds a Newton step for the Dirichlet rows alpha from the
 batch posteriors, and blends everything into the running model with step
 size rho_b = (tau0 + b)^(-tau1).  As in stochastic variational inference,
 the global step needs only the batch's expected sufficient statistics, so
-`train` builds no per-task states: it solves one block of its plan at a
-time and folds the stacked result into the statistics and the bound.
+`train` builds no per-task states: it folds each block's stacked result
+into the statistics and the bound as the block is solved.
 
 The statistics are raw moments (count, weighted sum, weighted second
 moment), summed per task over the theme-major responsibilities and folded
@@ -25,14 +25,7 @@ import numpy as np
 
 from .data import write_table
 from .errors import ModelError, NumericError
-from .inference import (
-    _Plan,
-    _Stacked,
-    _States,
-    dirichlet_expected_log,
-    estep_batch,
-    warn_estep_waste,
-)
+from .inference import _Plan, _Stacked, dirichlet_expected_log, estep_blocks, warn_estep_waste
 from .model import ThemeModel, TrainConfig, init_model
 from .special import digamma, trigamma
 from .streams import shuffle_stream
@@ -76,24 +69,25 @@ def accumulate_stats(tasks, states, stats=None) -> LocalThemeStats:
         raise ValueError(f"{len(tasks)} tasks but {len(states)} states")
     if not tasks:
         raise ValueError("cannot accumulate statistics over an empty batch")
+    return _accumulate(tasks, _Stacked.of(states), stats)
+
+
+def _accumulate(tasks, part, stats):
+    """`accumulate_stats` of the tasks' stacked posteriors (`_Stacked`)."""
     # Samples (D, rows); tasks of different dimensions do not concatenate.
     x = np.concatenate([task.stacked()[0].T for task in tasks], axis=1)
-    parts = states.parts if isinstance(states, _States) else [_Stacked.of(states)]
-    k, dim = parts[0].r.shape[0], x.shape[0]
-    shots = np.concatenate([part.seg.class_counts for part in parts])
-    if not np.array_equal(shots, [n for task in tasks for n in task.counts]):
+    r, starts = part.r, part.seg.task_row_starts
+    k, dim = r.shape[0], x.shape[0]
+    if not np.array_equal(part.seg.class_counts, [n for task in tasks for n in task.counts]):
         raise ValueError("the states' responsibilities do not match the tasks' classes")
     if stats is None:
         stats = LocalThemeStats(np.zeros(k), np.zeros((k, dim)), np.zeros((k, dim, dim)))
-    for part in parts:
-        r, starts = part.r, part.seg.task_row_starts
-        xs, x = x[:, :r.shape[1]], x[:, r.shape[1]:]
-        _fold(stats.count, r, starts)
-        for i in range(dim):
-            rx = r * xs[i]
-            _fold(stats.weighted_sum[:, i], rx, starts)
-            for j in range(dim):
-                _fold(stats.scatter[:, i, j], rx * xs[j], starts)
+    _fold(stats.count, r, starts)
+    for i in range(dim):
+        rx = r * x[i]
+        _fold(stats.weighted_sum[:, i], rx, starts)
+        for j in range(dim):
+            _fold(stats.scatter[:, i, j], rx * x[j], starts)
     return stats
 
 
@@ -118,26 +112,22 @@ def local_mstep(stats: LocalThemeStats, jitter: float):
 
 
 def _eta_moments(states):
-    """Batch sums S_l = sum eta_dcl and T_lk = sum eta_dcl E[ln theta_dck]."""
-    parts = states.parts if isinstance(states, _States) else states
-    eta = np.concatenate([part.eta for part in parts])
-    gamma = np.concatenate([part.gamma for part in parts])
-    return eta.sum(axis=0), eta.T @ dirichlet_expected_log(gamma)
+    """Batch sums S_l = sum eta_dcl and T_lk = sum eta_dcl E[ln theta_dck].
 
-
-def alpha_gradient(states, alpha) -> np.ndarray:
-    """Gradient of the eta-weighted Dirichlet log-likelihood in alpha.
-
-    g_lk = sum_{d,c} eta_dcl [psi(sum_k' alpha_lk') - psi(alpha_lk)
-                              + E ln theta_dck]
+    states are VariationalStates or `estep_blocks` results; both hold
+    per-class eta and gamma rows.
     """
-    return alpha_newton_work(states, alpha).gradient
+    eta = np.concatenate([state.eta for state in states])
+    gamma = np.concatenate([state.gamma for state in states])
+    return eta.sum(axis=0), eta.T @ dirichlet_expected_log(gamma)
 
 
 @dataclass
 class AlphaNewtonWork:
     """Per-row pieces of the Newton system H = diag(q) + u 11^T.
 
+    gradient is that of the eta-weighted Dirichlet log-likelihood in alpha,
+    g_lk = sum_{d,c} eta_dcl [psi(sum_k' alpha_lk') - psi(alpha_lk) + E ln theta_dck].
     q_diag entries are negative wherever the row carries mass; u is the
     positive rank-one coefficient; b is the Sherman-Morrison offset (zero
     for rows where the rank-one correction is singular or massless, which
@@ -178,17 +168,6 @@ def alpha_newton_direction(work: AlphaNewtonWork) -> np.ndarray:
     """Solve H dx = g per row: dx_k = (g_k - b) / q_kk."""
     direction = (work.gradient - work.b[:, None]) / work.q_diag
     return np.where(work.active_rows[:, None], direction, 0.0)
-
-
-def learning_rate(tau0: float, tau1: float, batch_index: int) -> float:
-    """Step size (tau0 + b)^(-tau1) for 1-indexed batch b."""
-    if batch_index < 1:
-        raise ValueError(f"batch_index is 1-based, got {batch_index}")
-    if tau0 < 0:
-        raise ValueError(f"tau0 must be >= 0, got {tau0}")
-    if not 0.5 < tau1 <= 1.0:
-        raise ValueError(f"tau1 must lie in (0.5, 1], got {tau1}")
-    return float((tau0 + batch_index) ** -tau1)
 
 
 def _damped_alpha_step(alpha_row, step_row):
@@ -302,21 +281,20 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
         batch = [tasks[int(order[(cursor + j) % len(order)])] for j in range(size)]
         cursor = (cursor + size) % len(order)
 
-        stats, parts, elbos = None, [], []
-        for block in plan.blocks(batch):
-            block_states = estep_batch(block, model, config)
-            stats = accumulate_stats(block, block_states, stats)
-            (part,) = block_states.parts
-            elbos.append(part.bounds(model, block.log_pdfs))
+        stats, parts, elbos, done = None, [], [], 0
+        for part in estep_blocks(batch, model, config, plan):
+            count = part.lam.shape[0]
+            stats = _accumulate(batch[done:done + count], part, stats)
+            elbos.append(part.bounds(model))
+            # The alpha step and the counters need only per-class and per-task arrays.
             parts.append(part.classes())
-            del block_states, part  # no per-sample arrays alive while the next block sweeps
-        # The alpha step and the counters need only per-class and per-task arrays.
-        states = _States(parts)
-        warn_estep_waste(f"batch {batch_index}", states, config)
+            done += count
+            del part  # no per-sample arrays alive while the next block sweeps
+        warn_estep_waste(f"batch {batch_index}", parts, config)
         means, covs, active = local_mstep(stats, config.jitter)
-        work = alpha_newton_work(states, model.alpha)
+        work = alpha_newton_work(parts, model.alpha)
         direction = alpha_newton_direction(work)
-        rho = learning_rate(config.tau0, config.tau1, batch_index)
+        rho = float((config.tau0 + batch_index) ** -config.tau1)
         model = online_update(model, means, covs, direction, rho, active=active)
 
         log_rows.append(

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, DomainError, ModelError
+from .errors import CheckpointError, DataError, ModelError
 from .streams import init_stream
 
 if TYPE_CHECKING:
@@ -136,18 +136,6 @@ class ThemeModel:
 
     def __repr__(self):
         return f"ThemeModel(L={self.L}, K={self.K}, D={self.D})"
-
-
-def gaussian_log_pdf(model: ThemeModel, x, k: int) -> float:
-    """Log-density of one sample under image-theme k."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.D,):
-        raise ModelError(f"expected a ({model.D},) sample, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DomainError("gaussian_log_pdf requires finite samples")
-    if not 0 <= k < model.K:
-        raise ValueError(f"theme index {k} out of range [0, {model.K})")
-    return float(model.log_pdfs(x[None, :])[0, k])
 
 
 def init_model(

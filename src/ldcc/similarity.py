@@ -200,8 +200,6 @@ def _read_scores(path, header, valid, problem):
     for line_no, task_id, (value,) in read_table(path, lambda h: h == header, ",".join(header)):
         if not valid(value):
             raise FormatError(f"{path}:{line_no}: {header[1]} {problem}")
-        if task_id in table:
-            raise FormatError(f"{path}:{line_no}: duplicate task id {task_id!r}")
         table[task_id] = value
     return table
 

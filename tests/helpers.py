@@ -2,14 +2,54 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, scipy.special, explicit matrix inverses) so that agreement with the
-library is evidence of correctness rather than shared code.
+library is evidence of correctness rather than shared code.  The per-class
+`update_*` functions are the E-step's coordinate updates one class at a
+time, built from the library's log-densities, special functions, softmax
+and gamma floor; composing them checks the stacked sweep's segment sums.
 """
 
 import numpy as np
 from scipy import special as sp
 
 from ldcc.data import Task
-from ldcc.inference import VariationalState
+from ldcc.inference import VariationalState, _floor_gamma, _softmax, dirichlet_expected_log
+from ldcc.special import log_beta_rows
+
+
+def update_r(task, c, state, model, log_pdfs=None):
+    """Responsibilities for class c: softmax of E[ln theta] + Gaussian log-pdf."""
+    if log_pdfs is None:
+        log_pdfs = model.log_pdfs(task.classes[c].astype(np.float64))
+    expected_log_theta = dirichlet_expected_log(state.gamma[c])
+    return _softmax(expected_log_theta[None, :] + log_pdfs, axis=1)
+
+
+def update_gamma(state, c, alpha):
+    """Dirichlet parameter for class c: 1 + sum_n r + eta-mixed (alpha - 1).
+
+    Nonpositive entries are floored and counted on the state.
+    """
+    gamma = 1.0 + state.r[c].sum(axis=0) + state.eta[c] @ (alpha - 1.0)
+    state.gamma_clamps += int(_floor_gamma(gamma))
+    return gamma
+
+
+def update_eta(state, c, model):
+    """Task-theme weights for class c.
+
+    Logits combine E[ln phi], each theme row's Dirichlet log-normalizer, and
+    that row's affinity for the class's expected log image-theme profile.
+    """
+    expected_log_theta = dirichlet_expected_log(state.gamma[c])
+    expected_log_phi = dirichlet_expected_log(state.lam)
+    log_norm = log_beta_rows(model.alpha)
+    logits = expected_log_phi - log_norm + (model.alpha - 1.0) @ expected_log_theta
+    return _softmax(logits, axis=0)
+
+
+def update_lambda(state, delta):
+    """Task-level Dirichlet parameter: delta + per-theme eta mass."""
+    return np.asarray(delta, dtype=np.float64) + state.eta.sum(axis=0)
 
 
 def naive_elbo_terms(task, state, model):

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +364,25 @@ class TestDistance:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["distance", "select"])
+    def test_repeated_lambda_id_is_exit_3(self, tmp_path, capsys, command):
+        # A repeated id would reach distance.csv twice (which diagram
+        # rejects) or be selected twice.
+        lam = tmp_path / "lambdas.csv"
+        lam.write_text("task_id,lambda_1,lambda_2\nt1,1.0,2.0\nt2,2.0,1.0\nt1,1.5,1.5\n")
+        ok = tmp_path / "ok.csv"
+        self.write_lambdas(ok, ["q"], [[1.0, 1.0]])
+        out = tmp_path / "out"
+        count = ["--count", "1"] if command == "select" else []
+        code, _, err = run(
+            capsys,
+            command, "--test-lambdas", str(ok), "--train-lambdas", str(lam), *count,
+            "--out", str(out),
+        )
+        assert code == 3
+        assert "lambdas.csv:4: duplicate task id 't1'" in err
+        assert not out.exists()
+
 
 class TestSelect:
     def test_selection_with_ties(self, tmp_path, capsys):
@@ -539,6 +559,17 @@ class TestTopLevel:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "ldcc" in capsys.readouterr().out
+
+    def test_readme_library_block(self):
+        # The python block under "## Library" in README.md, run as written,
+        # so the documented public surface cannot drift.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library\n", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert namespace["lambdas"].shape == (200, 2)
+        assert len(namespace["chosen"]) == 50
 
     def test_pipeline_end_to_end(self, tmp_path, capsys):
         # gen -> train -> infer (train + test) -> distance -> select -> diagram

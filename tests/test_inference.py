@@ -5,7 +5,7 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
-from helpers import naive_elbo_terms
+from helpers import naive_elbo_terms, update_eta, update_gamma, update_lambda, update_r
 from ldcc.data import Task, generate_synthetic
 from ldcc.errors import DataError, FormatError, NumericError
 import ldcc.inference as inference
@@ -13,15 +13,10 @@ from ldcc.inference import (
     VariationalState,
     dirichlet_expected_log,
     elbo,
-    elbo_batch,
     elbo_terms,
     estep_batch,
     read_lambda_csv,
     run_estep,
-    update_eta,
-    update_gamma,
-    update_lambda,
-    update_r,
     write_lambda_csv,
 )
 from ldcc.model import ThemeModel, TrainConfig
@@ -412,6 +407,7 @@ class TestEstepBatch:
 
         runs = [(tasks, estep_batch(tasks, model, cfg))]
         runs.append((tasks[::-1], estep_batch(tasks[::-1], model, cfg)))
+        runs.append((tasks, estep_batch(iter(tasks), model, cfg)))  # read once
         for block_rows in (12, 20):
             # Blocks of one task and blocks of several; a task larger than
             # the block is a block of its own.
@@ -421,8 +417,10 @@ class TestEstepBatch:
             by_id = {task.id: state for task, state in zip(batch, states)}
             for task, want in zip(tasks, alone):
                 self.assert_same(by_id[task.id], want)
-            bounds = elbo_batch(batch, states, model)
-            for task, state, bound in zip(batch, states, bounds):
+            # The bound `train` reads from each block, against elbo per task.
+            bounds = np.concatenate([part.bounds(model)
+                                     for part in inference.estep_blocks(batch, model, cfg)])
+            for task, state, bound in zip(batch, states, bounds, strict=True):
                 assert bound == pytest.approx(elbo(task, state, model), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("K, L", [(1, 1), (1, 3), (6, 1)])
@@ -487,11 +485,17 @@ class TestEstepBatch:
                 assert (got.iterations, got.converged, got.gamma_clamps) == (
                     want.iterations, want.converged, want.gamma_clamps)
 
-    def test_elbo_batch_needs_one_state_per_task(self):
-        tasks, model = self.tasks(), self.model()
-        states = estep_batch(tasks, model, self.config)
-        with pytest.raises(ValueError):
-            elbo_batch(tasks, states[:-1], model)
+    def test_dimension_checked_before_any_block(self, monkeypatch):
+        # The last task has the wrong dimension; with blocks of 12 rows the
+        # other tasks span several blocks, and none of them may be solved.
+        tasks = [*self.tasks(), make_task(C=2, N=3, D=3, task_id="wide")]
+        calls = []
+        monkeypatch.setattr(inference, "_BLOCK_ROWS", 12)
+        monkeypatch.setattr(inference, "_estep_block", lambda *args: calls.append(args))
+        with pytest.raises(DataError, match="'wide' has dimension 3, model expects 2"):
+            estep_batch(tasks, self.model(), self.config)
+        assert calls == []
+        assert len(list(inference._blocks(tasks))) >= 3
 
 
 class TestExactMaximizers:
@@ -656,4 +660,11 @@ class TestLambdaCsv:
         path = tmp_path / "bad.csv"
         path.write_text("task_id,lambda_1\n")
         with pytest.raises(FormatError):
+            read_lambda_csv(path)
+
+    def test_rejects_repeated_id(self, tmp_path):
+        # distance would write the id twice, which diagram then rejects.
+        path = tmp_path / "lambdas.csv"
+        path.write_text("task_id,lambda_1\nt1,1.0\nt2,2.0\nt1,3.0\n")
+        with pytest.raises(FormatError, match=r"lambdas\.csv:4: duplicate task id 't1'"):
             read_lambda_csv(path)
