@@ -15,11 +15,28 @@ change of its lambda drops below the configured tolerance, exactly as it
 would alone.  All arrays are theme-major, as numpy reduces over K
 contiguous rows in K elementwise passes but loops per row along a short
 inner axis: r and the log-densities are (K, rows), gamma (K, classes), eta
-(L, classes), lambda (L, tasks).  Each block's result comes back stacked
-(`_Stacked`) with the log-densities its sweep used, so `train` reads the
-statistics and the bound from it directly.  `estep_batch` unstacks the
-blocks into one VariationalState per task, and `run_estep` is a batch of
-one.
+(L, classes), lambda (L, tasks).
+
+Responsibilities are r = normalize(w[class] * P) per sample: the densities
+P = exp(log_pdfs - the sample's max) are exponentiated once per block, and
+each sweep exponentiates only w = exp(E[ln theta] - the class's max) over
+(K, classes).  A sample whose K products all underflow is normalized in
+log space instead, and NaN, +inf or all -inf logits raise NumericError.
+A sweep keeps only r's class sums.  When a task stops, the block keeps
+the per-class E[ln theta] its last sweep used and drops the task's rows
+from the next sweeps; r is rebuilt once, when the block is done, by the
+same per-sample arithmetic, so it has the bits the task's last sweep
+computed.
+
+Each block's result comes back stacked (`_Stacked`) with the log-densities
+its sweep used and its samples, so `train` reads the statistics and the
+bound from it directly.  A `train` whose batch is the whole collection
+sees the same tasks in the same order every batch; its `_Plan` builds
+that batch's blocks once and holds them for the call: segments, init
+noise and stacked samples, 8 D bytes per sample and 8 (K + L) bytes per
+class besides the segment indices, one copy per task.  `estep_batch`
+unstacks the blocks into one VariationalState per task, and `run_estep`
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -86,13 +103,18 @@ def _expected_log(u):
     return out
 
 
-def _softmax(logits, axis):
-    """Normalize exp(logits) in place along axis via a max shift; rejects degenerate slices."""
-    m = np.maximum.reduce(logits, axis=axis, keepdims=True)
+def _check_shift(m):
+    """Raise NumericError unless every max shift in m is finite."""
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise NumericError("NaN logits in a normalization step" if np.isnan(m).any() else
                            "a normalization row had all -inf logits" if (m == -np.inf).any()
                            else "+inf logits in a normalization step")
+
+
+def _softmax(logits, axis):
+    """Normalize exp(logits) in place along axis via a max shift; rejects degenerate slices."""
+    m = np.maximum.reduce(logits, axis=axis, keepdims=True)
+    _check_shift(m)
     logits -= m
     np.exp(logits, out=logits)
     logits /= np.add.reduce(logits, axis=axis, keepdims=True, out=m)
@@ -134,17 +156,18 @@ class _Segments:
     """Segment indices of tasks stacked class by class, row by row.
 
     Rows of a class and classes of a task are contiguous, so per-class and
-    per-task sums are `np.add.reduceat` over the start offsets.
+    per-task sums are `np.add.reduceat` over the start offsets.  rows0 is
+    where each class's rows start in the block the segments were cut from.
     """
 
-    def __init__(self, class_counts, task_classes):
+    def __init__(self, class_counts, task_classes, rows0=None):
         self.class_counts = class_counts
         self.task_classes = task_classes
-        self.row_class = np.repeat(np.arange(class_counts.size), class_counts)
         self.class_task = np.repeat(np.arange(task_classes.size), task_classes)
         self.class_starts = np.cumsum(class_counts) - class_counts
         self.task_starts = np.cumsum(task_classes) - task_classes
         self.task_row_starts = self.class_starts[self.task_starts]
+        self.rows0 = self.class_starts if rows0 is None else rows0
 
     @classmethod
     def of(cls, counts):
@@ -154,27 +177,31 @@ class _Segments:
     def subset(self, keep):
         """Segments of the tasks where keep is true, with class and row masks."""
         keep_classes = keep[self.class_task]
-        keep_rows = keep_classes[self.row_class]
-        sub = _Segments(self.class_counts[keep_classes], self.task_classes[keep])
-        return sub, keep_classes, keep_rows
+        sub = _Segments(self.class_counts[keep_classes], self.task_classes[keep],
+                        self.rows0[keep_classes])
+        return sub, keep_classes, keep_classes.repeat(self.class_counts)
 
 
 class _Plan:
     """The E-step inputs of one `estep_blocks` or `train` call that no sweep changes.
 
-    Tasks come in `_Block`s with their segments and init noise stacked.
-    A task's Dirichlet(100) noise depends only on (seed, task id, K,
-    L) and its shape, so a plan that sees tasks again (`keep_noise`) draws
-    it once.  Plans are never shared, so nothing carries over between calls.
+    Tasks come in `_Block`s with their segments, init noise and samples
+    stacked.  A task's Dirichlet(100) noise depends only on (seed, task id,
+    K, L) and its class sizes, so a plan that sees tasks again
+    (`keep_noise`) draws it once.  A plan that sees one batch again
+    (`keep_blocks`) keeps the blocks of the last task list it was given and
+    returns them when it is given that same list object again.  Plans are
+    never shared, so nothing carries over between calls.
     """
 
-    def __init__(self, model, config, keep_noise=False):
+    def __init__(self, model, config, keep_noise=False, keep_blocks=False):
         self.key, self.dim = (config.seed, model.K, model.L), model.D
         self._noise = {} if keep_noise else None
+        self._kept = (None, None) if keep_blocks else None
 
     def noise(self, task):
         """Normalized init noise of a task: r's class sums (K, classes), eta (L, classes)."""
-        key = (task.id, task.total_samples, task.num_classes)
+        key = (task.id, task.counts)
         if self._noise is not None and key in self._noise:
             return self._noise[key]
         seed, num_image, num_task = self.key
@@ -182,25 +209,32 @@ class _Plan:
         r = draw(_INIT_NOISE_CONCENTRATION, (task.total_samples, num_image)).T
         eta = draw(_INIT_NOISE_CONCENTRATION, (task.num_classes, num_task)).T
         r = np.ascontiguousarray(r / r.sum(axis=0))
-        noise = np.add.reduceat(r, task.stacked()[1][:-1], axis=1), eta / eta.sum(axis=0)
+        starts = np.cumsum((0, *task.counts[:-1]))
+        noise = np.add.reduceat(r, starts, axis=1), eta / eta.sum(axis=0)
         if self._noise is not None:
             self._noise[key] = noise
         return noise
 
     def blocks(self, tasks):
         """The tasks' `_Block`s, built as drawn; every dimension is checked first."""
-        tasks = list(tasks)  # read twice, so an iterator of tasks is read once here
-        for task in tasks:
+        if self._kept is not None and self._kept[0] is tasks:
+            return self._kept[1]
+        listed = list(tasks)  # read twice, so an iterator of tasks is read once here
+        for task in listed:
             if task.dimension != self.dim:
                 raise DataError(
                     f"task {task.id!r} has dimension {task.dimension}, model expects {self.dim}"
                 )
-        return (_Block(run, self) for run in _blocks(tasks))
+        blocks = (_Block(run, self) for run in _blocks(listed))
+        if self._kept is not None:
+            self._kept = (tasks, list(blocks))
+            return self._kept[1]
+        return blocks
 
 
 class _Block(list):
-    """Tasks solved as one array problem, with segments and init noise counts0
-    (K, classes), eta0 (L, classes) stacked."""
+    """Tasks solved as one array problem, with segments, init noise counts0
+    (K, classes) and eta0 (L, classes), and samples (rows, D) stacked."""
 
     def __init__(self, tasks, plan):
         super().__init__(tasks)
@@ -208,19 +242,23 @@ class _Block(list):
         noise = [plan.noise(task) for task in tasks]
         self.counts0 = np.concatenate([counts for counts, _ in noise], axis=1)
         self.eta0 = np.concatenate([eta for _, eta in noise], axis=1)
+        # From the float32 classes (exact in float64), so blocks leave no
+        # float64 copy cached on the tasks.
+        self.samples = np.concatenate([c for task in tasks for c in task.classes],
+                                      dtype=np.float64)
 
 
 class _Stacked:
     """Consecutive tasks' posteriors in stacks: r theme-major (K, rows), gamma
     (classes, K), eta (classes, L), lam (tasks, L), and from a sweep the
-    per-task iterations, converged and gamma_clamps, and the (K, rows)
-    log_pdfs it used."""
+    per-task iterations, converged and gamma_clamps, the (K, rows) log_pdfs
+    it used and its block's (rows, D) samples."""
 
     def __init__(self, seg, r, gamma, eta, lam, iterations=None, converged=None,
-                 gamma_clamps=None, log_pdfs=None):
+                 gamma_clamps=None, log_pdfs=None, samples=None):
         self.seg, self.r, self.gamma, self.eta, self.lam = seg, r, gamma, eta, lam
         self.iterations, self.converged, self.gamma_clamps = iterations, converged, gamma_clamps
-        self.log_pdfs = log_pdfs
+        self.log_pdfs, self.samples = log_pdfs, samples
 
     @classmethod
     def of(cls, states):
@@ -255,6 +293,40 @@ class _Stacked:
         return _bound(_elbo_terms(self, model, self.log_pdfs))
 
 
+_TINY = np.finfo(np.float64).tiny
+
+
+def _densities(log_pdfs):
+    """exp(log_pdfs - each sample's max), r's factor (K, rows) that no sweep changes."""
+    shift = np.maximum.reduce(log_pdfs, axis=0)
+    _check_shift(shift)
+    dens = np.subtract(log_pdfs, shift)
+    return np.exp(dens, out=dens)
+
+
+def _responsibilities(expected_log_theta, dens, seg, log_pdfs):
+    """r (K, rows) of the classes of seg: exp(E[ln theta] - each class's max)
+    times their samples' dens, normalized per sample.
+
+    A sample whose products all underflow is normalized in log space from
+    log_pdfs, the block's log-densities, instead.
+    """
+    weights = np.subtract(expected_log_theta, np.maximum.reduce(expected_log_theta, axis=0))
+    r = np.exp(weights, out=weights).repeat(seg.class_counts, axis=1)
+    r *= dens
+    total = np.add.reduce(r, axis=0)
+    # Also false for a NaN total, which a NaN or infinite E[ln theta] gives:
+    # the log-space path then raises NumericError.
+    if not np.minimum.reduce(total) >= _TINY:
+        rows = np.flatnonzero(~(total >= _TINY))
+        classes = np.searchsorted(seg.class_starts, rows, side="right") - 1
+        block_rows = seg.rows0[classes] + (rows - seg.class_starts[classes])
+        r[:, rows] = _softmax(expected_log_theta[:, classes] + log_pdfs[:, block_rows], axis=0)
+        total[rows] = 1.0
+    r /= total
+    return r
+
+
 def _gemm(a, b):
     """a @ b; a one-column b is padded to two, as BLAS would sum it in another order (GEMV)."""
     return a @ b if b.shape[1] > 1 else (a @ b.repeat(2, axis=1))[:, :1]
@@ -271,8 +343,8 @@ def _update_gamma(counts, eta, alpha_m1, seg, clamps):
 def _estep_block(block, model, config):
     """`estep_blocks` for one `_Block`, on theme-major arrays (module docstring)."""
     seg = block.seg
-    samples = np.concatenate([task.stacked()[0] for task in block])
-    all_log_pdfs = log_pdfs = model.log_pdfs(samples, theme_major=True)
+    log_pdfs = model.log_pdfs(block.samples, theme_major=True)
+    all_dens = dens = _densities(log_pdfs)
     alpha_m1 = model.alpha - 1.0
     log_norm = log_beta_rows(model.alpha)[:, None]
     delta = model.delta[:, None]
@@ -283,27 +355,26 @@ def _estep_block(block, model, config):
     gamma = _update_gamma(block.counts0, eta, alpha_m1, seg, clamps)
     lam = delta + np.add.reduceat(eta, seg.task_starts, axis=1)
 
-    # Final values, filled in as tasks stop.  The arrays above always hold
-    # the running tasks only; `live` and the index arrays map them back.
-    out_r = np.empty_like(log_pdfs)
-    out_gamma, out_eta, out_lam = np.empty_like(gamma), np.empty_like(eta), np.empty_like(lam)
+    # Final values, filled in per class as tasks stop; r is rebuilt from
+    # each class's last E[ln theta] once the block is done.  The arrays
+    # above always hold the running tasks only; `live_tasks` and
+    # `live_classes` map them back.
+    out_log_theta, out_gamma = np.empty_like(gamma), np.empty_like(gamma)
+    out_eta, out_lam = np.empty_like(eta), np.empty_like(lam)
     out_clamps = np.zeros(num_tasks, dtype=np.int64)
     iterations = np.zeros(num_tasks, dtype=np.int64)
     converged = np.zeros(num_tasks, dtype=bool)
     live = seg
     live_tasks = np.arange(num_tasks)
     live_classes = np.arange(gamma.shape[1])
-    live_rows = np.arange(log_pdfs.shape[1])
     expected_log_theta = _expected_log(gamma)
 
     for it in range(1, config.max_e_iters + 1):
-        r = None  # drop the last sweep's r before this one's is built
-        r = expected_log_theta.repeat(live.class_counts, axis=1)
-        r += log_pdfs
-        _softmax(r, axis=0)
+        r = _responsibilities(expected_log_theta, dens, live, log_pdfs)
         counts = np.add.reduceat(r, live.class_starts, axis=1)
+        del r  # only its class sums are needed
         gamma = _update_gamma(counts, eta, alpha_m1, live, clamps)
-        expected_log_theta = _expected_log(gamma)
+        used_log_theta, expected_log_theta = expected_log_theta, _expected_log(gamma)
         eta = _expected_log(lam).repeat(live.task_classes, axis=1)
         eta -= log_norm
         eta += _gemm(alpha_m1, expected_log_theta)
@@ -323,21 +394,22 @@ def _estep_block(block, model, config):
         out_clamps[stopped] = clamps[stop]
         out_lam[:, stopped] = lam[:, stop]
         stop_classes = stop[live.class_task]
-        stop_rows = stop_classes[live.row_class]
-        out_gamma[:, live_classes[stop_classes]] = gamma[:, stop_classes]
-        out_eta[:, live_classes[stop_classes]] = eta[:, stop_classes]
-        out_r[:, live_rows[stop_rows]] = r[:, stop_rows]
+        stopped_classes = live_classes[stop_classes]
+        out_log_theta[:, stopped_classes] = used_log_theta[:, stop_classes]
+        out_gamma[:, stopped_classes] = gamma[:, stop_classes]
+        out_eta[:, stopped_classes] = eta[:, stop_classes]
         if np.logical_and.reduce(stop):
             break
-        keep, r = ~stop, None  # r is copied out; drop it before the compaction copies
+        keep = ~stop
         live, keep_classes, keep_rows = live.subset(keep)
         live_tasks, clamps, lam = live_tasks[keep], clamps[keep], np.compress(keep, lam, axis=1)
         live_classes, eta = live_classes[keep_classes], np.compress(keep_classes, eta, axis=1)
         expected_log_theta = np.compress(keep_classes, expected_log_theta, axis=1)
-        live_rows, log_pdfs = live_rows[keep_rows], np.compress(keep_rows, log_pdfs, axis=1)
+        dens = np.compress(keep_rows, dens, axis=1)
 
-    return _Stacked(seg, out_r, out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
-                    iterations, converged, out_clamps, all_log_pdfs)
+    return _Stacked(seg, _responsibilities(out_log_theta, all_dens, seg, log_pdfs),
+                    out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
+                    iterations, converged, out_clamps, log_pdfs, block.samples)
 
 
 def estep_blocks(tasks, model, config, plan=None):

@@ -69,17 +69,18 @@ def accumulate_stats(tasks, states, stats=None) -> LocalThemeStats:
         raise ValueError(f"{len(tasks)} tasks but {len(states)} states")
     if not tasks:
         raise ValueError("cannot accumulate statistics over an empty batch")
-    return _accumulate(tasks, _Stacked.of(states), stats)
-
-
-def _accumulate(tasks, part, stats):
-    """`accumulate_stats` of the tasks' stacked posteriors (`_Stacked`)."""
-    # Samples (D, rows); tasks of different dimensions do not concatenate.
-    x = np.concatenate([task.stacked()[0].T for task in tasks], axis=1)
-    r, starts = part.r, part.seg.task_row_starts
-    k, dim = r.shape[0], x.shape[0]
+    part = _Stacked.of(states)
     if not np.array_equal(part.seg.class_counts, [n for task in tasks for n in task.counts]):
         raise ValueError("the states' responsibilities do not match the tasks' classes")
+    # Tasks of different dimensions do not concatenate.
+    part.samples = np.concatenate([task.stacked()[0] for task in tasks])
+    return _accumulate(part, stats)
+
+
+def _accumulate(part, stats):
+    """`accumulate_stats` of stacked posteriors (`_Stacked`) and their samples."""
+    x, r, starts = part.samples.T, part.r, part.seg.task_row_starts
+    k, dim = r.shape[0], x.shape[0]
     if stats is None:
         stats = LocalThemeStats(np.zeros(k), np.zeros((k, dim)), np.zeros((k, dim, dim)))
     _fold(stats.count, r, starts)
@@ -259,7 +260,8 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
     of config.batch_size cycling through the collection, for
     config.max_batches batches.  Returns the final model and the per-batch
     diagnostic rows.  A batch whose E-steps stop at config.max_e_iters or
-    clamp gamma entries logs one warning with both counts.
+    clamp gamma entries logs one warning with both counts.  When the batch
+    is the whole collection, its E-step blocks are built once per call.
 
     threads is accepted for compatibility and has no effect: every batch is
     solved as one array problem on the calling thread.  It stays because
@@ -274,22 +276,26 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
     )
     order = shuffle_stream(config.seed).permutation(len(tasks))
     cursor, size = 0, min(config.batch_size, len(tasks))
-    # Keep each task's E-step noise when the run visits some task twice.
-    plan = _Plan(model, config, keep_noise=config.max_batches * size > len(tasks))
+    # A batch of the whole collection never moves the cursor: the same
+    # tasks come back in the same order, so the plan builds their blocks
+    # once.  Otherwise it keeps each task's E-step noise when the run
+    # visits some task twice.
+    whole = size == len(tasks)
+    plan = _Plan(model, config, keep_noise=not whole and config.max_batches * size > len(tasks),
+                 keep_blocks=whole)
     log_rows = []
     for batch_index in range(1, config.max_batches + 1):
-        batch = [tasks[int(order[(cursor + j) % len(order)])] for j in range(size)]
-        cursor = (cursor + size) % len(order)
+        if batch_index == 1 or not whole:
+            batch = [tasks[int(order[(cursor + j) % len(order)])] for j in range(size)]
+            cursor = (cursor + size) % len(order)
 
-        stats, parts, elbos, done = None, [], [], 0
+        stats, parts, elbos = None, [], []
         for part in estep_blocks(batch, model, config, plan):
-            count = part.lam.shape[0]
-            stats = _accumulate(batch[done:done + count], part, stats)
+            stats = _accumulate(part, stats)
             elbos.append(part.bounds(model))
             # The alpha step and the counters need only per-class and per-task arrays.
             parts.append(part.classes())
-            done += count
-            del part  # no per-sample arrays alive while the next block sweeps
+            del part  # no r or log-densities alive while the next block sweeps
         warn_estep_waste(f"batch {batch_index}", parts, config)
         means, covs, active = local_mstep(stats, config.jitter)
         work = alpha_newton_work(parts, model.alpha)

@@ -157,7 +157,7 @@ def init_model(
         raise ValueError("theme counts must be >= 1")
     if delta_value <= 0:
         raise ValueError("delta_value must be positive")
-    pooled = np.concatenate([t.stacked()[0] for t in sample])
+    pooled = np.concatenate([c for t in sample for c in t.classes], dtype=np.float64)
     n = pooled.shape[0]
     if num_image_themes > n:
         raise DataError(

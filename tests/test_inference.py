@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
@@ -153,6 +155,94 @@ class TestUpdateR:
         logits = np.array([[0.0, np.inf, 1.0], [0.0, 1.0, 2.0]]).T
         with np.errstate(all="raise"), pytest.raises(NumericError):
             inference._softmax(logits, axis=0)
+
+
+class TestResponsibilityKernel:
+    """The sweep's r = normalize(exp(E[ln theta] - class max) * exp(log_pdfs -
+    sample max)) against the log-space softmax of `update_r`."""
+
+    def kernel(self, expected_log_theta, log_pdfs, counts, keep=None):
+        # log_pdfs (K, rows) of a block of one task per class; with keep,
+        # only those tasks' rows, as in a sweep after others stopped.
+        seg = inference._Segments.of([[n] for n in counts])
+        dens = inference._densities(log_pdfs)
+        if keep is not None:
+            seg, keep_classes, keep_rows = seg.subset(keep)
+            expected_log_theta = expected_log_theta[:, keep_classes]
+            dens = dens[:, keep_rows]
+        return inference._responsibilities(expected_log_theta, dens, seg, log_pdfs)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_log_space_oracle(self, data):
+        K = data.draw(st.integers(1, 8))
+        spread = data.draw(st.floats(0.0, 2000.0))
+        gamma_low = data.draw(st.floats(1e-8, 1.0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        counts = rng.integers(1, 7, size=rng.integers(1, 5))
+        model = ThemeModel(np.zeros((K, 2)), np.stack([np.eye(2)] * K), np.ones((1, K)),
+                           np.ones(1))
+        task = Task("k", [np.zeros((n, 2), dtype=np.float32) for n in counts])
+        # Entries log-uniform down to gamma_low; one entry per class is at
+        # least 1, so E[ln theta] of the others reaches -1e8 while the
+        # log-space oracle keeps full precision on the rest.
+        gamma = np.exp(rng.uniform(np.log(gamma_low), np.log(10.0), size=(counts.size, K)))
+        gamma[np.arange(counts.size), rng.integers(K, size=counts.size)] += 1.0
+        state = VariationalState([np.empty((n, K)) for n in counts], gamma,
+                                 np.ones((counts.size, 1)), np.ones(1))
+        log_pdfs = rng.uniform(-spread, 0.0, size=(int(counts.sum()), K)) - rng.uniform(0, 50)
+        starts = np.cumsum(counts) - counts
+        want = np.concatenate([
+            update_r(task, c, state, model, log_pdfs=log_pdfs[a:a + n])
+            for c, (a, n) in enumerate(zip(starts, counts))
+        ])
+        got = self.kernel(dirichlet_expected_log(gamma).T.copy(), log_pdfs.T.copy(), counts).T
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_underflowing_row_falls_back_to_log_space(self):
+        # Row 1 of task 1: each theme is 800 nats down in one factor, so
+        # both products underflow to 0, yet the logits tie at -800.  Task 0
+        # stops first, so the row is found through the live segments.
+        expected_log_theta = np.array([[-1.0, -800.0], [-2.0, 0.0]])
+        log_pdfs = np.array([[-3.0, -5.0, 0.0, -1.0], [-4.0, -1.0, -800.0, -2.0]])
+        counts = [2, 2]
+        logits = expected_log_theta.repeat(counts, axis=1) + log_pdfs
+        want = inference._softmax(logits.copy(), axis=0)
+        assert want[:, 2] == pytest.approx([0.5, 0.5], abs=1e-15)
+        for keep in (None, np.array([False, True])):
+            got = self.kernel(expected_log_theta, log_pdfs, counts, keep)
+            cols = slice(None) if keep is None else slice(2, 4)
+            assert np.allclose(got, want[:, cols], rtol=0, atol=1e-12)
+        # The products of block row 2 are exactly zero.
+        weights = np.exp(expected_log_theta[:, 1] - expected_log_theta[:, 1].max())
+        assert not (weights * inference._densities(log_pdfs)[:, 2]).any()
+
+    @pytest.mark.parametrize("where", ["log_pdfs", "theta"])
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "NaN logits"), (np.inf, r"\+inf logits"), (-np.inf, "all -inf logits"),
+    ])
+    def test_degenerate_input_raises(self, where, bad, message):
+        expected_log_theta = np.array([[-1.0, -0.5], [-2.0, -0.2], [-0.3, -3.0]])
+        log_pdfs = np.array([[-3.0, -5.0, -2.0], [-4.0, -1.0, -8.0], [-1.0, -2.0, -3.0]])
+        if where == "log_pdfs":
+            log_pdfs[:, 1] = -np.inf if bad == -np.inf else log_pdfs[:, 1]
+            log_pdfs[1, 1] = bad
+        else:
+            expected_log_theta[:, 1] = -np.inf if bad == -np.inf else expected_log_theta[:, 1]
+            expected_log_theta[2, 1] = bad
+        # An infinite E[ln theta] (the sweep's are finite, as gamma >= 1e-8)
+        # makes inf - inf in the class shift, a NaN the log-space path rejects.
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=message):
+            self.kernel(expected_log_theta, log_pdfs, [1, 2])
+
+    def test_mixed_minus_inf_row_raises(self):
+        # No row or class is degenerate alone, but row 0's logits are all
+        # -inf: the products underflow and the log-space path rejects it.
+        expected_log_theta = np.array([[0.0], [-np.inf]])
+        log_pdfs = np.array([[-np.inf, -1.0], [0.0, -2.0]])
+        with pytest.raises(NumericError, match="all -inf logits"):
+            self.kernel(expected_log_theta, log_pdfs, [2])
 
 
 class TestUpdateGamma:

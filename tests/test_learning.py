@@ -642,6 +642,48 @@ class TestTrainMatchesReference:
             # stays at or above its 1e-6 floor, so every gamma entry is positive.)
             assert all(r.estep_iters_mean == 1.0 for r in rows)
 
+    @pytest.mark.parametrize("max_e_iters", [100, 1])
+    def test_whole_collection_batches_build_blocks_once(self, monkeypatch, max_e_iters):
+        # batch_size >= M: every batch is the whole collection in one order,
+        # so its blocks (3 or more of at most 12 rows) are built once per call.
+        coll = uneven_collection()
+        monkeypatch.setattr(inference, "_BLOCK_ROWS", 12)
+        built = []
+
+        class CountedBlock(inference._Block):
+            def __init__(self, tasks, plan):
+                built.append(len(tasks))
+                super().__init__(tasks, plan)
+
+        monkeypatch.setattr(inference, "_Block", CountedBlock)
+        cfg = TrainConfig(seed=6, max_batches=4, batch_size=len(coll) + 3,
+                          max_e_iters=max_e_iters)
+        model, rows = train(coll, 2, 3, cfg)
+        blocks = len(built)
+        assert blocks >= 3 and sum(built) == len(coll)
+        want_model, want_rows = reference_train(coll, 2, 3, cfg)
+        assert len(built) == blocks * (1 + cfg.max_batches)  # the reference builds per batch
+        assert model == want_model
+        assert rows == want_rows
+
+    def test_same_id_other_split_gets_its_own_noise(self):
+        # Two tasks in a train list share an id and a sample count but not
+        # their class sizes (3+5 against 5+3).  Each must start from the
+        # class sums of its own split, as it does in a fresh plan.
+        rng = np.random.default_rng(4)
+        mu = planted_model().mu
+        twins = [Task("twin", [(mu[k] + rng.normal(size=(n, 2))).astype(np.float32)
+                               for k, n in zip(ks, split)])
+                 for ks, split in (((0, 1), (3, 5)), ((2, 0), (5, 3)))]
+        plan = inference._Plan(planted_model(), TrainConfig(seed=2), keep_noise=True)
+        for twin in twins:
+            fresh = inference._Plan(planted_model(), TrainConfig(seed=2)).noise(twin)
+            for a, b in zip(plan.noise(twin), fresh, strict=True):
+                assert a.shape == b.shape and np.array_equal(a, b)
+        tasks = [*uneven_collection(), *twins]
+        cfg = TrainConfig(seed=2, max_batches=5, batch_size=6)
+        assert train(tasks, 2, 3, cfg) == reference_train(tasks, 2, 3, cfg)
+
     def test_plan_does_not_leak_across_calls(self, tmp_path):
         coll = uneven_collection()
         cfg_a = TrainConfig(seed=1, max_batches=3, batch_size=4)
