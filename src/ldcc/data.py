@@ -8,8 +8,8 @@ little-endian binary file per task plus a JSON manifest:
     then per class: N_c u32 | N_c * D float32, row-major
 
 Feature blocks are kept as float32 in memory, mirroring the file format, so
-save/load round-trips are bit-exact.  Numerical work elsewhere promotes to
-float64 at the task boundary.  Each task file is written with one write and
+save/load round-trips are bit-exact.  Numerical work promotes them to
+float64 through `stack_samples`.  Each task file is written with one write and
 read with one read, and a task's values are checked for finiteness once.
 The generator's categorical draws are numpy's `Generator.choice` algorithm
 written out (`_categorical`), without its per-call argument checks.
@@ -65,7 +65,6 @@ class Task:
         self.classes = tuple(blocks)
         self.counts = tuple(b.shape[0] for b in blocks)
         self.total_samples = sum(self.counts)
-        self._stacked = None
 
     @property
     def dimension(self) -> int:
@@ -74,14 +73,6 @@ class Task:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """All samples as one float64 (T, D) array plus class start offsets."""
-        if self._stacked is None:
-            x = np.concatenate(self.classes).astype(np.float64)
-            offsets = np.concatenate([[0], np.cumsum(self.counts)])
-            self._stacked = (x, offsets)
-        return self._stacked
 
     def __eq__(self, other):
         return (
@@ -93,6 +84,15 @@ class Task:
 
     def __repr__(self):
         return f"Task(id={self.id!r}, C={self.num_classes}, D={self.dimension})"
+
+
+def stack_samples(tasks) -> np.ndarray:
+    """The tasks' samples as one float64 (rows, D) array, task by task and
+    class by class; exact, as every float32 is a float64."""
+    dims = {task.dimension for task in tasks}
+    if len(dims) > 1:
+        raise DataError(f"tasks disagree on feature dimension: {sorted(dims)}")
+    return np.concatenate([c for task in tasks for c in task.classes], dtype=np.float64)
 
 
 class TaskCollection:

@@ -28,15 +28,14 @@ from the next sweeps; r is rebuilt once, when the block is done, by the
 same per-sample arithmetic, so it has the bits the task's last sweep
 computed.
 
-Each block's result comes back stacked (`_Stacked`) with the log-densities
-its sweep used and its samples, so `train` reads the statistics and the
-bound from it directly.  A `train` whose batch is the whole collection
-sees the same tasks in the same order every batch; its `_Plan` builds
-that batch's blocks once and holds them for the call: segments, init
-noise and stacked samples, 8 D bytes per sample and 8 (K + L) bytes per
-class besides the segment indices, one copy per task.  `estep_batch`
-unstacks the blocks into one VariationalState per task, and `run_estep`
-is a batch of one.
+A `_Block` holds what no sweep changes: segments, init noise and the
+samples stacked by `stack_samples`.  `_plan_blocks` checks every task's
+dimension, then builds the blocks as they are drawn; a caller that passes
+it a dict keeps each task's init noise there.  Each block's result comes
+back stacked (`_Stacked`) with the log-densities its sweep used and its
+samples, so `train` reads the statistics and the bound from it directly.
+`estep_batch` unstacks the blocks into one VariationalState per task, and
+`run_estep` is a batch of one.
 """
 
 from __future__ import annotations
@@ -47,31 +46,15 @@ from itertools import chain
 import numpy as np
 from scipy.special import psi
 
-from .data import read_table, write_table
+from .data import read_table, stack_samples, write_table
 from .errors import DataError, FormatError, NumericError
-from .special import (
-    digamma,
-    log_beta_dirichlet,
-    log_beta_rows,
-    xlogy,
-)
+from .special import dirichlet_expected_log, log_beta_dirichlet, log_beta_rows, xlogy
 from .streams import estep_stream
 
 logger = logging.getLogger(__name__)
 
 _GAMMA_FLOOR = 1e-8
 _INIT_NOISE_CONCENTRATION = 100.0
-
-
-def dirichlet_expected_log(u):
-    """E[ln x] under Dirichlet(u): psi(u_k) - psi(sum u).
-
-    Accepts a single parameter vector or a stack of rows.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or matrix, got ndim={u.ndim}")
-    return digamma(u) - digamma(u.sum(axis=-1, keepdims=True))
 
 
 class VariationalState:
@@ -182,70 +165,52 @@ class _Segments:
         return sub, keep_classes, keep_classes.repeat(self.class_counts)
 
 
-class _Plan:
-    """The E-step inputs of one `estep_blocks` or `train` call that no sweep changes.
-
-    Tasks come in `_Block`s with their segments, init noise and samples
-    stacked.  A task's Dirichlet(100) noise depends only on (seed, task id,
-    K, L) and its class sizes, so a plan that sees tasks again
-    (`keep_noise`) draws it once.  A plan that sees one batch again
-    (`keep_blocks`) keeps the blocks of the last task list it was given and
-    returns them when it is given that same list object again.  Plans are
-    never shared, so nothing carries over between calls.
-    """
-
-    def __init__(self, model, config, keep_noise=False, keep_blocks=False):
-        self.key, self.dim = (config.seed, model.K, model.L), model.D
-        self._noise = {} if keep_noise else None
-        self._kept = (None, None) if keep_blocks else None
-
-    def noise(self, task):
-        """Normalized init noise of a task: r's class sums (K, classes), eta (L, classes)."""
-        key = (task.id, task.counts)
-        if self._noise is not None and key in self._noise:
-            return self._noise[key]
-        seed, num_image, num_task = self.key
-        draw = estep_stream(seed, task.id).standard_gamma
-        r = draw(_INIT_NOISE_CONCENTRATION, (task.total_samples, num_image)).T
-        eta = draw(_INIT_NOISE_CONCENTRATION, (task.num_classes, num_task)).T
-        r = np.ascontiguousarray(r / r.sum(axis=0))
-        starts = np.cumsum((0, *task.counts[:-1]))
-        noise = np.add.reduceat(r, starts, axis=1), eta / eta.sum(axis=0)
-        if self._noise is not None:
-            self._noise[key] = noise
-        return noise
-
-    def blocks(self, tasks):
-        """The tasks' `_Block`s, built as drawn; every dimension is checked first."""
-        if self._kept is not None and self._kept[0] is tasks:
-            return self._kept[1]
-        listed = list(tasks)  # read twice, so an iterator of tasks is read once here
-        for task in listed:
-            if task.dimension != self.dim:
-                raise DataError(
-                    f"task {task.id!r} has dimension {task.dimension}, model expects {self.dim}"
-                )
-        blocks = (_Block(run, self) for run in _blocks(listed))
-        if self._kept is not None:
-            self._kept = (tasks, list(blocks))
-            return self._kept[1]
-        return blocks
+def _init_noise(task, model, config):
+    """A task's normalized Dirichlet(100) init noise: r's class sums (K,
+    classes) and eta (L, classes).  It depends only on (config.seed, task.id,
+    K, L) and the task's class sizes."""
+    draw = estep_stream(config.seed, task.id).standard_gamma
+    r = draw(_INIT_NOISE_CONCENTRATION, (task.total_samples, model.K)).T
+    eta = draw(_INIT_NOISE_CONCENTRATION, (task.num_classes, model.L)).T
+    r = np.ascontiguousarray(r / r.sum(axis=0))
+    starts = np.cumsum((0, *task.counts[:-1]))
+    return np.add.reduceat(r, starts, axis=1), eta / eta.sum(axis=0)
 
 
-class _Block(list):
+class _Block:
     """Tasks solved as one array problem, with segments, init noise counts0
     (K, classes) and eta0 (L, classes), and samples (rows, D) stacked."""
 
-    def __init__(self, tasks, plan):
-        super().__init__(tasks)
+    def __init__(self, tasks, noise):
+        self.tasks = tasks
         self.seg = _Segments.of([task.counts for task in tasks])
-        noise = [plan.noise(task) for task in tasks]
         self.counts0 = np.concatenate([counts for counts, _ in noise], axis=1)
         self.eta0 = np.concatenate([eta for _, eta in noise], axis=1)
-        # From the float32 classes (exact in float64), so blocks leave no
-        # float64 copy cached on the tasks.
-        self.samples = np.concatenate([c for task in tasks for c in task.classes],
-                                      dtype=np.float64)
+        self.samples = stack_samples(tasks)
+
+
+def _plan_blocks(tasks, model, config, noise=None):
+    """The tasks' `_Block`s, built as drawn; every dimension is checked first.
+
+    With a dict as noise, each task's init noise is kept there, keyed by
+    (task.id, task.counts), and drawn only the first time.
+    """
+    tasks = list(tasks)  # read twice, so an iterator of tasks is read once here
+    for task in tasks:
+        if task.dimension != model.D:
+            raise DataError(
+                f"task {task.id!r} has dimension {task.dimension}, model expects {model.D}"
+            )
+
+    def task_noise(task):
+        if noise is None:
+            return _init_noise(task, model, config)
+        key = (task.id, task.counts)
+        if key not in noise:
+            noise[key] = _init_noise(task, model, config)
+        return noise[key]
+
+    return (_Block(run, list(map(task_noise, run))) for run in _blocks(tasks))
 
 
 class _Stacked:
@@ -290,7 +255,7 @@ class _Stacked:
 
     def bounds(self, model):
         """Evidence lower bound of each task, from the sweep's log-densities."""
-        return _bound(_elbo_terms(self, model, self.log_pdfs))
+        return _bound(_elbo_terms(self, model))
 
 
 _TINY = np.finfo(np.float64).tiny
@@ -348,7 +313,7 @@ def _estep_block(block, model, config):
     alpha_m1 = model.alpha - 1.0
     log_norm = log_beta_rows(model.alpha)[:, None]
     delta = model.delta[:, None]
-    num_tasks = len(block)
+    num_tasks = len(block.tasks)
 
     eta = block.eta0
     clamps = np.zeros(num_tasks, dtype=np.int64)
@@ -412,16 +377,12 @@ def _estep_block(block, model, config):
                     iterations, converged, out_clamps, log_pdfs, block.samples)
 
 
-def estep_blocks(tasks, model, config, plan=None):
+def estep_blocks(tasks, model, config):
     """Solve the tasks' E-steps a block at a time; yields each block's `_Stacked`.
 
-    Every task's dimension is checked before any block is solved.  `train`
-    passes its own `_Plan`, which keeps each task's init noise between
-    batches.
+    Every task's dimension is checked before any block is solved.
     """
-    if plan is None:
-        plan = _Plan(model, config)
-    return (_estep_block(block, model, config) for block in plan.blocks(tasks))
+    return (_estep_block(block, model, config) for block in _plan_blocks(tasks, model, config))
 
 
 def estep_batch(tasks, model, config):
@@ -462,7 +423,7 @@ def warn_estep_waste(where, parts, config) -> None:
         )
 
 
-def _elbo_terms(part, model, log_pdfs):
+def _elbo_terms(part, model):
     """The nine bound expectations of each task of a `_Stacked` (r and log_pdfs (K, rows))."""
     seg, r, gamma, eta, lam = part.seg, part.r, part.gamma, part.eta, part.lam
     expected_log_theta = dirichlet_expected_log(gamma)
@@ -479,7 +440,7 @@ def _elbo_terms(part, model, log_pdfs):
         return np.add.reduceat(values, seg.task_starts)
 
     return {
-        "log_px": over_rows(r * log_pdfs),
+        "log_px": over_rows(r * part.log_pdfs),
         "log_pz": over_classes((counts * expected_log_theta).sum(axis=1)),
         "log_ptheta": over_classes((eta * theta_affinity).sum(axis=1)),
         "log_py": over_classes((eta * expected_log_phi[seg.class_task]).sum(axis=1)),
@@ -507,8 +468,10 @@ def elbo_terms(task, state, model, log_pdfs=None):
     Entropy sums use the 0 ln 0 = 0 convention.
     """
     if log_pdfs is None:
-        log_pdfs = model.log_pdfs(task.stacked()[0])
-    terms = _elbo_terms(_Stacked.of([state]), model, np.asarray(log_pdfs).T)
+        log_pdfs = model.log_pdfs(stack_samples([task]))
+    part = _Stacked.of([state])
+    part.log_pdfs = np.asarray(log_pdfs).T
+    terms = _elbo_terms(part, model)
     return {key: float(value[0]) for key, value in terms.items()}
 
 

@@ -1,6 +1,6 @@
 """Online learning of the shared themes.
 
-Each batch solves the E-steps of its tasks together (`estep_blocks`),
+Each batch solves the E-steps of its tasks together, a block at a time,
 pools responsibility-weighted moments into one M-step estimate of the
 Gaussian themes, builds a Newton step for the Dirichlet rows alpha from the
 batch posteriors, and blends everything into the running model with step
@@ -23,11 +23,11 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .data import write_table
+from .data import stack_samples, write_table
 from .errors import ModelError, NumericError
-from .inference import _Plan, _Stacked, dirichlet_expected_log, estep_blocks, warn_estep_waste
+from .inference import _estep_block, _plan_blocks, _Stacked, warn_estep_waste
 from .model import ThemeModel, TrainConfig, init_model
-from .special import digamma, trigamma
+from .special import dirichlet_expected_log, trigamma
 from .streams import shuffle_stream
 
 logger = logging.getLogger(__name__)
@@ -72,8 +72,7 @@ def accumulate_stats(tasks, states, stats=None) -> LocalThemeStats:
     part = _Stacked.of(states)
     if not np.array_equal(part.seg.class_counts, [n for task in tasks for n in task.counts]):
         raise ValueError("the states' responsibilities do not match the tasks' classes")
-    # Tasks of different dimensions do not concatenate.
-    part.samples = np.concatenate([task.stacked()[0] for task in tasks])
+    part.samples = stack_samples(tasks)
     return _accumulate(part, stats)
 
 
@@ -147,8 +146,7 @@ def alpha_newton_work(states, alpha) -> AlphaNewtonWork:
     alpha = np.asarray(alpha, dtype=np.float64)
     mass, weighted_log_theta = _eta_moments(states)
     active = mass > 0.0
-    centered = digamma(alpha.sum(axis=1))[:, None] - digamma(alpha)
-    gradient = mass[:, None] * centered + weighted_log_theta
+    gradient = weighted_log_theta - mass[:, None] * dirichlet_expected_log(alpha)
     gradient = np.where(active[:, None], gradient, 0.0)
     q_diag = np.where(active[:, None], -mass[:, None] * trigamma(alpha), -1.0)
     u = np.where(active, mass * trigamma(alpha.sum(axis=1)), 0.0)
@@ -260,8 +258,13 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
     of config.batch_size cycling through the collection, for
     config.max_batches batches.  Returns the final model and the per-batch
     diagnostic rows.  A batch whose E-steps stop at config.max_e_iters or
-    clamp gamma entries logs one warning with both counts.  When the batch
-    is the whole collection, its E-step blocks are built once per call.
+    clamp gamma entries logs one warning with both counts.
+
+    train holds what its batches reuse, for this call only.  When the batch
+    is the whole collection, every batch is the same tasks in the same
+    order, so their E-step blocks (`_plan_blocks`) are built once.  When
+    smaller batches come back to a task, its E-step init noise is drawn
+    once.
 
     threads is accepted for compatibility and has no effect: every batch is
     solved as one array problem on the calling thread.  It stays because
@@ -276,21 +279,19 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
     )
     order = shuffle_stream(config.seed).permutation(len(tasks))
     cursor, size = 0, min(config.batch_size, len(tasks))
-    # A batch of the whole collection never moves the cursor: the same
-    # tasks come back in the same order, so the plan builds their blocks
-    # once.  Otherwise it keeps each task's E-step noise when the run
-    # visits some task twice.
     whole = size == len(tasks)
-    plan = _Plan(model, config, keep_noise=not whole and config.max_batches * size > len(tasks),
-                 keep_blocks=whole)
+    noise = {} if not whole and config.max_batches * size > len(tasks) else None
     log_rows = []
     for batch_index in range(1, config.max_batches + 1):
         if batch_index == 1 or not whole:
             batch = [tasks[int(order[(cursor + j) % len(order)])] for j in range(size)]
             cursor = (cursor + size) % len(order)
+            blocks = _plan_blocks(batch, model, config, noise)
+            blocks = list(blocks) if whole else blocks
 
         stats, parts, elbos = None, [], []
-        for part in estep_blocks(batch, model, config, plan):
+        for block in blocks:
+            part = _estep_block(block, model, config)
             stats = _accumulate(part, stats)
             elbos.append(part.bounds(model))
             # The alpha step and the counters need only per-class and per-task arrays.

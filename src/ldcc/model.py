@@ -13,15 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .data import TaskCollection, stack_samples
 from .errors import CheckpointError, DataError, ModelError
 from .streams import init_stream
-
-if TYPE_CHECKING:
-    from .data import TaskCollection
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -139,7 +136,7 @@ class ThemeModel:
 
 
 def init_model(
-    sample: "TaskCollection",
+    sample: TaskCollection,
     num_task_themes: int,
     num_image_themes: int,
     delta_value: float,
@@ -157,7 +154,7 @@ def init_model(
         raise ValueError("theme counts must be >= 1")
     if delta_value <= 0:
         raise ValueError("delta_value must be positive")
-    pooled = np.concatenate([c for t in sample for c in t.classes], dtype=np.float64)
+    pooled = stack_samples(sample)
     n = pooled.shape[0]
     if num_image_themes > n:
         raise DataError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import read_table, write_table
 from .errors import DataError, DomainError, FormatError, NumericError
-from .special import digamma, log_beta_dirichlet, log_beta_rows
+from .special import digamma, dirichlet_expected_log, log_beta_dirichlet, log_beta_rows
 
 _NEGATIVE_KL_TOL = -1e-9
 # The last training pool `_kl_matrix` was given, as (a copy, its log_beta_rows).
@@ -74,6 +74,9 @@ def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
     train = np.asarray(train_lambdas, dtype=np.float64)
     if test.ndim != 2 or train.ndim != 2:
         raise ValueError("lambda inputs must be 2-d (tasks by themes)")
+    for name, lambdas in (("test", test), ("train", train)):
+        if not lambdas.shape[0]:
+            raise ValueError(f"the {name} lambdas have no rows")
     if test.shape[1] != train.shape[1]:
         raise DataError(
             f"test and train lambdas disagree on theme count: "
@@ -84,7 +87,7 @@ def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
     with np.errstate(over="ignore"):
         if not (np.isfinite(test.sum(axis=1)).all() and np.isfinite(train.sum(axis=1)).all()):
             raise NumericError("dirichlet parameters overflow the KL computation")
-    expected = digamma(test) - digamma(test.sum(axis=1))[:, None]
+    expected = dirichlet_expected_log(test)
     with np.errstate(over="ignore", invalid="ignore"):
         pool, pool_log_beta = _pool_terms
         if not np.array_equal(pool, train):

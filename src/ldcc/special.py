@@ -57,22 +57,32 @@ def trigamma(x):
     return float(out) if scalar else out
 
 
-def log_beta_dirichlet(u):
-    """ln of the multivariate beta function: sum ln Gamma(u_k) - ln Gamma(sum u_k)."""
-    arr, _ = _positive_array(u, "log_beta_dirichlet")
-    if arr.ndim != 1 or arr.size < 1:
-        raise DomainError("log_beta_dirichlet expects a non-empty 1-d vector")
-    if arr.size == 1:
-        return 0.0
-    return float(gammaln(arr).sum() - gammaln(arr.sum()))
-
-
 def log_beta_rows(u):
-    """Row-wise log_beta_dirichlet for a 2-d array of positive rows."""
+    """ln of the multivariate beta function of each row of a 2-d array of
+    positive rows: sum ln Gamma(u_k) - ln Gamma(sum u_k)."""
     arr, _ = _positive_array(u, "log_beta_rows")
     if arr.ndim != 2:
         raise DomainError("log_beta_rows expects a 2-d array")
     return gammaln(arr).sum(axis=1) - gammaln(arr.sum(axis=1))
+
+
+def log_beta_dirichlet(u):
+    """log_beta_rows of one non-empty 1-d vector, as a float."""
+    arr, _ = _positive_array(u, "log_beta_dirichlet")
+    if arr.ndim != 1 or arr.size < 1:
+        raise DomainError("log_beta_dirichlet expects a non-empty 1-d vector")
+    return float(log_beta_rows(arr[None])[0])
+
+
+def dirichlet_expected_log(u):
+    """E[ln x] under Dirichlet(u): psi(u_k) - psi(sum u).
+
+    Accepts a single parameter vector or a stack of rows.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or matrix, got ndim={u.ndim}")
+    return digamma(u) - digamma(u.sum(axis=-1, keepdims=True))
 
 
 def xlogy(x, y):

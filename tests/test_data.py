@@ -20,6 +20,7 @@ from ldcc.data import (
     load_tasks,
     save_latents,
     save_tasks,
+    stack_samples,
 )
 from ldcc.errors import DataError, FormatError
 from ldcc.model import ThemeModel
@@ -43,12 +44,14 @@ class TestTask:
         assert t.classes[0].dtype == np.float32
 
     def test_stacked(self):
+        # stack_samples: float64 rows, task by task and class by class, exact.
         t = Task("t", [np.zeros((3, 2)), np.ones((5, 2))])
-        x, offsets = t.stacked()
+        u = Task("u", [np.full((2, 2), 2.0), np.full((1, 2), 0.1)])
+        x = stack_samples([t, u])
         assert x.dtype == np.float64
-        assert x.shape == (8, 2)
-        assert offsets.tolist() == [0, 3, 8]
-        assert np.all(x[3:] == 1.0)
+        assert x.shape == (11, 2)
+        assert x[:, 0].tolist() == [0.0] * 3 + [1.0] * 5 + [2.0] * 2 + [float(np.float32(0.1))]
+        assert np.array_equal(stack_samples([u]), x[8:])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DataError):
@@ -156,7 +159,7 @@ class TestGenerator:
             np.array([[1.0, -2.0]]), sigma, np.array([[1.0], [1.0]]), np.array([1.0, 1.0])
         )
         coll, _ = generate_synthetic(model, 100, 5, 200, seed=3)
-        x = np.concatenate([t.stacked()[0] for t in coll])
+        x = stack_samples(coll)
         n = x.shape[0]
         assert n == 100 * 5 * 200
         # 4-sigma bands around the true moments

@@ -8,7 +8,7 @@ from scipy import special as sp
 from scipy import stats
 
 from helpers import naive_elbo_terms, update_eta, update_gamma, update_lambda, update_r
-from ldcc.data import Task, generate_synthetic
+from ldcc.data import Task, generate_synthetic, stack_samples
 from ldcc.errors import DataError, FormatError, NumericError
 import ldcc.inference as inference
 from ldcc.inference import (
@@ -681,7 +681,7 @@ class TestElbo:
         model = ThemeModel(mu, sigma, np.ones((1, 1)), np.ones(1))
         task = make_task(C=3, N=4, seed=7)
         state = run_estep(task, model, TrainConfig())
-        x, _ = task.stacked()
+        x = stack_samples([task])
         ref = stats.multivariate_normal(mu[0], sigma[0]).logpdf(x).sum()
         assert elbo(task, state, model) == pytest.approx(ref, rel=1e-12)
 

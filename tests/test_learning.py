@@ -10,8 +10,8 @@ from helpers import (
     fd_alpha_gradient,
     random_posterior_instance,
 )
-from ldcc.data import Task, TaskCollection, generate_synthetic
-from ldcc.errors import NumericError
+from ldcc.data import Task, TaskCollection, generate_synthetic, stack_samples
+from ldcc.errors import DataError, NumericError
 import ldcc.inference as inference
 from ldcc.inference import VariationalState, elbo, estep_batch, run_estep
 from ldcc.learning import (
@@ -51,7 +51,7 @@ class TestAccumulateStats:
         rng = np.random.default_rng(0)
         task, state = random_posterior_instance(rng, C=2, N=3, K=2, D=2)
         stats = accumulate_stats([task], [state])
-        x, _ = task.stacked()
+        x = stack_samples([task])
         r = np.concatenate(state.r)
         K, D = 2, 2
         count = np.zeros(K)
@@ -80,6 +80,13 @@ class TestAccumulateStats:
             whole.weighted_sum, sum(p.weighted_sum for p in parts), atol=1e-12
         )
         assert np.allclose(whole.scatter, sum(p.scatter for p in parts), atol=1e-12)
+
+    def test_rejects_mixed_dimensions(self):
+        tasks = [Task("flat", [np.zeros((3, 2))]), Task("wide", [np.ones((2, 3))])]
+        states = [VariationalState([np.full((n, 2), 0.5)], np.ones((1, 2)), np.ones((1, 1)),
+                                   np.ones(1)) for n in (3, 2)]
+        with pytest.raises(DataError, match=r"dimension: \[2, 3\]"):
+            accumulate_stats(tasks, states)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(2)
@@ -165,7 +172,7 @@ def per_task_loop_stats(tasks, states):
     for transform in (lambda x: x, np.abs):
         stats = LocalThemeStats(np.zeros(K), np.zeros((K, D)), np.zeros((K, D, D)))
         for task, state in zip(tasks, states):
-            x, r = transform(task.stacked()[0]), np.concatenate(state.r)
+            x, r = transform(stack_samples([task])), np.concatenate(state.r)
             stats.count += r.sum(axis=0)
             stats.weighted_sum += r.T @ x
             stats.scatter += np.einsum("nk,ni,nj->kij", r, x, x)
@@ -552,6 +559,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(self.collection(), 2, 3, TrainConfig(max_batches=1), threads=0)
 
+    def test_rejects_mixed_dimensions(self):
+        tasks = [*self.collection(num_tasks=2), Task("wide", [np.zeros((4, 3))])]
+        with pytest.raises(DataError, match=r"dimension: \[2, 3\]"):
+            train(tasks, 2, 3, TrainConfig(max_batches=1))
+
     def test_batches_cycle_through_collection(self):
         # batch_size below the collection size must still visit every task
         # within ceil(M / B) batches; check via a wrapper counting E-steps.
@@ -559,18 +571,18 @@ class TestTrain:
         seen = []
         import ldcc.learning as learning_module
 
-        original = learning_module.estep_blocks
+        original = learning_module._plan_blocks
 
-        def spy(tasks, model, config, plan):
+        def spy(tasks, model, config, noise):
             seen.extend(task.id for task in tasks)
-            return original(tasks, model, config, plan)
+            return original(tasks, model, config, noise)
 
-        learning_module.estep_blocks = spy
+        learning_module._plan_blocks = spy
         try:
             cfg = TrainConfig(seed=4, max_batches=7, batch_size=2)
             train(coll, 2, 2, cfg)
         finally:
-            learning_module.estep_blocks = original
+            learning_module._plan_blocks = original
         assert set(seen) == set(coll.ids)
         assert len(seen) == 14
 
@@ -621,8 +633,8 @@ def artifact_bytes(result, tmp_path):
 
 
 class TestTrainMatchesReference:
-    """train() reads the E-step's stacked blocks and reuses its noise plan;
-    the result must be the public per-state composition's, bit for bit."""
+    """train() reads the E-step's stacked blocks and reuses its blocks or
+    noise; the result must be the public per-state composition's, bit for bit."""
 
     @pytest.mark.parametrize("max_e_iters", [100, 1])
     def test_bitwise_equal_to_per_state_composition(self, monkeypatch, max_e_iters):
@@ -651,9 +663,9 @@ class TestTrainMatchesReference:
         built = []
 
         class CountedBlock(inference._Block):
-            def __init__(self, tasks, plan):
+            def __init__(self, tasks, noise):
                 built.append(len(tasks))
-                super().__init__(tasks, plan)
+                super().__init__(tasks, noise)
 
         monkeypatch.setattr(inference, "_Block", CountedBlock)
         cfg = TrainConfig(seed=6, max_batches=4, batch_size=len(coll) + 3,
@@ -669,17 +681,19 @@ class TestTrainMatchesReference:
     def test_same_id_other_split_gets_its_own_noise(self):
         # Two tasks in a train list share an id and a sample count but not
         # their class sizes (3+5 against 5+3).  Each must start from the
-        # class sums of its own split, as it does in a fresh plan.
+        # class sums of its own split, as it does without kept noise.
         rng = np.random.default_rng(4)
         mu = planted_model().mu
         twins = [Task("twin", [(mu[k] + rng.normal(size=(n, 2))).astype(np.float32)
                                for k, n in zip(ks, split)])
                  for ks, split in (((0, 1), (3, 5)), ((2, 0), (5, 3)))]
-        plan = inference._Plan(planted_model(), TrainConfig(seed=2), keep_noise=True)
+        kept = {}
         for twin in twins:
-            fresh = inference._Plan(planted_model(), TrainConfig(seed=2)).noise(twin)
-            for a, b in zip(plan.noise(twin), fresh, strict=True):
+            [block] = inference._plan_blocks([twin], planted_model(), TrainConfig(seed=2), kept)
+            fresh = inference._init_noise(twin, planted_model(), TrainConfig(seed=2))
+            for a, b in zip((block.counts0, block.eta0), fresh, strict=True):
                 assert a.shape == b.shape and np.array_equal(a, b)
+        assert len(kept) == 2
         tasks = [*uneven_collection(), *twins]
         cfg = TrainConfig(seed=2, max_batches=5, batch_size=6)
         assert train(tasks, 2, 3, cfg) == reference_train(tasks, 2, 3, cfg)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldcc.data import Task, TaskCollection
-from ldcc.errors import CheckpointError, ModelError
+from ldcc.data import Task, TaskCollection, stack_samples
+from ldcc.errors import CheckpointError, DataError, ModelError
 import ldcc.model as model_module
 from ldcc.model import (
     ThemeModel,
@@ -258,7 +258,7 @@ class TestInitModel:
     def test_means_are_data_rows(self):
         coll = self.collection()
         m = init_model(coll, 2, 3, delta_value=1.0, seed=4)
-        pooled = np.concatenate([t.stacked()[0] for t in coll])
+        pooled = stack_samples(coll)
         for k in range(3):
             assert any(np.allclose(m.mu[k], row) for row in pooled)
         # distinct rows
@@ -275,6 +275,11 @@ class TestInitModel:
     def test_too_many_themes(self):
         with pytest.raises(ValueError):
             init_model(self.collection(), 1, 5, delta_value=1.0, seed=0)
+
+    def test_mixed_dimensions(self):
+        tasks = [*self.collection(), Task("wide", [np.zeros((4, 3))])]
+        with pytest.raises(DataError, match=r"dimension: \[2, 3\]"):
+            init_model(tasks, 1, 2, delta_value=1.0, seed=0)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,17 @@ class TestDistanceMatrix:
         with pytest.raises(DataError):
             distance_matrix(np.ones((1, 2)), np.ones((1, 3)))
 
+    @pytest.mark.parametrize("empty", ["test", "train"])
+    def test_empty_lambda_set(self, empty):
+        lam, none = np.ones((2, 3)), np.ones((0, 3))
+        test, train = (none, lam) if empty == "test" else (lam, none)
+        with pytest.raises(ValueError, match=f"the {empty} lambdas have no rows"):
+            distance_matrix(test, train)
+        if empty == "test":
+            with pytest.raises(ValueError, match="the test lambdas have no rows"):
+                select_tasks(train, test, 1)
+        assert select_tasks(train, test, 0) == []
+
     def test_invalid_parameters_raise_numeric(self):
         with pytest.raises(NumericError):
             distance_matrix(np.array([[1e308, 1e308]]), np.array([[1e-300, 1.0]]))
