@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -51,6 +52,18 @@ class UsageError(Exception):
     """Flag values that argparse cannot reject on its own."""
 
 
+def _positive(kind):
+    """An argparse type: a `kind` value above 0 and finite."""
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _echo_config(args, out_is_dir: bool) -> None:
     """Print every parsed option as one JSON line and write it beside the output."""
     out_path = Path(args.out)
@@ -69,8 +82,6 @@ def _random_model(dims, delta_value: float, seed: int) -> ThemeModel:
     """A demo model: means 4x standard normal, identity covariances, alpha
     rows uniform in [0.5, 2]."""
     num_task_themes, num_image_themes, dim = dims
-    if min(dims) < 1:
-        raise UsageError("--random-model dimensions must all be >= 1")
     rng = random_model_stream(seed)
     mu = 4.0 * rng.standard_normal((num_image_themes, dim))
     sigma = np.broadcast_to(np.eye(dim), (num_image_themes, dim, dim)).copy()
@@ -80,11 +91,6 @@ def _random_model(dims, delta_value: float, seed: int) -> ThemeModel:
 
 
 def cmd_gen(args) -> None:
-    for flag in ("tasks", "classes", "shots"):
-        if getattr(args, flag) < 1:
-            raise UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    if args.delta <= 0:
-        raise UsageError(f"--delta must be positive, got {args.delta}")
     if args.model is not None:
         model = load_model(args.model)
     else:
@@ -96,8 +102,6 @@ def cmd_gen(args) -> None:
 
 def _config(args, **fields) -> TrainConfig:
     """The E-step options common to train and infer plus fields; bad values are usage errors."""
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     try:
         return TrainConfig(e_tol=args.e_tol, max_e_iters=args.max_e_iters, seed=args.seed, **fields)
     except ValueError as exc:
@@ -105,10 +109,6 @@ def _config(args, **fields) -> TrainConfig:
 
 
 def cmd_train(args) -> None:
-    if args.task_themes < 1 or args.image_themes < 1:
-        raise UsageError("--task-themes and --image-themes must be >= 1")
-    if args.delta <= 0:
-        raise UsageError(f"--delta must be positive, got {args.delta}")
     config = _config(
         args, tau0=args.tau0, tau1=args.tau1, batch_size=args.batch,
         jitter=args.jitter, max_batches=args.max_batches,
@@ -163,8 +163,6 @@ def cmd_select(args) -> None:
 
 
 def cmd_diagram(args) -> None:
-    if args.bins < 1:
-        raise UsageError(f"--bins must be >= 1, got {args.bins}")
     ids, distances = read_distance_csv(args.distances)
     accuracy_table = read_accuracy_csv(args.accuracies)
     unknown = sorted(set(accuracy_table) - set(ids))
@@ -198,17 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--random-model",
         nargs=3,
-        type=int,
+        type=_positive(int),
         metavar=("L", "K", "D"),
         help="sample from a random model with L task themes, K image themes, "
         "dimension D",
     )
-    gen.add_argument("--tasks", type=int, required=True, help="number of tasks")
-    gen.add_argument("--classes", type=int, required=True, help="classes per task")
-    gen.add_argument("--shots", type=int, required=True, help="samples per class")
+    gen.add_argument("--tasks", type=_positive(int), required=True, help="number of tasks")
+    gen.add_argument("--classes", type=_positive(int), required=True, help="classes per task")
+    gen.add_argument("--shots", type=_positive(int), required=True, help="samples per class")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument(
-        "--delta", type=float, default=0.5,
+        "--delta", type=_positive(float), default=0.5,
         help="symmetric task-theme prior for --random-model (default 0.5)",
     )
     gen.add_argument("--out", required=True, help="output directory")
@@ -216,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train shared themes on a task collection")
     tr.add_argument("--data", required=True, help="collection manifest JSON")
-    tr.add_argument("--task-themes", type=int, required=True, metavar="L")
-    tr.add_argument("--image-themes", type=int, required=True, metavar="K")
-    tr.add_argument("--delta", type=float, default=0.5)
+    tr.add_argument("--task-themes", type=_positive(int), required=True, metavar="L")
+    tr.add_argument("--image-themes", type=_positive(int), required=True, metavar="K")
+    tr.add_argument("--delta", type=_positive(float), default=0.5)
     tr.add_argument("--tau0", type=float, default=100.0)
     tr.add_argument(
         "--tau1", type=float, default=0.51,
@@ -230,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--jitter", type=float, default=1e-6)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--max-batches", type=int, default=100)
-    tr.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    tr.add_argument("--threads", type=_positive(int), default=1, help=_THREADS_HELP)
     tr.add_argument("--out", required=True, help="output directory")
     tr.set_defaults(func=cmd_train)
 
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--e-tol", type=float, default=1e-3)
     inf.add_argument("--max-e-iters", type=int, default=100)
     inf.add_argument("--seed", type=int, default=0)
-    inf.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    inf.add_argument("--threads", type=_positive(int), default=1, help=_THREADS_HELP)
     inf.add_argument("--out", required=True, help="output CSV path")
     inf.set_defaults(func=cmd_infer)
 
@@ -260,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     dia = sub.add_parser("diagram", help="distance-vs-accuracy correlation diagram")
     dia.add_argument("--distances", required=True, help="CSV from 'distance'")
     dia.add_argument("--accuracies", required=True, help="CSV task_id,accuracy")
-    dia.add_argument("--bins", type=int, required=True, metavar="J")
+    dia.add_argument("--bins", type=_positive(int), required=True, metavar="J")
     dia.add_argument("--out", required=True, help="output CSV path")
     dia.set_defaults(func=cmd_diagram)
     return parser

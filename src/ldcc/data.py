@@ -89,6 +89,8 @@ class Task:
 def stack_samples(tasks) -> np.ndarray:
     """The tasks' samples as one float64 (rows, D) array, task by task and
     class by class; exact, as every float32 is a float64."""
+    if not tasks:
+        raise DataError("the task list is empty")
     dims = {task.dimension for task in tasks}
     if len(dims) > 1:
         raise DataError(f"tasks disagree on feature dimension: {sorted(dims)}")
@@ -221,8 +223,8 @@ def generate_synthetic(
     return TaskCollection(tasks), LatentRecord(phis, ys, zs)
 
 
-def save_tasks(collection: TaskCollection, out_dir, manifest_name="manifest.json") -> Path:
-    """Write one binary file per task plus a manifest; returns the manifest path."""
+def save_tasks(collection: TaskCollection, out_dir) -> Path:
+    """Write one binary file per task plus manifest.json; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -233,7 +235,7 @@ def save_tasks(collection: TaskCollection, out_dir, manifest_name="manifest.json
             parts += [_COUNT.pack(block.shape[0]), np.ascontiguousarray(block, dtype="<f4").tobytes()]
         (out_dir / filename).write_bytes(b"".join(parts))
         entries.append({"id": task.id, "path": filename})
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.json"
     manifest = {"dimension": collection.dimension, "tasks": entries}
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return manifest_path

@@ -308,7 +308,7 @@ def _update_gamma(counts, eta, alpha_m1, seg, clamps):
 def _estep_block(block, model, config):
     """`estep_blocks` for one `_Block`, on theme-major arrays (module docstring)."""
     seg = block.seg
-    log_pdfs = model.log_pdfs(block.samples, theme_major=True)
+    log_pdfs = model.log_pdfs(block.samples)
     all_dens = dens = _densities(log_pdfs)
     alpha_m1 = model.alpha - 1.0
     log_norm = log_beta_rows(model.alpha)[:, None]
@@ -460,24 +460,22 @@ def _bound(t):
             - t["log_qz"] - t["log_qtheta"] - t["log_qy"] - t["log_qphi"])
 
 
-def elbo_terms(task, state, model, log_pdfs=None):
+def elbo_terms(task, state, model):
     """The nine evidence-lower-bound expectations for one task.
 
     Keys log_px, log_pz, log_ptheta, log_py, log_pphi are added and
     log_qz, log_qtheta, log_qy, log_qphi subtracted to form the bound.
     Entropy sums use the 0 ln 0 = 0 convention.
     """
-    if log_pdfs is None:
-        log_pdfs = model.log_pdfs(stack_samples([task]))
     part = _Stacked.of([state])
-    part.log_pdfs = np.asarray(log_pdfs).T
+    part.log_pdfs = model.log_pdfs(stack_samples([task]))
     terms = _elbo_terms(part, model)
     return {key: float(value[0]) for key, value in terms.items()}
 
 
-def elbo(task, state, model, log_pdfs=None) -> float:
+def elbo(task, state, model) -> float:
     """Evidence lower bound for one task under its variational state."""
-    return _bound(elbo_terms(task, state, model, log_pdfs))
+    return _bound(elbo_terms(task, state, model))
 
 
 def write_lambda_csv(path, ids, lambdas) -> None:

@@ -169,32 +169,16 @@ def alpha_newton_direction(work: AlphaNewtonWork) -> np.ndarray:
     return np.where(work.active_rows[:, None], direction, 0.0)
 
 
-def _damped_alpha_step(alpha_row, step_row):
-    """Halve a row's Newton step until the row stays positive, then floor.
-
-    Returns the new row, whether all _MAX_HALVINGS halvings were used, and
-    how many of its entries were raised to _ALPHA_FLOOR.
-    """
-    step = step_row.copy()
-    exhausted = False
-    for _ in range(_MAX_HALVINGS):
-        if (alpha_row - step > 0).all():
-            break
-        step *= 0.5
-    else:
-        exhausted = True
-    row = alpha_row - step
-    return np.maximum(row, _ALPHA_FLOOR), exhausted, int((row < _ALPHA_FLOOR).sum())
-
-
 def online_update(model, means, covs, newton_direction, rho, active=None) -> ThemeModel:
     """Blend batch estimates into the model with step size rho.
 
     Gaussian themes move along the convex combination (1 - rho) old +
     rho new; inactive themes (no batch mass) keep their previous values.
-    alpha takes a damped Newton step alpha - rho * direction, floored
-    entrywise; rows that use every halving or hit the floor are logged in
-    one warning.  The result is re-validated and re-factorized.
+    alpha takes a damped Newton step alpha - rho * direction: the rows
+    whose step leaves an entry nonpositive halve it together, up to
+    _MAX_HALVINGS times, and then every entry is floored at _ALPHA_FLOOR.
+    Rows that use every halving or hit the floor are logged in one
+    warning.  The result is re-validated and re-factorized.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
@@ -212,13 +196,18 @@ def online_update(model, means, covs, newton_direction, rho, active=None) -> The
         covs = np.where(active[:, None, None], covs, model.sigma)
     new_mu = (1.0 - rho) * model.mu + rho * means
     new_sigma = (1.0 - rho) * model.sigma + rho * covs
-    steps = [
-        _damped_alpha_step(model.alpha[l], rho * newton_direction[l])
-        for l in range(model.L)
-    ]
-    new_alpha = np.vstack([row for row, _, _ in steps])
-    exhausted = [l for l, (_, used_all, _) in enumerate(steps) if used_all]
-    floored = {l: count for l, (_, _, count) in enumerate(steps) if count}
+    step = rho * newton_direction
+    halving = np.ones(model.L, dtype=bool)
+    for _ in range(_MAX_HALVINGS):
+        halving &= ~(model.alpha - step > 0).all(axis=1)
+        if not halving.any():
+            break
+        step[halving] *= 0.5
+    new_alpha = model.alpha - step
+    exhausted = np.flatnonzero(halving).tolist()
+    below = np.count_nonzero(new_alpha < _ALPHA_FLOOR, axis=1).tolist()
+    floored = {l: count for l, count in enumerate(below) if count}
+    new_alpha = np.maximum(new_alpha, _ALPHA_FLOOR)
     if exhausted or floored:
         logger.warning(
             "alpha rows %s used all %d step halvings; entries floored at %g per row: %s",

@@ -93,8 +93,8 @@ class ThemeModel:
             self.delta,
         )
 
-    def log_pdfs(self, x: np.ndarray, *, theme_major: bool = False) -> np.ndarray:
-        """Gaussian log-densities of rows of x under every theme, (n, K) or, theme_major, (K, n).
+    def log_pdfs(self, x: np.ndarray) -> np.ndarray:
+        """Gaussian log-densities of the n rows of x under every theme, as (K, n).
 
         Mahalanobis terms come from forward substitution against the cached
         Cholesky factors, one feature at a time over the (D, K, rows)
@@ -120,7 +120,7 @@ class ThemeModel:
             np.einsum("ikn,ikn->kn", z, z, out=part)
         out += self.D * _LOG_2PI + self.log_dets[:, None]
         out *= -0.5
-        return np.ascontiguousarray(out[:, :n]) if theme_major else out[:, :n].T.copy()
+        return np.ascontiguousarray(out[:, :n])
 
     def __eq__(self, other):
         return (
@@ -231,17 +231,17 @@ class TrainConfig:
     max_batches: int = 100
 
     def __post_init__(self):
-        if self.tau0 < 0:
+        if not self.tau0 >= 0:
             raise ValueError(f"tau0 must be >= 0, got {self.tau0}")
         if not 0.5 < self.tau1 <= 1.0:
             raise ValueError(f"tau1 must lie in (0.5, 1], got {self.tau1}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.e_tol <= 0:
+        if not self.e_tol > 0:
             raise ValueError(f"e_tol must be positive, got {self.e_tol}")
         if self.max_e_iters < 1:
             raise ValueError(f"max_e_iters must be >= 1, got {self.max_e_iters}")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         if self.max_batches < 1:
             raise ValueError(f"max_batches must be >= 1, got {self.max_batches}")

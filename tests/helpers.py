@@ -13,13 +13,15 @@ from scipy import special as sp
 
 from ldcc.data import Task
 from ldcc.inference import VariationalState, _floor_gamma, _softmax, dirichlet_expected_log
+from ldcc.learning import _ALPHA_FLOOR, _MAX_HALVINGS
 from ldcc.special import log_beta_rows
 
 
 def update_r(task, c, state, model, log_pdfs=None):
-    """Responsibilities for class c: softmax of E[ln theta] + Gaussian log-pdf."""
+    """Responsibilities for class c: softmax of E[ln theta] + Gaussian log-pdf
+    (log_pdfs, when given, is the class's (n, K) table)."""
     if log_pdfs is None:
-        log_pdfs = model.log_pdfs(task.classes[c].astype(np.float64))
+        log_pdfs = model.log_pdfs(task.classes[c].astype(np.float64)).T
     expected_log_theta = dirichlet_expected_log(state.gamma[c])
     return _softmax(expected_log_theta[None, :] + log_pdfs, axis=1)
 
@@ -192,6 +194,24 @@ def random_posterior_instance(rng, C=3, N=4, K=3, L=2, D=2):
     lam = rng.uniform(0.2, 6.0, size=L)
     state = VariationalState(r, gamma, eta, lam)
     return task, state
+
+
+def damped_alpha_step(alpha_row, step_row):
+    """Halve a row's Newton step until the row stays positive, then floor.
+
+    Returns the new row, whether all _MAX_HALVINGS halvings were used, and
+    how many of its entries were raised to _ALPHA_FLOOR.
+    """
+    step = step_row.copy()
+    exhausted = False
+    for _ in range(_MAX_HALVINGS):
+        if (alpha_row - step > 0).all():
+            break
+        step *= 0.5
+    else:
+        exhausted = True
+    row = alpha_row - step
+    return np.maximum(row, _ALPHA_FLOOR), exhausted, int((row < _ALPHA_FLOOR).sum())
 
 
 def mc_dirichlet_kl(a, b, num_samples, rng):

@@ -102,6 +102,22 @@ class TestGen:
         assert code == 2
         assert "--tasks" in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--random-model", "2", "0", "2"], ["--classes", "0"], ["--shots", "-1"],
+        ["--delta", "0"], ["--delta", "nan"], ["--delta", "inf"],
+    ], ids="=".join)
+    def test_out_of_range_is_usage_error(self, tmp_path, capsys, extra):
+        # The last value of a repeated flag wins.
+        code, _, err = run(capsys, *gen_args(tmp_path / "x"), *extra)
+        assert code == 2
+        assert f"argument {extra[0]}" in err and "must be finite and above 0" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_integer_count(self, tmp_path, capsys):
+        code, _, err = run(capsys, *gen_args(tmp_path / "x"), "--tasks", "two")
+        assert code == 2
+        assert "argument --tasks: invalid int value: 'two'" in err
+
     def test_missing_model_file(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,
@@ -217,6 +233,16 @@ class TestTrain:
         assert code == 2
         assert "tau1" in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--task-themes", "0"], ["--image-themes", "0"], ["--delta", "0"], ["--delta", "nan"],
+        ["--threads", "0"], ["--tau0", "nan"], ["--e-tol", "nan"], ["--jitter", "nan"],
+    ], ids="=".join)
+    def test_out_of_range_is_usage_error(self, small_collection, tmp_path, capsys, extra):
+        code, _, err = run(capsys, *self.train_args(small_collection, tmp_path / "x", extra))
+        assert code == 2
+        assert extra[0] in err or extra[0][2:].replace("-", "_") in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_data(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,
@@ -299,6 +325,16 @@ class TestInfer:
         assert code == 0
         _, lam = read_lambda_csv(out)
         assert np.allclose(lam, 0.5 + 3.0, atol=1e-12)
+
+    def test_zero_threads_is_usage_error(self, small_collection, tmp_path, capsys):
+        code, _, err = run(
+            capsys,
+            "infer", "--model", str(tmp_path / "model.json"),
+            "--data", str(small_collection / "manifest.json"),
+            "--threads", "0", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "argument --threads" in err
 
     def test_dimension_mismatch(self, small_collection, tmp_path, capsys):
         model = ThemeModel(

@@ -125,7 +125,7 @@ class TestUpdateR:
         model = make_model()
         task = make_task(C=1, N=5)
         state = random_state(task, model)
-        table = model.log_pdfs(task.classes[0].astype(np.float64))
+        table = model.log_pdfs(task.classes[0].astype(np.float64)).T
         a = update_r(task, 0, state, model)
         b = update_r(task, 0, state, model, log_pdfs=table)
         assert np.array_equal(a, b)
@@ -136,7 +136,7 @@ class TestUpdateR:
         model = make_model(K=3)
         task = make_task(C=1, N=4)
         state = random_state(task, model)
-        table = model.log_pdfs(task.classes[0].astype(np.float64))
+        table = model.log_pdfs(task.classes[0].astype(np.float64)).T
         table[2] = bad
         with pytest.raises(NumericError):
             update_r(task, 0, state, model, log_pdfs=table)
@@ -148,7 +148,7 @@ class TestUpdateR:
         model = make_model(K=3)
         task = make_task(C=1, N=4)
         state = random_state(task, model)
-        table = model.log_pdfs(task.classes[0].astype(np.float64))
+        table = model.log_pdfs(task.classes[0].astype(np.float64)).T
         table[2, 1] = np.inf
         with np.errstate(all="raise"), pytest.raises(NumericError, match=r"\+inf logits"):
             update_r(task, 0, state, model, log_pdfs=table)

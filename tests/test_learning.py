@@ -1,4 +1,5 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    damped_alpha_step,
     dense_newton_solve,
     fd_alpha_gradient,
     random_posterior_instance,
@@ -14,6 +16,7 @@ from ldcc.data import Task, TaskCollection, generate_synthetic, stack_samples
 from ldcc.errors import DataError, NumericError
 import ldcc.inference as inference
 from ldcc.inference import VariationalState, elbo, estep_batch, run_estep
+import ldcc.learning as learning
 from ldcc.learning import (
     LocalThemeStats,
     TrainLogRow,
@@ -421,6 +424,57 @@ class TestOnlineUpdate:
         assert out.alpha[1, 0] == pytest.approx(4.0)
         assert out.alpha[0, 0] == pytest.approx(0.375)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_damping_matches_row_oracle(self, data):
+        # Every draw holds a row of each kind: one that needs no halving, one
+        # that needs 1 to 16, one that uses all 20, and one whose undamped
+        # step lands in (0, floor); more rows of random kinds may follow.
+        kinds = ["none", "some", "all", "floor"]
+        extra = data.draw(st.lists(st.sampled_from(kinds), max_size=4))
+        kinds = data.draw(st.permutations(kinds + extra))
+        K = data.draw(st.integers(1, 5))
+        rho = data.draw(st.floats(0.05, 1.0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        alpha = rng.uniform(1e-3, 10.0, size=(len(kinds), K))
+        # These entries keep alpha - rho * direction >= alpha / 2.
+        direction = alpha * rng.uniform(-3.0, 0.5, size=alpha.shape) / rho
+        for l, kind in enumerate(kinds):
+            k = rng.integers(K)
+            if kind == "some":
+                # alpha - step / 2**h is exactly 0 or -alpha / 2: h + 1 halvings are needed
+                direction[l, k] = rng.uniform(1.0, 10.0) / rho
+                h = rng.integers(0, 16)
+                alpha[l, k] = rho * direction[l, k] / 2.0**h * rng.choice([1.0, 2.0 / 3.0])
+            elif kind == "all":
+                direction[l, k] = alpha[l, k] * 2.0 ** rng.uniform(21.0, 100.0) / rho
+            elif kind == "floor":
+                direction[l, k] = (alpha[l, k] - rng.uniform(1e-12, 9e-7)) / rho
+
+        rows, exhausted, floored = [], [], {}
+        for l, kind in enumerate(kinds):
+            row, used_all, count = damped_alpha_step(alpha[l], rho * direction[l])
+            undamped = np.maximum(alpha[l] - rho * direction[l], 1e-6)
+            assert used_all == (kind == "all")
+            assert (count > 0) == (kind in ("all", "floor"))
+            # (an exhausted row may floor to the undamped row's values)
+            assert kind == "all" or np.array_equal(row, undamped) == (kind != "some")
+            rows.append(row)
+            if used_all:
+                exhausted.append(l)
+            if count:
+                floored[l] = count
+
+        m = ThemeModel(np.zeros((K, 1)), np.ones((K, 1, 1)), alpha, np.ones(len(kinds)))
+        with mock.patch.object(learning.logger, "warning") as warn:
+            out = online_update(m, m.mu, m.sigma, direction, rho)
+        assert out.alpha.tobytes() == np.vstack(rows).tobytes()
+        [call] = warn.call_args_list
+        assert call.args[0] % call.args[1:] == (
+            f"alpha rows {exhausted} used all 20 step halvings; "
+            f"entries floored at 1e-06 per row: {floored}"
+        )
+
     def test_inactive_keeps_previous(self, caplog):
         m = self.model()
         means = np.array([[9.0, 9.0], [0.0, 0.0]])
@@ -563,6 +617,10 @@ class TestTrain:
         tasks = [*self.collection(num_tasks=2), Task("wide", [np.zeros((4, 3))])]
         with pytest.raises(DataError, match=r"dimension: \[2, 3\]"):
             train(tasks, 2, 3, TrainConfig(max_batches=1))
+
+    def test_rejects_empty_task_list(self):
+        with pytest.raises(DataError, match="the task list is empty"):
+            train([], 2, 3, TrainConfig(max_batches=1))
 
     def test_batches_cycle_through_collection(self):
         # batch_size below the collection size must still visit every task

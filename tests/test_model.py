@@ -20,7 +20,7 @@ from ldcc.model import (
 
 
 def one_pass_log_pdfs(m, x):
-    """ThemeModel.log_pdfs, theme-major, with the differences of all rows to
+    """ThemeModel.log_pdfs with the differences of all rows to
     all themes in one (D, K, n) array: the reference for its row split.  A
     single row is the first of two, as log_pdfs solves it: einsum would sum
     a one-row pass in another order than any larger one."""
@@ -38,7 +38,7 @@ def one_pass_log_pdfs(m, x):
 
 def gaussian_log_pdf(m, x, k):
     """Log-density of one sample under image-theme k, as a one-row log_pdfs."""
-    return float(m.log_pdfs(np.asarray(x, dtype=np.float64)[None, :])[0, k])
+    return float(m.log_pdfs(np.asarray(x, dtype=np.float64)[None, :])[k, 0])
 
 
 def make_model(K=2, D=2, L=2):
@@ -160,30 +160,13 @@ class TestGaussianLogPdf:
             m = ThemeModel(mu, sigma, np.ones((1, K)), np.ones(1))
             x = rng.normal(size=(n, D)) * 2
             table = m.log_pdfs(x)
-            assert table.shape == (n, K)
+            assert table.shape == (K, n)
             for k in range(K):
                 _, logdet = np.linalg.slogdet(sigma[k])
                 diff = x - mu[k]
                 quad = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(sigma[k]), diff)
                 expected = -0.5 * (D * math.log(2 * math.pi) + logdet + quad)
-                assert np.max(np.abs(table[:, k] - expected)) <= 1e-8
-
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_theme_major_is_transpose(self, data):
-        # The sweep's (K, n) layout must hold the public (n, K) table's bits.
-        K, D = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
-        n = data.draw(st.integers(1, 40))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        base = rng.normal(size=(K, D, D))
-        sigma = np.einsum("kij,klj->kil", base, base) + 0.1 * np.eye(D)
-        m = ThemeModel(rng.normal(size=(K, D)) * 3, sigma, np.ones((1, K)), np.ones(1))
-        x = rng.normal(size=(n, D)) * 4
-        table = m.log_pdfs(x)
-        by_theme = m.log_pdfs(x, theme_major=True)
-        assert by_theme.shape == (K, n)
-        assert by_theme.T.tobytes() == table.tobytes()
-        assert table.flags.c_contiguous and by_theme.flags.c_contiguous
+                assert np.max(np.abs(table[k] - expected)) <= 1e-8
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -201,7 +184,7 @@ class TestGaussianLogPdf:
         want = one_pass_log_pdfs(m, x)
         for rows in (4, data.draw(st.integers(4, max(4, n))), n, 4096):
             with mock.patch.object(model_module, "_LOG_PDF_ROWS", rows):
-                assert m.log_pdfs(x, theme_major=True).tobytes() == want.tobytes()
+                assert m.log_pdfs(x).tobytes() == want.tobytes()
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -217,23 +200,21 @@ class TestGaussianLogPdf:
         x = rng.normal(size=(50, D)) * 4
         table = m.log_pdfs(x)
         one = m.log_pdfs(x[j:j + 1])
-        assert one.shape == (1, K) and one.flags.c_contiguous
-        assert one.tobytes() == table[j:j + 1].tobytes()
-        by_theme = m.log_pdfs(x[j:j + 1], theme_major=True)
-        assert by_theme.shape == (K, 1) and by_theme.flags.c_contiguous
-        assert by_theme.tobytes() == table[j].tobytes()
+        assert table.flags.c_contiguous
+        assert one.shape == (K, 1) and one.flags.c_contiguous
+        assert one.tobytes() == table[:, j].tobytes()
         k = data.draw(st.integers(0, K - 1))
-        assert gaussian_log_pdf(m, x[j], k) == table[j, k]
+        assert gaussian_log_pdf(m, x[j], k) == table[k, j]
 
     def test_batch_matches_single(self):
         m = make_model(K=3, D=2)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(5, 2))
         table = m.log_pdfs(x)
-        assert table.shape == (5, 3)
+        assert table.shape == (3, 5)
         for n in range(5):
             for k in range(3):
-                assert table[n, k] == pytest.approx(
+                assert table[k, n] == pytest.approx(
                     gaussian_log_pdf(m, x[n], k), rel=1e-12, abs=1e-12
                 )
 
@@ -280,6 +261,10 @@ class TestInitModel:
         tasks = [*self.collection(), Task("wide", [np.zeros((4, 3))])]
         with pytest.raises(DataError, match=r"dimension: \[2, 3\]"):
             init_model(tasks, 1, 2, delta_value=1.0, seed=0)
+
+    def test_empty_task_list(self):
+        with pytest.raises(DataError, match="the task list is empty"):
+            init_model([], 1, 2, delta_value=1.0, seed=0)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -364,6 +349,10 @@ class TestTrainConfig:
             {"max_e_iters": 0},
             {"jitter": -1e-9},
             {"max_batches": 0},
+            {"tau0": math.nan},
+            {"tau1": math.nan},
+            {"e_tol": math.nan},
+            {"jitter": math.nan},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
