@@ -22,11 +22,11 @@ from .data import (
     save_tasks,
 )
 from .inference import (
-    VariationalState,
+    Posterior,
     dirichlet_expected_log,
     elbo,
     elbo_terms,
-    estep_batch,
+    estep_blocks,
     read_lambda_csv,
     run_estep,
     write_lambda_csv,
@@ -78,10 +78,10 @@ __all__ = [
     "init_model",
     "save_model",
     "load_model",
-    "VariationalState",
+    "Posterior",
     "dirichlet_expected_log",
     "run_estep",
-    "estep_batch",
+    "estep_blocks",
     "elbo",
     "elbo_terms",
     "write_lambda_csv",

@@ -32,7 +32,7 @@ from .errors import (
     ModelError,
     NumericError,
 )
-from .inference import _Stacked, estep_blocks, read_lambda_csv, warn_estep_waste, write_lambda_csv
+from .inference import Posterior, estep_blocks, read_lambda_csv, warn_estep_waste, write_lambda_csv
 from .learning import train, write_training_log
 from .model import ThemeModel, TrainConfig, load_model, save_model
 from .similarity import (
@@ -133,7 +133,7 @@ def cmd_infer(args) -> None:
     model = load_model(args.model)
     collection = load_tasks(args.data)
     # Only lambda and the counters are read, so each block drops r when it is done.
-    parts = list(map(_Stacked.classes, estep_blocks(collection, model, config)))
+    parts = list(map(Posterior.classes, estep_blocks(collection, model, config)))
     warn_estep_waste("infer", parts, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -31,17 +31,16 @@ computed.
 A `_Block` holds what no sweep changes: segments, init noise and the
 samples stacked by `stack_samples`.  `_plan_blocks` checks every task's
 dimension, then builds the blocks as they are drawn; a caller that passes
-it a dict keeps each task's init noise there.  Each block's result comes
-back stacked (`_Stacked`) with the log-densities its sweep used and its
-samples, so `train` reads the statistics and the bound from it directly.
-`estep_batch` unstacks the blocks into one VariationalState per task, and
-`run_estep` is a batch of one.
+it a dict keeps each task's init noise there.  Each block's result is a
+`Posterior`, the one posterior type: its tasks' arrays stacked, with the
+log-densities its sweep used and its samples, so `elbo` and
+`learning.accumulate_stats` read it as it is.  `run_estep` is a batch of
+one that keeps only the task's lambda and counters.
 """
 
 from __future__ import annotations
 
 import logging
-from itertools import chain
 
 import numpy as np
 from scipy.special import psi
@@ -55,25 +54,6 @@ logger = logging.getLogger(__name__)
 
 _GAMMA_FLOOR = 1e-8
 _INIT_NOISE_CONCENTRATION = 100.0
-
-
-class VariationalState:
-    """Posterior parameters for one task.
-
-    r: per class, an (N_c, K) row-normalized responsibility matrix.
-    gamma: (C, K) per-class Dirichlet parameters over image themes.
-    eta: (C, L) per-class task-theme weights, row-normalized.
-    lam: (L,) task-level Dirichlet parameter; the task's embedding.
-    """
-
-    def __init__(self, r, gamma, eta, lam, iterations=0, converged=False, gamma_clamps=0):
-        self.r = list(r)
-        self.gamma = np.asarray(gamma, dtype=np.float64)
-        self.eta = np.asarray(eta, dtype=np.float64)
-        self.lam = np.asarray(lam, dtype=np.float64)
-        self.iterations = iterations
-        self.converged = converged
-        self.gamma_clamps = gamma_clamps
 
 
 def _expected_log(u):
@@ -213,11 +193,19 @@ def _plan_blocks(tasks, model, config, noise=None):
     return (_Block(run, list(map(task_noise, run))) for run in _blocks(tasks))
 
 
-class _Stacked:
-    """Consecutive tasks' posteriors in stacks: r theme-major (K, rows), gamma
-    (classes, K), eta (classes, L), lam (tasks, L), and from a sweep the
-    per-task iterations, converged and gamma_clamps, the (K, rows) log_pdfs
-    it used and its block's (rows, D) samples."""
+class Posterior:
+    """The variational posteriors of consecutive tasks, stacked.
+
+    r: theme-major (K, rows) responsibilities; each sample's column sums to 1.
+    gamma: (classes, K) per-class Dirichlet parameters over image themes.
+    eta: (classes, L) per-class task-theme weights, rows normalized.
+    lam: (tasks, L) task-level Dirichlet parameters; row d is task d's embedding.
+    seg: the `_Segments` of the rows' classes and tasks.
+
+    From a sweep it also holds the per-task iterations, converged and
+    gamma_clamps, the (K, rows) log_pdfs the sweep used and its block's
+    (rows, D) samples.
+    """
 
     def __init__(self, seg, r, gamma, eta, lam, iterations=None, converged=None,
                  gamma_clamps=None, log_pdfs=None, samples=None):
@@ -225,37 +213,10 @@ class _Stacked:
         self.iterations, self.converged, self.gamma_clamps = iterations, converged, gamma_clamps
         self.log_pdfs, self.samples = log_pdfs, samples
 
-    @classmethod
-    def of(cls, states):
-        return cls(
-            _Segments.of([[len(b) for b in state.r] for state in states]),
-            np.concatenate([b.T for state in states for b in state.r], axis=1),
-            np.concatenate([state.gamma for state in states]),
-            np.concatenate([state.eta for state in states]),
-            np.stack([state.lam for state in states]),
-        )
-
     def classes(self):
         """This result without its per-sample arrays."""
-        return _Stacked(None, None, self.gamma, self.eta, self.lam,
-                        self.iterations, self.converged, self.gamma_clamps)
-
-    def states(self):
-        r_blocks = np.split(self.r.T.copy(), self.seg.class_starts[1:])
-        starts = self.seg.task_starts
-        return [
-            VariationalState(
-                r_blocks[a:b], self.gamma[a:b], self.eta[a:b], self.lam[d],
-                iterations=int(self.iterations[d]),
-                converged=bool(self.converged[d]),
-                gamma_clamps=int(self.gamma_clamps[d]),
-            )
-            for d, (a, b) in enumerate(zip(starts, starts + self.seg.task_classes))
-        ]
-
-    def bounds(self, model):
-        """Evidence lower bound of each task, from the sweep's log-densities."""
-        return _bound(_elbo_terms(self, model))
+        return Posterior(None, None, self.gamma, self.eta, self.lam,
+                         self.iterations, self.converged, self.gamma_clamps)
 
 
 _TINY = np.finfo(np.float64).tiny
@@ -372,42 +333,40 @@ def _estep_block(block, model, config):
         expected_log_theta = np.compress(keep_classes, expected_log_theta, axis=1)
         dens = np.compress(keep_rows, dens, axis=1)
 
-    return _Stacked(seg, _responsibilities(out_log_theta, all_dens, seg, log_pdfs),
-                    out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
-                    iterations, converged, out_clamps, log_pdfs, block.samples)
+    return Posterior(seg, _responsibilities(out_log_theta, all_dens, seg, log_pdfs),
+                     out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
+                     iterations, converged, out_clamps, log_pdfs, block.samples)
 
 
 def estep_blocks(tasks, model, config):
-    """Solve the tasks' E-steps a block at a time; yields each block's `_Stacked`.
-
-    Every task's dimension is checked before any block is solved.
-    """
-    return (_estep_block(block, model, config) for block in _plan_blocks(tasks, model, config))
-
-
-def estep_batch(tasks, model, config):
-    """Fit the posterior of every task; returns VariationalStates in task order.
+    """Fit the posterior of every task; yields one `Posterior` per block, in task order.
 
     Per task, responsibilities and theme weights start uniform plus
     symmetric Dirichlet(100) noise (the noise breaks theme symmetry), gamma
     and lambda from one application of their update rules.  Sweeps run
     until the mean absolute lambda change falls below config.e_tol or
-    config.max_e_iters is reached; `state.converged` records which, and
-    `state.gamma_clamps` counts the gamma entries floored while the task
-    ran.
+    config.max_e_iters is reached; `converged` records which, and
+    `gamma_clamps` counts the gamma entries floored while the task ran.
 
     The tasks are solved together in blocks of stacked samples, and a task
     that stops is taken out of the sweeps, so each result is the one the
     task reaches alone.  Its noise stream is keyed by (config.seed, digest
-    of task.id), so the same seed and task give the same state regardless
-    of batch order or composition.
+    of task.id), so the same seed and task give the same posterior
+    regardless of batch order or composition.  Every task's dimension is
+    checked before any block is solved.
     """
-    return list(chain.from_iterable(map(_Stacked.states, estep_blocks(tasks, model, config))))
+    return (_estep_block(block, model, config) for block in _plan_blocks(tasks, model, config))
 
 
 def run_estep(task, model, config):
-    """Fit one task's posterior: `estep_batch` for a batch of one."""
-    return estep_batch([task], model, config)[0]
+    """Fit one task's posterior: `estep_blocks` for a batch of one.
+
+    The result keeps only the task's lambda, an (L,) array, and its
+    iterations, converged and gamma_clamps as scalars.
+    """
+    (part,) = estep_blocks([task], model, config)
+    return Posterior(None, None, None, None, part.lam[0], part.iterations[0],
+                     part.converged[0], part.gamma_clamps[0])
 
 
 def warn_estep_waste(where, parts, config) -> None:
@@ -423,9 +382,16 @@ def warn_estep_waste(where, parts, config) -> None:
         )
 
 
-def _elbo_terms(part, model):
-    """The nine bound expectations of each task of a `_Stacked` (r and log_pdfs (K, rows))."""
-    seg, r, gamma, eta, lam = part.seg, part.r, part.gamma, part.eta, part.lam
+def elbo_terms(posterior, model):
+    """The nine evidence-lower-bound expectations of each task of a `Posterior`.
+
+    Each value is an array over the posterior's tasks, read from its r and
+    log_pdfs.  Keys log_px, log_pz, log_ptheta, log_py, log_pphi are added
+    and log_qz, log_qtheta, log_qy, log_qphi subtracted to form the bound.
+    Entropy sums use the 0 ln 0 = 0 convention.
+    """
+    seg, r, gamma, eta, lam = (posterior.seg, posterior.r, posterior.gamma, posterior.eta,
+                               posterior.lam)
     expected_log_theta = dirichlet_expected_log(gamma)
     expected_log_phi = dirichlet_expected_log(lam)
     alpha_m1 = model.alpha - 1.0
@@ -440,7 +406,7 @@ def _elbo_terms(part, model):
         return np.add.reduceat(values, seg.task_starts)
 
     return {
-        "log_px": over_rows(r * part.log_pdfs),
+        "log_px": over_rows(r * posterior.log_pdfs),
         "log_pz": over_classes((counts * expected_log_theta).sum(axis=1)),
         "log_ptheta": over_classes((eta * theta_affinity).sum(axis=1)),
         "log_py": over_classes((eta * expected_log_phi[seg.class_task]).sum(axis=1)),
@@ -455,27 +421,11 @@ def _elbo_terms(part, model):
     }
 
 
-def _bound(t):
+def elbo(posterior, model):
+    """Evidence lower bound of each task of a `Posterior`: its `elbo_terms` summed."""
+    t = elbo_terms(posterior, model)
     return (t["log_px"] + t["log_pz"] + t["log_ptheta"] + t["log_py"] + t["log_pphi"]
             - t["log_qz"] - t["log_qtheta"] - t["log_qy"] - t["log_qphi"])
-
-
-def elbo_terms(task, state, model):
-    """The nine evidence-lower-bound expectations for one task.
-
-    Keys log_px, log_pz, log_ptheta, log_py, log_pphi are added and
-    log_qz, log_qtheta, log_qy, log_qphi subtracted to form the bound.
-    Entropy sums use the 0 ln 0 = 0 convention.
-    """
-    part = _Stacked.of([state])
-    part.log_pdfs = model.log_pdfs(stack_samples([task]))
-    terms = _elbo_terms(part, model)
-    return {key: float(value[0]) for key, value in terms.items()}
-
-
-def elbo(task, state, model) -> float:
-    """Evidence lower bound for one task under its variational state."""
-    return _bound(elbo_terms(task, state, model))
 
 
 def write_lambda_csv(path, ids, lambdas) -> None:

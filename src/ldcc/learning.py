@@ -6,8 +6,9 @@ Gaussian themes, builds a Newton step for the Dirichlet rows alpha from the
 batch posteriors, and blends everything into the running model with step
 size rho_b = (tau0 + b)^(-tau1).  As in stochastic variational inference,
 the global step needs only the batch's expected sufficient statistics, so
-`train` builds no per-task states: it folds each block's stacked result
-into the statistics and the bound as the block is solved.
+`train` folds each block's `Posterior` into the statistics
+(`accumulate_stats`) and the bound (`elbo`) as the block is solved, and
+keeps only its per-class and per-task arrays for the alpha step.
 
 The statistics are raw moments (count, weighted sum, weighted second
 moment), summed per task over the theme-major responsibilities and folded
@@ -23,9 +24,9 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .data import stack_samples, write_table
+from .data import write_table
 from .errors import ModelError, NumericError
-from .inference import _estep_block, _plan_blocks, _Stacked, warn_estep_waste
+from .inference import _estep_block, _plan_blocks, elbo, warn_estep_waste
 from .model import ThemeModel, TrainConfig, init_model
 from .special import dirichlet_expected_log, trigamma
 from .streams import shuffle_stream
@@ -59,26 +60,14 @@ def _fold(running, products, starts):
     running[...] = np.add.accumulate(sums, axis=1, out=sums)[:, -1]
 
 
-def accumulate_stats(tasks, states, stats=None) -> LocalThemeStats:
+def accumulate_stats(posterior, stats=None) -> LocalThemeStats:
     """Sum each task's moments (segment sums of r, r x_i, r x_i x_j) in task order.
 
-    With stats, the sums continue from it (in place), so a batch taken in
-    parts or E-step blocks gives the same bits as the whole batch.
+    The moments are those of a `Posterior`'s r and samples.  With stats,
+    the sums continue from it (in place), so a batch taken in parts or
+    E-step blocks gives the same bits as the whole batch.
     """
-    if len(tasks) != len(states):
-        raise ValueError(f"{len(tasks)} tasks but {len(states)} states")
-    if not tasks:
-        raise ValueError("cannot accumulate statistics over an empty batch")
-    part = _Stacked.of(states)
-    if not np.array_equal(part.seg.class_counts, [n for task in tasks for n in task.counts]):
-        raise ValueError("the states' responsibilities do not match the tasks' classes")
-    part.samples = stack_samples(tasks)
-    return _accumulate(part, stats)
-
-
-def _accumulate(part, stats):
-    """`accumulate_stats` of stacked posteriors (`_Stacked`) and their samples."""
-    x, r, starts = part.samples.T, part.r, part.seg.task_row_starts
+    x, r, starts = posterior.samples.T, posterior.r, posterior.seg.task_row_starts
     k, dim = r.shape[0], x.shape[0]
     if stats is None:
         stats = LocalThemeStats(np.zeros(k), np.zeros((k, dim)), np.zeros((k, dim, dim)))
@@ -111,14 +100,10 @@ def local_mstep(stats: LocalThemeStats, jitter: float):
     return means, covs, active
 
 
-def _eta_moments(states):
-    """Batch sums S_l = sum eta_dcl and T_lk = sum eta_dcl E[ln theta_dck].
-
-    states are VariationalStates or `estep_blocks` results; both hold
-    per-class eta and gamma rows.
-    """
-    eta = np.concatenate([state.eta for state in states])
-    gamma = np.concatenate([state.gamma for state in states])
+def _eta_moments(posteriors):
+    """Batch sums S_l = sum eta_dcl and T_lk = sum eta_dcl E[ln theta_dck] over `Posterior`s."""
+    eta = np.concatenate([part.eta for part in posteriors])
+    gamma = np.concatenate([part.gamma for part in posteriors])
     return eta.sum(axis=0), eta.T @ dirichlet_expected_log(gamma)
 
 
@@ -141,10 +126,11 @@ class AlphaNewtonWork:
     active_rows: np.ndarray
 
 
-def alpha_newton_work(states, alpha) -> AlphaNewtonWork:
-    """Assemble gradient, Hessian diagonal, and rank-one terms per row."""
+def alpha_newton_work(posteriors, alpha) -> AlphaNewtonWork:
+    """Assemble gradient, Hessian diagonal, and rank-one terms per row, from
+    the eta and gamma of a batch's `Posterior`s."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    mass, weighted_log_theta = _eta_moments(states)
+    mass, weighted_log_theta = _eta_moments(posteriors)
     active = mass > 0.0
     gradient = weighted_log_theta - mass[:, None] * dirichlet_expected_log(alpha)
     gradient = np.where(active[:, None], gradient, 0.0)
@@ -281,8 +267,8 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
         stats, parts, elbos = None, [], []
         for block in blocks:
             part = _estep_block(block, model, config)
-            stats = _accumulate(part, stats)
-            elbos.append(part.bounds(model))
+            stats = accumulate_stats(part, stats)
+            elbos.append(elbo(part, model))
             # The alpha step and the counters need only per-class and per-task arrays.
             parts.append(part.classes())
             del part  # no r or log-densities alive while the next block sweeps

@@ -231,17 +231,17 @@ class TrainConfig:
     max_batches: int = 100
 
     def __post_init__(self):
-        if not self.tau0 >= 0:
-            raise ValueError(f"tau0 must be >= 0, got {self.tau0}")
+        if not 0 <= self.tau0 < math.inf:
+            raise ValueError(f"tau0 must be finite and >= 0, got {self.tau0}")
         if not 0.5 < self.tau1 <= 1.0:
             raise ValueError(f"tau1 must lie in (0.5, 1], got {self.tau1}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.e_tol > 0:
-            raise ValueError(f"e_tol must be positive, got {self.e_tol}")
+        if not 0 < self.e_tol < math.inf:
+            raise ValueError(f"e_tol must be finite and positive, got {self.e_tol}")
         if self.max_e_iters < 1:
             raise ValueError(f"max_e_iters must be >= 1, got {self.max_e_iters}")
-        if not self.jitter >= 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if not 0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.max_batches < 1:
             raise ValueError(f"max_batches must be >= 1, got {self.max_batches}")

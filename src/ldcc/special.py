@@ -1,7 +1,7 @@
 """Special functions underlying the variational updates.
 
 digamma is scipy.special.psi, trigamma is the Hurwitz zeta function
-scipy.special.zeta(2, x), and the log-gamma family is
+scipy.special.zeta(2, x), and the log-beta functions sum
 scipy.special.gammaln.  Arguments are validated rather than clamped:
 non-positive, non-finite, or denormal-range inputs raise DomainError so
 silent upstream corruption cannot hide here.
@@ -30,13 +30,6 @@ def _positive_array(x, name):
                 f"{name} requires finite inputs >= {_TINY:g}; got min {low}, max {high}"
             )
     return arr, arr.ndim == 0
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    arr, scalar = _positive_array(x, "log_gamma")
-    out = gammaln(arr)
-    return float(out) if scalar else out
 
 
 def digamma(x):

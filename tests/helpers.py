@@ -6,15 +6,77 @@ library is evidence of correctness rather than shared code.  The per-class
 `update_*` functions are the E-step's coordinate updates one class at a
 time, built from the library's log-densities, special functions, softmax
 and gamma floor; composing them checks the stacked sweep's segment sums.
+They work on `VariationalState`, one task's posterior with its
+responsibilities split by class; `stack_states` and `unstack` convert
+between it and the library's `Posterior`.
 """
 
 import numpy as np
 from scipy import special as sp
 
-from ldcc.data import Task
-from ldcc.inference import VariationalState, _floor_gamma, _softmax, dirichlet_expected_log
+from ldcc.data import Task, stack_samples
+from ldcc.inference import Posterior, _floor_gamma, _Segments, _softmax, dirichlet_expected_log
+from ldcc.inference import elbo, estep_blocks
 from ldcc.learning import _ALPHA_FLOOR, _MAX_HALVINGS
 from ldcc.special import log_beta_rows
+
+
+class VariationalState:
+    """Posterior parameters for one task.
+
+    r: per class, an (N_c, K) row-normalized responsibility matrix.
+    gamma: (C, K) per-class Dirichlet parameters over image themes.
+    eta: (C, L) per-class task-theme weights, row-normalized.
+    lam: (L,) task-level Dirichlet parameter; the task's embedding.
+    """
+
+    def __init__(self, r, gamma, eta, lam, iterations=0, converged=False, gamma_clamps=0):
+        self.r = list(r)
+        self.gamma = np.asarray(gamma, dtype=np.float64)
+        self.eta = np.asarray(eta, dtype=np.float64)
+        self.lam = np.asarray(lam, dtype=np.float64)
+        self.iterations = iterations
+        self.converged = converged
+        self.gamma_clamps = gamma_clamps
+
+
+def stack_states(tasks, states, model=None):
+    """The `Posterior` of tasks under their states, holding the tasks'
+    samples and, given a model, their log-densities."""
+    samples = stack_samples(tasks)
+    return Posterior(
+        _Segments.of([[len(b) for b in state.r] for state in states]),
+        np.concatenate([b.T for state in states for b in state.r], axis=1),
+        np.concatenate([state.gamma for state in states]),
+        np.concatenate([state.eta for state in states]),
+        np.stack([state.lam for state in states]),
+        log_pdfs=None if model is None else model.log_pdfs(samples), samples=samples,
+    )
+
+
+def unstack(posterior):
+    """One VariationalState per task of a solved `Posterior`, C-ordered."""
+    r_blocks = np.split(posterior.r.T.copy(), posterior.seg.class_starts[1:])
+    starts = posterior.seg.task_starts
+    return [
+        VariationalState(
+            r_blocks[a:b], posterior.gamma[a:b], posterior.eta[a:b], posterior.lam[d],
+            iterations=int(posterior.iterations[d]),
+            converged=bool(posterior.converged[d]),
+            gamma_clamps=int(posterior.gamma_clamps[d]),
+        )
+        for d, (a, b) in enumerate(zip(starts, starts + posterior.seg.task_classes))
+    ]
+
+
+def estep_states(tasks, model, config):
+    """Every task's solved VariationalState, in task order."""
+    return [state for part in estep_blocks(tasks, model, config) for state in unstack(part)]
+
+
+def task_elbo(task, state, model):
+    """`elbo` of one task under its state, as a float."""
+    return float(elbo(stack_states([task], [state], model), model)[0])
 
 
 def update_r(task, c, state, model, log_pdfs=None):

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from helpers import (
+    VariationalState,
     best_permutation,
     dense_newton_solve,
     fd_alpha_gradient,
     mc_dirichlet_kl,
     random_posterior_instance,
     reference_gmm_em,
+    stack_states,
+    task_elbo,
     update_eta,
     update_gamma,
     update_lambda,
@@ -23,7 +26,7 @@ from helpers import (
 )
 from ldcc.cli import main
 from ldcc.data import Task, TaskCollection, generate_synthetic, load_tasks, save_tasks
-from ldcc.inference import VariationalState, elbo, run_estep
+from ldcc.inference import estep_blocks, run_estep
 from ldcc.learning import (
     accumulate_stats,
     alpha_newton_direction,
@@ -83,7 +86,7 @@ def test_elbo_monotonic_over_sweeps():
         for c in range(C):
             state.gamma[c] = update_gamma(state, c, model.alpha)
         state.lam = update_lambda(state, model.delta)
-        previous = elbo(task, state, model)
+        previous = task_elbo(task, state, model)
         for _ in range(20):
             for c in range(C):
                 state.r[c] = update_r(task, c, state, model)
@@ -92,7 +95,7 @@ def test_elbo_monotonic_over_sweeps():
             )
             state.eta = np.stack([update_eta(state, c, model) for c in range(C)])
             state.lam = update_lambda(state, model.delta)
-            current = elbo(task, state, model)
+            current = task_elbo(task, state, model)
             drop = (previous - current) / abs(previous)
             worst = max(worst, drop)
             previous = current
@@ -112,12 +115,12 @@ def test_alpha_gradient_matches_finite_differences():
     for _ in range(20):
         L = int(rng.integers(1, 5))
         K = int(rng.integers(1, 5))
-        states = [
-            random_posterior_instance(rng, C=int(rng.integers(1, 4)), N=3, K=K, L=L)[1]
+        tasks, states = zip(*(
+            random_posterior_instance(rng, C=int(rng.integers(1, 4)), N=3, K=K, L=L)
             for _ in range(3)
-        ]
+        ))
         alpha = rng.uniform(0.4, 4.0, size=(L, K))
-        grad = alpha_newton_work(states, alpha).gradient
+        grad = alpha_newton_work([stack_states(tasks, states)], alpha).gradient
         ref = fd_alpha_gradient(states, alpha)
         scale = max(np.abs(ref).max(), 1e-12)
         worst = max(worst, np.abs(grad - ref).max() / scale)
@@ -131,11 +134,11 @@ def test_newton_direction_matches_dense_solve():
     for _ in range(20):
         L = int(rng.integers(1, 5))
         K = int(rng.integers(2, 6))
-        states = [
-            random_posterior_instance(rng, C=3, N=4, K=K, L=L)[1] for _ in range(3)
-        ]
+        tasks, states = zip(*(
+            random_posterior_instance(rng, C=3, N=4, K=K, L=L) for _ in range(3)
+        ))
         alpha = rng.uniform(0.3, 5.0, size=(L, K))
-        work = alpha_newton_work(states, alpha)
+        work = alpha_newton_work([stack_states(tasks, states)], alpha)
         got = alpha_newton_direction(work)
         ref = dense_newton_solve(work)
         worst = max(worst, np.abs(got - ref).max())
@@ -193,8 +196,8 @@ def test_gmm_equivalence_single_task_theme():
     init_mu = model.mu.copy()
     previous = None
     for _ in range(500):
-        state = run_estep(task, model, config)
-        stats = accumulate_stats([task], [state])
+        (part,) = estep_blocks([task], model, config)
+        stats = accumulate_stats(part)
         means, covs, active = local_mstep(stats, config.jitter)
         model = online_update(
             model, means, covs, np.zeros((1, 2)), rho=1.0, active=active

@@ -236,6 +236,7 @@ class TestTrain:
     @pytest.mark.parametrize("extra", [
         ["--task-themes", "0"], ["--image-themes", "0"], ["--delta", "0"], ["--delta", "nan"],
         ["--threads", "0"], ["--tau0", "nan"], ["--e-tol", "nan"], ["--jitter", "nan"],
+        ["--tau0", "inf"], ["--e-tol", "inf"], ["--jitter", "inf"],
     ], ids="=".join)
     def test_out_of_range_is_usage_error(self, small_collection, tmp_path, capsys, extra):
         code, _, err = run(capsys, *self.train_args(small_collection, tmp_path / "x", extra))

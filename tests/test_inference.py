@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,16 +8,25 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
-from helpers import naive_elbo_terms, update_eta, update_gamma, update_lambda, update_r
+from helpers import (
+    VariationalState,
+    estep_states,
+    naive_elbo_terms,
+    stack_states,
+    task_elbo,
+    update_eta,
+    update_gamma,
+    update_lambda,
+    update_r,
+)
 from ldcc.data import Task, generate_synthetic, stack_samples
 from ldcc.errors import DataError, FormatError, NumericError
 import ldcc.inference as inference
 from ldcc.inference import (
-    VariationalState,
     dirichlet_expected_log,
     elbo,
     elbo_terms,
-    estep_batch,
+    estep_blocks,
     read_lambda_csv,
     run_estep,
     write_lambda_csv,
@@ -346,7 +356,7 @@ class TestRunEstep:
             np.zeros((1, 2)), np.stack([np.eye(2)]), np.ones((1, 1)), np.array([0.5])
         )
         task = make_task(C=3, N=4)
-        state = run_estep(task, model, TrainConfig())
+        (state,) = estep_states([task], model, TrainConfig())
         assert state.converged
         assert state.iterations == 1
         for block in state.r:
@@ -359,8 +369,8 @@ class TestRunEstep:
         model = make_model()
         task = make_task(C=2, N=5, task_id="det")
         cfg = TrainConfig(seed=9)
-        a = run_estep(task, model, cfg)
-        b = run_estep(task, model, cfg)
+        (a,) = estep_states([task], model, cfg)
+        (b,) = estep_states([task], model, cfg)
         assert all(np.array_equal(x, y) for x, y in zip(a.r, b.r))
         assert np.array_equal(a.gamma, b.gamma)
         assert np.array_equal(a.eta, b.eta)
@@ -370,14 +380,14 @@ class TestRunEstep:
     def test_seed_changes_noise(self):
         model = make_model()
         task = make_task(C=2, N=5, task_id="det")
-        a = run_estep(task, model, TrainConfig(seed=9, max_e_iters=1, e_tol=1e-12))
-        b = run_estep(task, model, TrainConfig(seed=10, max_e_iters=1, e_tol=1e-12))
+        (a,) = estep_states([task], model, TrainConfig(seed=9, max_e_iters=1, e_tol=1e-12))
+        (b,) = estep_states([task], model, TrainConfig(seed=10, max_e_iters=1, e_tol=1e-12))
         assert not np.array_equal(a.gamma, b.gamma)
 
     def test_rows_stay_normalized(self):
         model = make_model(K=3, L=2)
         task = make_task(C=3, N=6, task_id="norm")
-        state = run_estep(task, model, TrainConfig())
+        (state,) = estep_states([task], model, TrainConfig())
         for block in state.r:
             assert np.allclose(block.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(state.eta.sum(axis=1), 1.0, atol=1e-9)
@@ -405,7 +415,7 @@ class TestRunEstep:
         model = make_model(K=3, L=2, seed=2)
         task = make_task(C=3, N=5, task_id="sweep-equivalence")
         cfg = TrainConfig(seed=4, max_e_iters=1, e_tol=1e-15)
-        got = run_estep(task, model, cfg)
+        (got,) = estep_states([task], model, cfg)
 
         rng = estep_stream(cfg.seed, task.id)
         total = task.total_samples
@@ -487,7 +497,7 @@ class TestEstepBatch:
 
     def test_matches_batches_of_one(self, monkeypatch):
         model, tasks, cfg = self.model(), self.tasks(), self.config
-        alone = [run_estep(task, model, cfg) for task in tasks]
+        alone = [estep_states([task], model, cfg)[0] for task in tasks]
         # The batch covers the cases a task can end in.
         cap = cfg.max_e_iters
         assert any(s.converged and s.iterations <= 6 for s in alone)
@@ -495,28 +505,29 @@ class TestEstepBatch:
         assert any(s.gamma_clamps > 0 for s in alone)
         assert any(s.gamma_clamps == 0 for s in alone)
 
-        runs = [(tasks, estep_batch(tasks, model, cfg))]
-        runs.append((tasks[::-1], estep_batch(tasks[::-1], model, cfg)))
-        runs.append((tasks, estep_batch(iter(tasks), model, cfg)))  # read once
+        runs = [(tasks, estep_states(tasks, model, cfg))]
+        runs.append((tasks[::-1], estep_states(tasks[::-1], model, cfg)))
+        runs.append((tasks, estep_states(iter(tasks), model, cfg)))  # read once
         for block_rows in (12, 20):
             # Blocks of one task and blocks of several; a task larger than
             # the block is a block of its own.
             monkeypatch.setattr(inference, "_BLOCK_ROWS", block_rows)
-            runs.append((tasks, estep_batch(tasks, model, cfg)))
+            runs.append((tasks, estep_states(tasks, model, cfg)))
         for batch, states in runs:
             by_id = {task.id: state for task, state in zip(batch, states)}
             for task, want in zip(tasks, alone):
                 self.assert_same(by_id[task.id], want)
             # The bound `train` reads from each block, against elbo per task.
-            bounds = np.concatenate([part.bounds(model)
-                                     for part in inference.estep_blocks(batch, model, cfg)])
+            bounds = np.concatenate([elbo(part, model) for part in estep_blocks(batch, model, cfg)])
             for task, state, bound in zip(batch, states, bounds, strict=True):
-                assert bound == pytest.approx(elbo(task, state, model), rel=1e-12, abs=1e-12)
+                assert bound == pytest.approx(task_elbo(task, state, model), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("K, L", [(1, 1), (1, 3), (6, 1)])
     def test_edge_shapes_match_batches_of_one(self, K, L):
         # Single-theme axes, a one-sample class and a one-class task in one
-        # mixed batch; states come back row-major and C-ordered.
+        # mixed batch; states come back row-major and C-ordered.  run_estep
+        # keeps the batch of one's lambda and its counters as scalars,
+        # which int() and bool() take without a DeprecationWarning.
         model = make_model(K=K, L=L, D=2, seed=K + 10 * L)
         rng = np.random.default_rng(K + 10 * L)
 
@@ -525,8 +536,8 @@ class TestEstepBatch:
 
         tasks = [task("single", [6]), task("shot1", [3, 1, 5]), task("wide", [1, 4, 2, 7])]
         for cfg in (TrainConfig(seed=3, e_tol=1e-3, max_e_iters=4), self.config):
-            alone = [run_estep(t, model, cfg) for t in tasks]
-            states = estep_batch(tasks, model, cfg)
+            alone = [estep_states([t], model, cfg)[0] for t in tasks]
+            states = estep_states(tasks, model, cfg)
             for t, got, want in zip(tasks, states, alone):
                 self.assert_same(got, want)
                 assert [b.shape for b in got.r] == [(n, K) for n in t.counts]
@@ -535,6 +546,13 @@ class TestEstepBatch:
                 assert got.lam.shape == (L,)
                 for array in (*got.r, got.gamma, got.eta, got.lam):
                     assert array.flags.c_contiguous
+                one = run_estep(t, model, cfg)
+                assert one.lam.dtype == np.float64 and one.lam.flags.c_contiguous
+                assert one.lam.shape == (L,) and one.lam.tobytes() == want.lam.tobytes()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    counters = int(one.iterations), bool(one.converged), int(one.gamma_clamps)
+                assert counters == (want.iterations, want.converged, want.gamma_clamps)
 
     @pytest.mark.parametrize("K, L, D", [(3, 2, 2), (4, 3, 4), (6, 4, 8)])
     def test_one_sample_task_keeps_bytes(self, K, L, D):
@@ -546,11 +564,11 @@ class TestEstepBatch:
         for i in range(4):
             tasks.insert(2 * i, Task(f"one_{i}", [rng.normal(size=(1, D)).astype(np.float32) * 3]))
         for cfg in (TrainConfig(seed=4, max_e_iters=20), TrainConfig(seed=5, max_e_iters=3)):
-            states = estep_batch(tasks, model, cfg)
+            states = estep_states(tasks, model, cfg)
             for task, got in zip(tasks, states):
                 if task.total_samples != 1:
                     continue
-                want = run_estep(task, model, cfg)
+                (want,) = estep_states([task], model, cfg)
                 for a, b in zip([*got.r, got.gamma, got.eta, got.lam],
                                 [*want.r, want.gamma, want.eta, want.lam], strict=True):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -564,11 +582,11 @@ class TestEstepBatch:
         model = make_model(K=K, L=L, D=D, seed=K)
         tasks = list(generate_synthetic(model, 110, 5, 16, seed=K)[0])
         cfg = TrainConfig(seed=4, max_e_iters=20)
-        alone = [run_estep(task, model, cfg) for task in tasks]
+        alone = [estep_states([task], model, cfg)[0] for task in tasks]
         assert any(s.converged for s in alone) and not all(s.converged for s in alone)
         for block_rows in (12, 4096, 8192, 2**20):
             monkeypatch.setattr(inference, "_BLOCK_ROWS", block_rows)
-            for got, want in zip(estep_batch(tasks, model, cfg), alone, strict=True):
+            for got, want in zip(estep_states(tasks, model, cfg), alone, strict=True):
                 for a, b in zip([*got.r, got.gamma, got.eta, got.lam],
                                 [*want.r, want.gamma, want.eta, want.lam], strict=True):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -583,7 +601,7 @@ class TestEstepBatch:
         monkeypatch.setattr(inference, "_BLOCK_ROWS", 12)
         monkeypatch.setattr(inference, "_estep_block", lambda *args: calls.append(args))
         with pytest.raises(DataError, match="'wide' has dimension 3, model expects 2"):
-            estep_batch(tasks, self.model(), self.config)
+            list(estep_blocks(tasks, self.model(), self.config))
         assert calls == []
         assert len(list(inference._blocks(tasks))) >= 3
 
@@ -612,7 +630,7 @@ class TestExactMaximizers:
             rng = np.random.default_rng(seed + 100)
             c = 0
             state.r[c] = update_r(task, c, state, model)
-            base = elbo(task, state, model)
+            base = task_elbo(task, state, model)
             for step in self.perturbations(state.r[c].shape, rng):
                 cand = np.clip(state.r[c] + step, 1e-12, None)
                 cand /= cand.sum(axis=1)[:, None]
@@ -622,7 +640,7 @@ class TestExactMaximizers:
                     state.eta,
                     state.lam,
                 )
-                assert elbo(task, trial, model) <= base + 1e-10
+                assert task_elbo(task, trial, model) <= base + 1e-10
 
     def test_gamma_is_argmax(self):
         for seed, task, model, state in self.instances():
@@ -631,12 +649,12 @@ class TestExactMaximizers:
             gamma = state.gamma.copy()
             gamma[c] = update_gamma(state, c, model.alpha)
             state.gamma = gamma
-            base = elbo(task, state, model)
+            base = task_elbo(task, state, model)
             for step in self.perturbations(gamma[c].shape, rng):
                 cand = gamma.copy()
                 cand[c] = np.clip(cand[c] + step, 1e-9, None)
                 trial = VariationalState(state.r, cand, state.eta, state.lam)
-                assert elbo(task, trial, model) <= base + 1e-10
+                assert task_elbo(task, trial, model) <= base + 1e-10
 
     def test_eta_is_argmax(self):
         for seed, task, model, state in self.instances():
@@ -645,23 +663,23 @@ class TestExactMaximizers:
             eta = state.eta.copy()
             eta[c] = update_eta(state, c, model)
             state.eta = eta
-            base = elbo(task, state, model)
+            base = task_elbo(task, state, model)
             for step in self.perturbations(eta[c].shape, rng):
                 cand = eta.copy()
                 cand[c] = np.clip(cand[c] + step, 1e-12, None)
                 cand[c] /= cand[c].sum()
                 trial = VariationalState(state.r, state.gamma, cand, state.lam)
-                assert elbo(task, trial, model) <= base + 1e-10
+                assert task_elbo(task, trial, model) <= base + 1e-10
 
     def test_lambda_is_argmax(self):
         for seed, task, model, state in self.instances():
             rng = np.random.default_rng(seed + 400)
             state.lam = update_lambda(state, model.delta)
-            base = elbo(task, state, model)
+            base = task_elbo(task, state, model)
             for step in self.perturbations(state.lam.shape, rng):
                 cand = np.clip(state.lam + step, 1e-9, None)
                 trial = VariationalState(state.r, state.gamma, state.eta, cand)
-                assert elbo(task, trial, model) <= base + 1e-10
+                assert task_elbo(task, trial, model) <= base + 1e-10
 
 
 class TestElbo:
@@ -670,8 +688,8 @@ class TestElbo:
         task = make_task(C=1, N=2)
         state = random_state(task, model, seed=12)
         state.eta = np.full((1, 4), 0.25)
-        terms = elbo_terms(task, state, model)
-        assert terms["log_qy"] == pytest.approx(-math.log(4.0), abs=1e-12)
+        terms = elbo_terms(stack_states([task], [state], model), model)
+        assert terms["log_qy"][0] == pytest.approx(-math.log(4.0), abs=1e-12)
 
     def test_degenerate_equals_gaussian_loglik(self):
         # K = L = 1 with alpha = delta = 1: every Dirichlet term cancels and
@@ -680,31 +698,32 @@ class TestElbo:
         sigma = np.array([[[1.5, 0.2], [0.2, 0.8]]])
         model = ThemeModel(mu, sigma, np.ones((1, 1)), np.ones(1))
         task = make_task(C=3, N=4, seed=7)
-        state = run_estep(task, model, TrainConfig())
+        (part,) = estep_blocks([task], model, TrainConfig())
         x = stack_samples([task])
         ref = stats.multivariate_normal(mu[0], sigma[0]).logpdf(x).sum()
-        assert elbo(task, state, model) == pytest.approx(ref, rel=1e-12)
+        assert elbo(part, model)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_nine_terms_against_naive_loops(self):
         model = make_model(K=2, L=2, seed=21)
         task = make_task(C=2, N=3, seed=22, task_id="naive")
         state = random_state(task, model, seed=23)
-        got = elbo_terms(task, state, model)
+        got = elbo_terms(stack_states([task], [state], model), model)
         want = naive_elbo_terms(task, state, model)
         assert set(got) == set(want)
         for key in want:
-            assert got[key] == pytest.approx(want[key], rel=1e-10, abs=1e-10), key
+            assert got[key][0] == pytest.approx(want[key], rel=1e-10, abs=1e-10), key
 
     def test_elbo_is_term_sum(self):
         model = make_model(seed=31)
         task = make_task(seed=32, task_id="sum")
         state = random_state(task, model, seed=33)
-        t = elbo_terms(task, state, model)
+        part = stack_states([task], [state], model)
+        t = elbo_terms(part, model)
         total = (
             t["log_px"] + t["log_pz"] + t["log_ptheta"] + t["log_py"] + t["log_pphi"]
             - t["log_qz"] - t["log_qtheta"] - t["log_qy"] - t["log_qphi"]
         )
-        assert elbo(task, state, model) == pytest.approx(total, rel=1e-14)
+        assert elbo(part, model) == pytest.approx(total, rel=1e-14)
 
 
 class TestLambdaCsv:

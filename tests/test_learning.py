@@ -7,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    VariationalState,
     damped_alpha_step,
     dense_newton_solve,
+    estep_states,
     fd_alpha_gradient,
     random_posterior_instance,
+    stack_states,
+    task_elbo,
 )
 from ldcc.data import Task, TaskCollection, generate_synthetic, stack_samples
 from ldcc.errors import DataError, NumericError
 import ldcc.inference as inference
-from ldcc.inference import VariationalState, elbo, estep_batch, run_estep
+from ldcc.inference import estep_blocks
 import ldcc.learning as learning
 from ldcc.learning import (
     LocalThemeStats,
@@ -41,19 +45,18 @@ def planted_model():
 
 
 def posterior_states(num_states, seed, C=3, N=4, K=3, L=2):
+    """Random states of random tasks, and their stacked `Posterior`."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(num_states):
-        _, state = random_posterior_instance(rng, C=C, N=N, K=K, L=L)
-        out.append(state)
-    return out
+    tasks, states = zip(*(random_posterior_instance(rng, C=C, N=N, K=K, L=L)
+                          for _ in range(num_states)))
+    return stack_states(tasks, states), list(states)
 
 
 class TestAccumulateStats:
     def test_quadruple_loop_oracle(self):
         rng = np.random.default_rng(0)
         task, state = random_posterior_instance(rng, C=2, N=3, K=2, D=2)
-        stats = accumulate_stats([task], [state])
+        stats = accumulate_stats(stack_states([task], [state]))
         x = stack_samples([task])
         r = np.concatenate(state.r)
         K, D = 2, 2
@@ -76,8 +79,8 @@ class TestAccumulateStats:
         pairs = [random_posterior_instance(rng, C=2, N=3) for _ in range(3)]
         tasks = [p[0] for p in pairs]
         states = [p[1] for p in pairs]
-        whole = accumulate_stats(tasks, states)
-        parts = [accumulate_stats([t], [s]) for t, s in pairs]
+        whole = accumulate_stats(stack_states(tasks, states))
+        parts = [accumulate_stats(stack_states([t], [s])) for t, s in pairs]
         assert np.allclose(whole.count, sum(p.count for p in parts), atol=1e-12)
         assert np.allclose(
             whole.weighted_sum, sum(p.weighted_sum for p in parts), atol=1e-12
@@ -85,44 +88,33 @@ class TestAccumulateStats:
         assert np.allclose(whole.scatter, sum(p.scatter for p in parts), atol=1e-12)
 
     def test_rejects_mixed_dimensions(self):
+        # A posterior's samples are stacked by `stack_samples`, which refuses
+        # tasks of mixed dimensions.
         tasks = [Task("flat", [np.zeros((3, 2))]), Task("wide", [np.ones((2, 3))])]
         states = [VariationalState([np.full((n, 2), 0.5)], np.ones((1, 2)), np.ones((1, 1)),
                                    np.ones(1)) for n in (3, 2)]
         with pytest.raises(DataError, match=r"dimension: \[2, 3\]"):
-            accumulate_stats(tasks, states)
+            accumulate_stats(stack_states(tasks, states))
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(2)
         pairs = [random_posterior_instance(rng, C=2, N=5) for _ in range(4)]
-        stats = accumulate_stats([p[0] for p in pairs], [p[1] for p in pairs])
+        stats = accumulate_stats(stack_states(*zip(*pairs)))
         total = sum(p[0].total_samples for p in pairs)
         assert stats.count.sum() == pytest.approx(total, rel=1e-12)
 
-    def test_length_mismatch(self):
-        rng = np.random.default_rng(3)
-        task, state = random_posterior_instance(rng)
-        with pytest.raises(ValueError):
-            accumulate_stats([task], [state, state])
-        with pytest.raises(ValueError):
-            accumulate_stats([], [])
-
-    def test_states_of_other_tasks_raise(self):
-        # An 80-row and a 60-row task: their states in the other order cover
-        # the same 140 rows, but not task by task.
+    def test_stats_of_other_theme_counts_raise(self):
+        # Stats of another number of image themes fail to broadcast before
+        # any entry changes.
         rng = np.random.default_rng(5)
         tasks = [Task(name, [rng.normal(size=(n, 2)) for _ in range(5)])
                  for name, n in (("a", 16), ("b", 12))]
-        states = estep_batch(tasks, planted_model(), TrainConfig(seed=1))
-        for other in (states, list(states)):
-            with pytest.raises(ValueError, match="classes"):
-                accumulate_stats(tasks[::-1], other)
-        # Stats of another number of image themes fail to broadcast before
-        # any entry changes.
+        (part,) = estep_blocks(tasks, planted_model(), TrainConfig(seed=1))
         for themes in (1, 2, 4):
             stats = LocalThemeStats(
                 np.zeros(themes), np.zeros((themes, 2)), np.zeros((themes, 2, 2)))
             with pytest.raises(ValueError):
-                accumulate_stats(tasks, states, stats)
+                accumulate_stats(part, stats)
             assert not stats.count.any()
 
     @given(st.data())
@@ -143,15 +135,15 @@ class TestAccumulateStats:
                 [rng.dirichlet(np.ones(K), size=n) for n in shots],
                 np.ones((shots.size, K)), np.ones((shots.size, 1)), np.ones(1),
             ))
-        got = accumulate_stats(tasks, states)
+        got = accumulate_stats(stack_states(tasks, states))
         want, scale = per_task_loop_stats(tasks, states)
         for name in ("count", "weighted_sum", "scatter"):
             error = np.abs(getattr(got, name) - getattr(want, name))
             assert (error <= 1e-12 * getattr(scale, name)).all(), name
         # The same batch fed in two parts through stats= gives the same bits.
         cut = data.draw(st.integers(0, len(tasks) - 1))
-        parts = accumulate_stats(tasks[:cut], states[:cut]) if cut else None
-        parts = accumulate_stats(tasks[cut:], states[cut:], parts)
+        parts = accumulate_stats(stack_states(tasks[:cut], states[:cut])) if cut else None
+        parts = accumulate_stats(stack_states(tasks[cut:], states[cut:]), parts)
         assert stats_bytes(parts) == stats_bytes(got)
 
     def test_block_size_does_not_change_bytes(self, monkeypatch):
@@ -162,8 +154,10 @@ class TestAccumulateStats:
         got = []
         for block_rows in (12, 4096, 16384):
             monkeypatch.setattr(inference, "_BLOCK_ROWS", block_rows)
-            states = estep_batch(tasks, planted_model(), cfg)
-            got.append(stats_bytes(accumulate_stats(tasks, states)))
+            stats = None
+            for part in estep_blocks(tasks, planted_model(), cfg):
+                stats = accumulate_stats(part, stats)
+            got.append(stats_bytes(stats))
         assert all(g == got[0] for g in got)
 
 
@@ -193,7 +187,7 @@ class TestLocalMstep:
         task = Task("t", [x])
         r = [np.ones((2, 1))]
         state = VariationalState(r, np.ones((1, 1)), np.ones((1, 1)), np.ones(1))
-        stats = accumulate_stats([task], [state])
+        stats = accumulate_stats(stack_states([task], [state]))
         means, covs, active = local_mstep(stats, jitter=1e-6)
         assert np.allclose(means[0], [1.0, 1.0])
         # population covariance of the two points is [[1,1],[1,1]]
@@ -205,7 +199,7 @@ class TestLocalMstep:
         state = VariationalState(
             [np.ones((1, 1))], np.ones((1, 1)), np.ones((1, 1)), np.ones(1)
         )
-        stats = accumulate_stats([task], [state])
+        stats = accumulate_stats(stack_states([task], [state]))
         means, covs, _ = local_mstep(stats, jitter=1e-4)
         assert np.allclose(means[0], [3.0, -1.0])
         assert np.allclose(covs[0], 1e-4 * np.eye(2), atol=1e-10)
@@ -218,7 +212,7 @@ class TestLocalMstep:
         r[np.arange(40), labels] = 1.0
         task = Task("t", [x])
         state = VariationalState([r], np.ones((1, 2)), np.ones((1, 1)), np.ones(1))
-        stats = accumulate_stats([task], [state])
+        stats = accumulate_stats(stack_states([task], [state]))
         means, covs, _ = local_mstep(stats, jitter=0.0)
         x64 = x.astype(np.float64)
         for k in range(2):
@@ -230,7 +224,7 @@ class TestLocalMstep:
         task = Task("t", [np.array([[1.0, 1.0]], dtype=np.float32)])
         r = [np.array([[1.0, 0.0]])]
         state = VariationalState(r, np.ones((1, 2)), np.ones((1, 1)), np.ones(1))
-        stats = accumulate_stats([task], [state])
+        stats = accumulate_stats(stack_states([task], [state]))
         means, covs, active = local_mstep(stats, jitter=1e-6)
         assert active.tolist() == [True, False]
         assert np.allclose(means[1], 0.0)
@@ -239,7 +233,7 @@ class TestLocalMstep:
     def test_covariances_symmetric(self):
         rng = np.random.default_rng(5)
         pairs = [random_posterior_instance(rng, C=3, N=6) for _ in range(3)]
-        stats = accumulate_stats([p[0] for p in pairs], [p[1] for p in pairs])
+        stats = accumulate_stats(stack_states(*zip(*pairs)))
         _, covs, _ = local_mstep(stats, jitter=1e-6)
         assert np.allclose(covs, np.transpose(covs, (0, 2, 1)), atol=1e-15)
 
@@ -248,19 +242,18 @@ class TestAlphaGradient:
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(6)
         for trial in range(3):
-            states = posterior_states(3, seed=trial + 10)
+            part, states = posterior_states(3, seed=trial + 10)
             alpha = rng.uniform(0.5, 3.0, size=(2, 3))
-            grad = alpha_newton_work(states, alpha).gradient
+            grad = alpha_newton_work([part], alpha).gradient
             ref = fd_alpha_gradient(states, alpha)
             scale = np.maximum(np.abs(ref), 1.0)
             assert np.max(np.abs(grad - ref) / scale) < 1e-5
 
     def test_massless_row_zero_direction(self):
-        states = posterior_states(2, seed=20, L=2)
-        for s in states:
-            s.eta = np.column_stack([np.ones(s.eta.shape[0]), np.zeros(s.eta.shape[0])])
+        part, _ = posterior_states(2, seed=20, L=2)
+        part.eta = np.column_stack([np.ones(part.eta.shape[0]), np.zeros(part.eta.shape[0])])
         alpha = np.full((2, 3), 1.5)
-        work = alpha_newton_work(states, alpha)
+        work = alpha_newton_work([part], alpha)
         assert work.active_rows.tolist() == [True, False]
         direction = alpha_newton_direction(work)
         assert np.allclose(direction[1], 0.0)
@@ -269,11 +262,11 @@ class TestAlphaGradient:
         # With one image theme the Dirichlet over it is degenerate: the
         # objective does not depend on alpha at all, so the gradient is zero
         # and the rank-one correction is exactly singular.
-        states = posterior_states(2, seed=21, K=1, L=2)
+        part, _ = posterior_states(2, seed=21, K=1, L=2)
         alpha = np.array([[2.0], [0.7]])
-        grad = alpha_newton_work(states, alpha).gradient
+        grad = alpha_newton_work([part], alpha).gradient
         assert np.allclose(grad, 0.0, atol=1e-12)
-        work = alpha_newton_work(states, alpha)
+        work = alpha_newton_work([part], alpha)
         assert np.allclose(work.b, 0.0)
         assert np.allclose(alpha_newton_direction(work), 0.0, atol=1e-12)
 
@@ -283,33 +276,33 @@ class TestNewtonDirection:
         rng = np.random.default_rng(7)
         for trial in range(5):
             L, K = int(rng.integers(1, 5)), int(rng.integers(2, 5))
-            states = posterior_states(3, seed=trial + 40, K=K, L=L)
+            part, _ = posterior_states(3, seed=trial + 40, K=K, L=L)
             alpha = rng.uniform(0.4, 4.0, size=(L, K))
-            work = alpha_newton_work(states, alpha)
+            work = alpha_newton_work([part], alpha)
             got = alpha_newton_direction(work)
             ref = dense_newton_solve(work)
             assert np.max(np.abs(got - ref)) < 1e-9
 
     def test_quadratic_signs(self):
-        states = posterior_states(3, seed=60)
+        part, _ = posterior_states(3, seed=60)
         alpha = np.full((2, 3), 1.2)
-        work = alpha_newton_work(states, alpha)
+        work = alpha_newton_work([part], alpha)
         assert np.all(work.q_diag < 0)
         assert np.all(work.u > 0)
 
     def test_zero_gradient_zero_direction(self):
-        states = posterior_states(2, seed=61)
+        part, _ = posterior_states(2, seed=61)
         alpha = np.full((2, 3), 2.0)
-        work = alpha_newton_work(states, alpha)
+        work = alpha_newton_work([part], alpha)
         work.gradient[:] = 0.0
         work.b[:] = 0.0
         assert np.allclose(alpha_newton_direction(work), 0.0)
 
     def test_batch_scale_invariance(self):
-        states = posterior_states(2, seed=62)
+        part, _ = posterior_states(2, seed=62)
         alpha = np.array([[0.8, 1.7, 2.2], [1.1, 0.9, 3.0]])
-        one = alpha_newton_direction(alpha_newton_work(states, alpha))
-        tripled = alpha_newton_direction(alpha_newton_work(states * 3, alpha))
+        one = alpha_newton_direction(alpha_newton_work([part], alpha))
+        tripled = alpha_newton_direction(alpha_newton_work([part] * 3, alpha))
         assert np.allclose(one, tripled, atol=1e-12)
 
 
@@ -659,7 +652,8 @@ def uneven_collection(num_tasks=11, seed=11):
 
 
 def reference_train(tasks, num_task_themes, num_image_themes, config, delta=0.5):
-    """train() composed from the public per-state API, batch by batch."""
+    """train() composed per task state, batch by batch: each batch's states
+    are stacked whole, and each bound is one task's alone."""
     model = init_model(
         tasks, num_task_themes, num_image_themes, delta, config.seed, jitter=config.jitter
     )
@@ -670,10 +664,11 @@ def reference_train(tasks, num_task_themes, num_image_themes, config, delta=0.5)
         for _ in range(min(config.batch_size, len(tasks))):
             batch.append(tasks[int(order[cursor])])
             cursor = (cursor + 1) % len(tasks)
-        states = estep_batch(batch, model, config)
-        elbos = [elbo(task, state, model) for task, state in zip(batch, states)]
-        means, covs, active = local_mstep(accumulate_stats(batch, states), config.jitter)
-        direction = alpha_newton_direction(alpha_newton_work(states, model.alpha))
+        states = estep_states(batch, model, config)
+        elbos = [task_elbo(task, state, model) for task, state in zip(batch, states)]
+        part = stack_states(batch, states)
+        means, covs, active = local_mstep(accumulate_stats(part), config.jitter)
+        direction = alpha_newton_direction(alpha_newton_work([part], model.alpha))
         rho = (config.tau0 + b) ** -config.tau1
         model = online_update(model, means, covs, direction, rho, active=active)
         rows.append(TrainLogRow(
@@ -692,7 +687,7 @@ def artifact_bytes(result, tmp_path):
 
 class TestTrainMatchesReference:
     """train() reads the E-step's stacked blocks and reuses its blocks or
-    noise; the result must be the public per-state composition's, bit for bit."""
+    noise; the result must be the per-state composition's, bit for bit."""
 
     @pytest.mark.parametrize("max_e_iters", [100, 1])
     def test_bitwise_equal_to_per_state_composition(self, monkeypatch, max_e_iters):
@@ -762,10 +757,10 @@ class TestTrainMatchesReference:
         cfg_b = TrainConfig(seed=2, max_batches=3, batch_size=4)
         alone = artifact_bytes(train(coll, 2, 3, cfg_b), tmp_path)
         model = train(coll, 2, 3, cfg_b)[0]
-        before = estep_batch(coll, model, cfg_b)
+        before = estep_states(coll, model, cfg_b)
         train(coll, 3, 2, cfg_a)  # another seed, K and L
         assert artifact_bytes(train(coll, 2, 3, cfg_b), tmp_path) == alone
-        after = estep_batch(coll, model, cfg_b)
+        after = estep_states(coll, model, cfg_b)
         for want, got in zip(before, after):
             for a, b in zip([*want.r, want.gamma, want.eta, want.lam],
                             [*got.r, got.gamma, got.eta, got.lam]):

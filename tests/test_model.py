@@ -353,6 +353,9 @@ class TestTrainConfig:
             {"tau1": math.nan},
             {"e_tol": math.nan},
             {"jitter": math.nan},
+            {"tau0": math.inf},
+            {"e_tol": math.inf},
+            {"jitter": math.inf},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

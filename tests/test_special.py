@@ -9,51 +9,11 @@ from ldcc.errors import DomainError
 from ldcc.special import (
     digamma,
     log_beta_dirichlet,
-    log_gamma,
     trigamma,
     xlogy,
 )
 
 EULER_GAMMA = 0.5772156649015329
-
-
-class TestLogGamma:
-    def test_factorial_oracle(self):
-        # ln Gamma(10) = ln 9!
-        assert log_gamma(10.0) == pytest.approx(math.log(math.factorial(9)), abs=1e-12)
-
-    def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-14)
-
-    def test_integers_vanish(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_against_mpmath_sweep(self):
-        mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(7)
-        xs = np.concatenate(
-            [
-                rng.uniform(1e-3, 1.0, 200),
-                rng.uniform(1.0, 50.0, 200),
-                rng.uniform(50.0, 1e6, 100),
-            ]
-        )
-        for x in xs:
-            ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            got = log_gamma(float(x))
-            scale = max(abs(ref), 1e-10)
-            assert abs(got - ref) / scale <= 1e-12
-
-    def test_array_input(self):
-        out = log_gamma(np.array([1.0, 2.0, 10.0]))
-        assert out.shape == (3,)
-        assert out[2] == pytest.approx(math.log(362880.0), abs=1e-12)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, 1e-301])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
 
 
 class TestDigamma:
