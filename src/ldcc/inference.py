@@ -24,9 +24,11 @@ each sweep exponentiates only w = exp(E[ln theta] - the class's max) over
 log space instead, and NaN, +inf or all -inf logits raise NumericError.
 A sweep keeps only r's class sums.  When a task stops, the block keeps
 the per-class E[ln theta] its last sweep used and drops the task's rows
-from the next sweeps; r is rebuilt once, when the block is done, by the
-same per-sample arithmetic, so it has the bits the task's last sweep
-computed.
+from the next sweeps.  The result's r is built when it is first read, from
+those and the block's densities by the same per-sample arithmetic, so it
+has the bits the task's last sweep computed; a caller that reads only
+lambda, as `run_estep` and `ldcc infer` do, never builds it.  Per-model
+constants (alpha - 1, the rows' log-normalizers) come from the `ThemeModel`.
 
 A `_Block` holds what no sweep changes: segments, init noise and the
 samples stacked by `stack_samples`.  `_plan_blocks` checks every task's
@@ -148,10 +150,12 @@ class _Segments:
 def _init_noise(task, model, config):
     """A task's normalized Dirichlet(100) init noise: r's class sums (K,
     classes) and eta (L, classes).  It depends only on (config.seed, task.id,
-    K, L) and the task's class sizes."""
-    draw = estep_stream(config.seed, task.id).standard_gamma
-    r = draw(_INIT_NOISE_CONCENTRATION, (task.total_samples, model.K)).T
-    eta = draw(_INIT_NOISE_CONCENTRATION, (task.num_classes, model.L)).T
+    K, L) and the task's class sizes; one draw gives r's noise, then eta's."""
+    split = task.total_samples * model.K
+    noise = estep_stream(config.seed, task.id).standard_gamma(
+        _INIT_NOISE_CONCENTRATION, split + task.num_classes * model.L)
+    r = noise[:split].reshape(task.total_samples, model.K).T
+    eta = noise[split:].reshape(task.num_classes, model.L).T
     r = np.ascontiguousarray(r / r.sum(axis=0))
     starts = np.cumsum((0, *task.counts[:-1]))
     return np.add.reduceat(r, starts, axis=1), eta / eta.sum(axis=0)
@@ -196,7 +200,8 @@ def _plan_blocks(tasks, model, config, noise=None):
 class Posterior:
     """The variational posteriors of consecutive tasks, stacked.
 
-    r: theme-major (K, rows) responsibilities; each sample's column sums to 1.
+    r: theme-major (K, rows) responsibilities; each sample's column sums to 1
+    (a sweep's r is built on first read, see the module docstring).
     gamma: (classes, K) per-class Dirichlet parameters over image themes.
     eta: (classes, L) per-class task-theme weights, rows normalized.
     lam: (tasks, L) task-level Dirichlet parameters; row d is task d's embedding.
@@ -209,9 +214,17 @@ class Posterior:
 
     def __init__(self, seg, r, gamma, eta, lam, iterations=None, converged=None,
                  gamma_clamps=None, log_pdfs=None, samples=None):
-        self.seg, self.r, self.gamma, self.eta, self.lam = seg, r, gamma, eta, lam
+        self.seg, self._r, self.gamma, self.eta, self.lam = seg, r, gamma, eta, lam
         self.iterations, self.converged, self.gamma_clamps = iterations, converged, gamma_clamps
         self.log_pdfs, self.samples = log_pdfs, samples
+        self._r_inputs = None  # a sweep's (per-class E[ln theta], densities) until r is read
+
+    @property
+    def r(self):
+        pending = self._r_inputs
+        if pending is not None:
+            self._r, self._r_inputs = _responsibilities(*pending, self.seg, self.log_pdfs), None
+        return self._r
 
     def classes(self):
         """This result without its per-sample arrays."""
@@ -271,9 +284,7 @@ def _estep_block(block, model, config):
     seg = block.seg
     log_pdfs = model.log_pdfs(block.samples)
     all_dens = dens = _densities(log_pdfs)
-    alpha_m1 = model.alpha - 1.0
-    log_norm = log_beta_rows(model.alpha)[:, None]
-    delta = model.delta[:, None]
+    alpha_m1, log_norm, delta = model.alpha_m1, model.log_norm, model.delta_col
     num_tasks = len(block.tasks)
 
     eta = block.eta0
@@ -333,9 +344,10 @@ def _estep_block(block, model, config):
         expected_log_theta = np.compress(keep_classes, expected_log_theta, axis=1)
         dens = np.compress(keep_rows, dens, axis=1)
 
-    return Posterior(seg, _responsibilities(out_log_theta, all_dens, seg, log_pdfs),
-                     out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
-                     iterations, converged, out_clamps, log_pdfs, block.samples)
+    posterior = Posterior(seg, None, out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
+                          iterations, converged, out_clamps, log_pdfs, block.samples)
+    posterior._r_inputs = (out_log_theta, all_dens)
+    return posterior
 
 
 def estep_blocks(tasks, model, config):
@@ -385,18 +397,16 @@ def warn_estep_waste(where, parts, config) -> None:
 def elbo_terms(posterior, model):
     """The nine evidence-lower-bound expectations of each task of a `Posterior`.
 
-    Each value is an array over the posterior's tasks, read from its r and
-    log_pdfs.  Keys log_px, log_pz, log_ptheta, log_py, log_pphi are added
-    and log_qz, log_qtheta, log_qy, log_qphi subtracted to form the bound.
-    Entropy sums use the 0 ln 0 = 0 convention.
+    Each value is an array over the posterior's tasks, read from its r,
+    log_pdfs and the model's cached alpha_m1 and log_norm.  Keys log_px,
+    log_pz, log_ptheta, log_py, log_pphi are added and log_qz, log_qtheta,
+    log_qy, log_qphi subtracted to form the bound; entropies use 0 ln 0 = 0.
     """
     seg, r, gamma, eta, lam = (posterior.seg, posterior.r, posterior.gamma, posterior.eta,
                                posterior.lam)
     expected_log_theta = dirichlet_expected_log(gamma)
     expected_log_phi = dirichlet_expected_log(lam)
-    alpha_m1 = model.alpha - 1.0
-    log_norm = log_beta_rows(model.alpha)
-    theta_affinity = expected_log_theta @ alpha_m1.T - log_norm[None, :]
+    theta_affinity = expected_log_theta @ model.alpha_m1.T - model.log_norm.T
     counts = np.add.reduceat(r, seg.class_starts, axis=1).T
 
     def over_rows(values):

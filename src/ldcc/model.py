@@ -2,9 +2,10 @@
 
 A ThemeModel holds K Gaussian components (mu_k, Sigma_k) describing feature
 clusters, L Dirichlet rows alpha_l describing how task themes use those
-clusters, and the task-level prior delta.  Covariance Cholesky factors and
-log-determinants are cached at construction; the model is treated as
-immutable afterwards so concurrent E-steps can share it without locking.
+clusters, and the task-level prior delta.  Covariance Cholesky factors,
+log-determinants and every other per-model constant the E-step and the
+bound read are cached at construction; the model is treated as immutable
+afterwards so concurrent E-steps can share it without locking.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .data import TaskCollection, stack_samples
 from .errors import CheckpointError, DataError, ModelError
+from .special import log_beta_rows
 from .streams import init_stream
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -27,7 +29,9 @@ _LOG_PDF_ROWS = 4096
 
 
 class ThemeModel:
-    """Immutable container for (mu, sigma, alpha, delta) with cached factors."""
+    """Immutable container for (mu, sigma, alpha, delta) with cached factors:
+    chol_factors, log_dets, alpha_m1 = alpha - 1, and log_norm and delta_col,
+    the (L, 1) columns of log_beta_rows(alpha) and delta, all read-only."""
 
     def __init__(self, mu, sigma, alpha, delta):
         mu = np.array(mu, dtype=np.float64)
@@ -63,7 +67,10 @@ class ThemeModel:
                 raise ModelError(f"sigma[{k}] is not positive definite") from exc
             log_dets[k] = 2.0 * np.log(np.diag(chol[k])).sum()
 
-        for arr in (mu, sigma, alpha, delta, chol, log_dets):
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN for huge alpha; E-steps reject it
+            alpha_m1, log_norm = alpha - 1.0, log_beta_rows(alpha)[:, None]
+        log_pdf_const = D * _LOG_2PI + log_dets[:, None]
+        for arr in (mu, sigma, alpha, delta, chol, log_dets, alpha_m1, log_norm, log_pdf_const):
             arr.flags.writeable = False
         self.mu = mu
         self.sigma = sigma
@@ -71,6 +78,10 @@ class ThemeModel:
         self.delta = delta
         self.chol_factors = chol
         self.log_dets = log_dets
+        self.alpha_m1, self.log_norm, self.delta_col = alpha_m1, log_norm, delta[:, None]
+        # Feature i's step of the forward substitution in `log_pdfs`.
+        self._solve_steps = [(chol[:, i, :i], chol[:, i, i, None]) for i in range(D)]
+        self._log_pdf_const = log_pdf_const
 
     @property
     def K(self) -> int:
@@ -102,23 +113,26 @@ class ThemeModel:
         is inverted.  The sums run in a fixed order without BLAS or LAPACK,
         so results depend neither on the thread count nor on the row split.
         A lone row is solved as the first of two: einsum sums it in another order.
+        Factor slices and the constant term are cached; one piece is not split.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.D:
             raise ModelError(f"expected samples of shape (n, {self.D}), got {x.shape}")
         n = len(x)
         x = x if n > 1 else x.repeat(2, axis=0)
-        chol, out = self.chol_factors, np.empty((self.K, len(x)))
+        out = np.empty((self.K, len(x)))
         pieces = min(-(-len(x) // _LOG_PDF_ROWS), len(x) // 2) or 1  # near-equal, two rows or more
-        for rows, part in zip(np.array_split(x, pieces), np.array_split(out, pieces, axis=1)):
+        split = (zip(np.array_split(x, pieces), np.array_split(out, pieces, axis=1))
+                 if pieces > 1 else [(x, out)])
+        for rows, part in split:
             # z[i], (K, n), starts as feature i of x_n - mu_k and is overwritten
             # with feature i of the solution of L_k z = x_n - mu_k.
             z = np.ascontiguousarray(rows.T)[:, None, :] - self.mu.T[:, :, None]
-            for i in range(self.D):
-                z[i] -= np.einsum("kj,jkn->kn", chol[:, i, :i], z[:i])
-                z[i] /= chol[:, i, i, None]
+            for i, (lower, diag) in enumerate(self._solve_steps):
+                z[i] -= np.einsum("kj,jkn->kn", lower, z[:i])
+                z[i] /= diag
             np.einsum("ikn,ikn->kn", z, z, out=part)
-        out += self.D * _LOG_2PI + self.log_dets[:, None]
+        out += self._log_pdf_const
         out *= -0.5
         return np.ascontiguousarray(out[:, :n])
 

@@ -67,7 +67,8 @@ def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
 
     The pool's ln B(b_d) are kept with a copy of the last pool (8 bytes per
     entry) and reused, exactly, for a pool of equal shape and values: a NaN
-    never equals, and a 0 fails `log_beta_rows` before it is kept.
+    never equals, and a 0 or an overflowing row sum fails before it is kept,
+    so the pool's checks run only when the kept terms are refreshed.
     """
     global _pool_terms
     test = np.asarray(test_lambdas, dtype=np.float64)
@@ -84,13 +85,15 @@ def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
         )
     if test.shape[1] == 0:
         raise DomainError("dirichlet parameters need at least one theme")
+    pool, pool_log_beta = _pool_terms
+    fresh = not np.array_equal(pool, train)
     with np.errstate(over="ignore"):
-        if not (np.isfinite(test.sum(axis=1)).all() and np.isfinite(train.sum(axis=1)).all()):
+        if not (np.isfinite(test.sum(axis=1)).all()
+                and (not fresh or np.isfinite(train.sum(axis=1)).all())):
             raise NumericError("dirichlet parameters overflow the KL computation")
     expected = dirichlet_expected_log(test)
     with np.errstate(over="ignore", invalid="ignore"):
-        pool, pool_log_beta = _pool_terms
-        if not np.array_equal(pool, train):
+        if fresh:
             pool_log_beta = log_beta_rows(train)
             _pool_terms = (train.copy(), pool_log_beta)
         self_term = test[:, 0] * expected[:, 0]

@@ -16,9 +16,10 @@ from scipy import special as sp
 
 from ldcc.data import Task, stack_samples
 from ldcc.inference import Posterior, _floor_gamma, _Segments, _softmax, dirichlet_expected_log
-from ldcc.inference import elbo, estep_blocks
+from ldcc.inference import _INIT_NOISE_CONCENTRATION, elbo, estep_blocks
 from ldcc.learning import _ALPHA_FLOOR, _MAX_HALVINGS
 from ldcc.special import log_beta_rows
+from ldcc.streams import estep_stream
 
 
 class VariationalState:
@@ -77,6 +78,17 @@ def estep_states(tasks, model, config):
 def task_elbo(task, state, model):
     """`elbo` of one task under its state, as a float."""
     return float(elbo(stack_states([task], [state], model), model)[0])
+
+
+def two_call_init_noise(task, model, config):
+    """`inference._init_noise` as two draws from the task's stream: r's
+    (rows, K) noise, then eta's (classes, L)."""
+    draw = estep_stream(config.seed, task.id).standard_gamma
+    r = draw(_INIT_NOISE_CONCENTRATION, (task.total_samples, model.K)).T
+    eta = draw(_INIT_NOISE_CONCENTRATION, (task.num_classes, model.L)).T
+    r = np.ascontiguousarray(r / r.sum(axis=0))
+    starts = np.cumsum((0, *task.counts[:-1]))
+    return np.add.reduceat(r, starts, axis=1), eta / eta.sum(axis=0)
 
 
 def update_r(task, c, state, model, log_pdfs=None):

@@ -191,25 +191,28 @@ class TestTrain:
 
     def test_identical_across_blas_thread_counts(self, small_collection, tmp_path):
         # BLAS reads its thread count at start-up, so each count needs its
-        # own process.
+        # own processes: train, then infer with the model it wrote.
         source = str(Path(ldcc.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-            argv = self.train_args(small_collection, out)
-            result = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from ldcc.cli import main; sys.exit(main(sys.argv[1:]))",
-                 *argv],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert result.returncode == 0, result.stderr
+            infer = ["infer", "--model", str(out / "model.json"),
+                     "--data", str(small_collection / "manifest.json"),
+                     "--out", str(out / "lambdas.csv")]
+            for argv in (self.train_args(small_collection, out), infer):
+                result = subprocess.run(
+                    [sys.executable, "-c",
+                     "import sys; from ldcc.cli import main; sys.exit(main(sys.argv[1:]))",
+                     *argv],
+                    env=env, capture_output=True, text=True, timeout=300,
+                )
+                assert result.returncode == 0, result.stderr
             outputs.append(out)
         a, b = outputs
-        assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
-        assert (a / "training_log.csv").read_bytes() == (b / "training_log.csv").read_bytes()
+        for name in ("model.json", "training_log.csv", "lambdas.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_rerun_from_echoed_config(self, small_collection, tmp_path, capsys):
         first = tmp_path / "first"

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     naive_elbo_terms,
     stack_states,
     task_elbo,
+    two_call_init_noise,
     update_eta,
     update_gamma,
     update_lambda,
@@ -350,6 +352,21 @@ class TestUpdateLambda:
         assert np.allclose(out, [1.4, 1.6], atol=1e-12)
 
 
+class TestInitNoise:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(1, 7), L=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(1, 20), max_size=5), at=st.integers(0, 5),
+    )
+    def test_one_draw_matches_two_call_oracle(self, K, L, seed, counts, at):
+        counts.insert(at, 1)  # every case holds a one-sample class
+        task = Task(f"noise-{seed}", [np.zeros((n, 2), dtype=np.float32) for n in counts])
+        model, cfg = SimpleNamespace(K=K, L=L), TrainConfig(seed=seed % 1000)
+        got, want = inference._init_noise(task, model, cfg), two_call_init_noise(task, model, cfg)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestRunEstep:
     def test_degenerate_single_themes(self):
         model = ThemeModel(
@@ -553,6 +570,27 @@ class TestEstepBatch:
                     warnings.simplefilter("error", DeprecationWarning)
                     counters = int(one.iterations), bool(one.converged), int(one.gamma_clamps)
                 assert counters == (want.iterations, want.converged, want.gamma_clamps)
+
+    def test_query_recipe_matches_batch_of_one(self):
+        # The query path (L=4, K=6, D=8, tasks of 5 x 16): run_estep keeps the
+        # batch of one's lambda bytes and counters, and a result's r, read
+        # only after later queries ran, has the bytes built when it came back.
+        rng = np.random.default_rng(0)
+        model = ThemeModel(4.0 * rng.standard_normal((6, 8)), np.stack([np.eye(8)] * 6),
+                           rng.uniform(0.5, 2.0, (4, 6)), np.full(4, 0.5))
+        cfg = TrainConfig(seed=0)
+        kept = []
+        for task in generate_synthetic(model, 40, 5, 16, seed=1)[0]:
+            (part,) = estep_blocks([task], model, cfg)
+            eager = inference._responsibilities(*part._r_inputs, part.seg, part.log_pdfs)
+            kept.append((part, eager))
+            one = run_estep(task, model, cfg)
+            assert one.lam.tobytes() == part.lam[0].tobytes()
+            assert (one.iterations, one.converged, one.gamma_clamps) == (
+                part.iterations[0], part.converged[0], part.gamma_clamps[0])
+        assert len({int(part.iterations[0]) for part, _ in kept}) > 5
+        for part, eager in kept:
+            assert part.r.tobytes() == eager.tobytes()
 
     @pytest.mark.parametrize("K, L, D", [(3, 2, 2), (4, 3, 4), (6, 4, 8)])
     def test_one_sample_task_keeps_bytes(self, K, L, D):

@@ -325,16 +325,22 @@ class TestPoolTermReuse:
             pool[10 + d] = self.test[d % 2]  # now the closest row
             self.check(pool)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf,
+                                     pytest.param((1e308, 1e308), id="row-sum-overflow")])
     def test_invalid_entry_raises_as_a_first_call(self, bad):
+        # The pool's checks run only when its kept terms are refreshed, so a
+        # pool that fails them must never be kept.
         pool = np.random.default_rng(14).uniform(0.5, 6.0, size=(30, 3))
         self.check(pool)
-        good, pool[5, 2] = pool[5, 2], bad
+        entries = slice(3 - np.size(bad), 3)
+        good, pool[5, entries] = pool[5, entries].copy(), bad
         for fn, args in [(select_tasks, (pool, self.test, 7)), (distance_matrix, (self.test, pool))]:
             raised = _outcome(fn, *args)
             assert raised == _cold(_outcome, fn, *args)
             assert isinstance(raised, tuple) and issubclass(raised[0], Exception)
-        pool[5, 2] = good
+            if np.size(bad) > 1:
+                assert raised == (NumericError, "dirichlet parameters overflow the KL computation")
+        pool[5, entries] = good
         self.check(pool)
 
     def test_alternating_equal_and_reshaped_pools(self):
