@@ -45,7 +45,7 @@ from .similarity import (
     write_distance_csv,
     write_selection,
 )
-from .streams import random_model_stream
+from .streams import check_seed, random_model_stream
 
 
 class UsageError(Exception):
@@ -62,6 +62,14 @@ def _positive(kind):
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
+
+
+def _seed(text):
+    """An argparse type: a seed, an integer in [0, 2^64)."""
+    try:
+        return check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text}") from None
 
 
 def _echo_config(args, out_is_dir: bool) -> None:
@@ -204,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--tasks", type=_positive(int), required=True, help="number of tasks")
     gen.add_argument("--classes", type=_positive(int), required=True, help="classes per task")
     gen.add_argument("--shots", type=_positive(int), required=True, help="samples per class")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument(
         "--delta", type=_positive(float), default=0.5,
         help="symmetric task-theme prior for --random-model (default 0.5)",
@@ -226,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--e-tol", type=float, default=1e-3)
     tr.add_argument("--max-e-iters", type=int, default=100)
     tr.add_argument("--jitter", type=float, default=1e-6)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_seed, default=0)
     tr.add_argument("--max-batches", type=int, default=100)
     tr.add_argument("--threads", type=_positive(int), default=1, help=_THREADS_HELP)
     tr.add_argument("--out", required=True, help="output directory")
@@ -237,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--data", required=True, help="collection manifest JSON")
     inf.add_argument("--e-tol", type=float, default=1e-3)
     inf.add_argument("--max-e-iters", type=int, default=100)
-    inf.add_argument("--seed", type=int, default=0)
+    inf.add_argument("--seed", type=_seed, default=0)
     inf.add_argument("--threads", type=_positive(int), default=1, help=_THREADS_HELP)
     inf.add_argument("--out", required=True, help="output CSV path")
     inf.set_defaults(func=cmd_infer)

@@ -12,7 +12,10 @@ save/load round-trips are bit-exact.  Numerical work promotes them to
 float64 through `stack_samples`.  Each task file is written with one write and
 read with one read, and a task's values are checked for finiteness once.
 The generator's categorical draws are numpy's `Generator.choice` algorithm
-written out (`_categorical`), without its per-call argument checks.
+written out (`_categorical`), without its per-call argument checks, and its
+Dirichlet draws are one scalar `standard_gamma` call per entry
+(`_dirichlet`): the same values and stream position as numpy's array calls,
+at less cost per task.  One generator is re-keyed from task to task.
 
 Every CSV artifact (lambdas, distances, accuracies, diagrams, training logs)
 is one table format, written and read by `write_table` and `read_table`: a
@@ -31,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import DataError, FormatError
-from .streams import task_stream
+from .streams import task_rekey, task_stream
 
 if TYPE_CHECKING:
     from .model import ThemeModel
@@ -170,23 +173,34 @@ class LatentRecord:
         )
 
 
-def _dirichlet(rng: np.random.Generator, concentration: np.ndarray) -> np.ndarray:
-    # Normalized independent gamma draws.  With very small concentrations the
-    # draws can all underflow to zero; redraw rather than emit NaN.
+def _dirichlet(rng: np.random.Generator, concentration) -> np.ndarray:
+    """Normalized independent gamma draws, entry by entry: a scalar
+    `standard_gamma` call per concentration (a sequence of floats) gives
+    the values and the stream position of one `standard_gamma(array)` call
+    without its array argument checks."""
+    # With very small concentrations the draws can all underflow to zero;
+    # redraw rather than emit NaN.
+    draw = rng.standard_gamma
     for _ in range(100):
-        g = rng.standard_gamma(concentration)
+        g = np.array([draw(a) for a in concentration])
         s = g.sum()
         if s > 0:
             return g / s
     raise DataError("dirichlet sampling underflowed repeatedly; concentration too small")
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative sums of a normalized p, scaled to end at 1, as
+    `Generator.choice` builds them."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _categorical(rng: np.random.Generator, p: np.ndarray, size=None):
     """`rng.choice(len(p), size, p=p)` for a normalized p, without its argument
     checks: numpy's own algorithm, so the same draws and the same stream position."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right")
+    return _cdf(p).searchsorted(rng.random(size), side="right")
 
 
 def generate_synthetic(
@@ -201,22 +215,28 @@ def generate_synthetic(
 
     Each task draws from its own counter-based stream keyed by (seed, task
     index), in the order phi, then per class y, theta, z and the noise, so
-    generation is order-independent and parallelizable.
+    generation is order-independent and parallelizable.  One generator is
+    re-keyed from task to task (`streams.task_rekey`), and phi's cdf is built
+    once per task.
     """
     if num_tasks < 1 or num_classes < 1 or shots < 1:
         raise ValueError("num_tasks, num_classes, and shots must all be >= 1")
     L, D = model.L, model.D
+    delta, alpha = model.delta.tolist(), model.alpha.tolist()
     tasks = []
     phis = np.empty((num_tasks, L))
     ys = np.empty((num_tasks, num_classes), dtype=np.int64)
     zs = np.empty((num_tasks, num_classes, shots), dtype=np.int64)
     eps = np.empty((num_classes, shots, D))
+    rng = task_stream(seed, 0)
     for d in range(num_tasks):
-        rng = task_stream(seed, d)
-        phis[d] = _dirichlet(rng, model.delta)
+        if d:
+            task_rekey(rng, seed, d)
+        phis[d] = _dirichlet(rng, delta)
+        phi_cdf = _cdf(phis[d])
         for c in range(num_classes):
-            ys[d, c] = _categorical(rng, phis[d])
-            zs[d, c] = _categorical(rng, _dirichlet(rng, model.alpha[ys[d, c]]), shots)
+            ys[d, c] = y = phi_cdf.searchsorted(rng.random(), side="right")
+            zs[d, c] = _categorical(rng, _dirichlet(rng, alpha[y]), shots)
             rng.standard_normal(out=eps[c])
         x = model.mu[zs[d]] + np.einsum("cnij,cnj->cni", model.chol_factors[zs[d]], eps)
         tasks.append(Task(f"task_{d:05d}", x.astype(np.float32)))

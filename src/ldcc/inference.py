@@ -32,12 +32,16 @@ constants (alpha - 1, the rows' log-normalizers) come from the `ThemeModel`.
 
 A `_Block` holds what no sweep changes: segments, init noise and the
 samples stacked by `stack_samples`.  `_plan_blocks` checks every task's
-dimension, then builds the blocks as they are drawn; a caller that passes
-it a dict keeps each task's init noise there.  Each block's result is a
-`Posterior`, the one posterior type: its tasks' arrays stacked, with the
-log-densities its sweep used and its samples, so `elbo` and
-`learning.accumulate_stats` read it as it is.  `run_estep` is a batch of
-one that keeps only the task's lambda and counters.
+dimension, then builds the blocks as they are drawn.  A block's init noise
+is drawn task by task into one buffer, each task from its own stream (one
+generator, re-keyed per task), then normalized and summed per class once
+(`_init_noise`); a caller that passes `_plan_blocks` a dict keeps each
+task's noise columns there, and later blocks draw only the tasks missing
+from it.  Each block's result is a `Posterior`, the one posterior type:
+its tasks' arrays stacked, with the log-densities its sweep used and its
+samples, so `elbo` and `learning.accumulate_stats` read it as it is.
+`run_estep` is a batch of one that keeps only the task's lambda and
+counters.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from scipy.special import psi
 from .data import read_table, stack_samples, write_table
 from .errors import DataError, FormatError, NumericError
 from .special import dirichlet_expected_log, log_beta_dirichlet, log_beta_rows, xlogy
-from .streams import estep_stream
+from .streams import estep_rekey, estep_stream
 
 logger = logging.getLogger(__name__)
 
@@ -147,29 +151,40 @@ class _Segments:
         return sub, keep_classes, keep_classes.repeat(self.class_counts)
 
 
-def _init_noise(task, model, config):
-    """A task's normalized Dirichlet(100) init noise: r's class sums (K,
-    classes) and eta (L, classes).  It depends only on (config.seed, task.id,
-    K, L) and the task's class sizes; one draw gives r's noise, then eta's."""
-    split = task.total_samples * model.K
-    noise = estep_stream(config.seed, task.id).standard_gamma(
-        _INIT_NOISE_CONCENTRATION, split + task.num_classes * model.L)
-    r = noise[:split].reshape(task.total_samples, model.K).T
-    eta = noise[split:].reshape(task.num_classes, model.L).T
+def _init_noise(tasks, model, config):
+    """The normalized Dirichlet(100) init noise of consecutive tasks: r's
+    class sums counts0 (K, classes) and eta0 (L, classes).
+
+    A task's noise depends only on (config.seed, task.id, K, L) and its
+    class sizes.  Each task's stream draws r's (rows, K) noise, then eta's
+    (classes, L), into one buffer per block; the normalizations and class
+    sums then run once over all of it.  One generator is built for the
+    first task and re-keyed for the next ones.
+    """
+    counts = np.array([n for task in tasks for n in task.counts])
+    r, eta = np.empty((counts.sum(), model.K)), np.empty((counts.size, model.L))
+    row = cls = 0
+    rng = None
+    for task in tasks:
+        rng = (estep_stream(config.seed, task.id) if rng is None
+               else estep_rekey(rng, config.seed, task.id))
+        rng.standard_gamma(_INIT_NOISE_CONCENTRATION, out=r[row:row + task.total_samples])
+        rng.standard_gamma(_INIT_NOISE_CONCENTRATION, out=eta[cls:cls + task.num_classes])
+        row, cls = row + task.total_samples, cls + task.num_classes
+    r, eta = r.T, eta.T
     r = np.ascontiguousarray(r / r.sum(axis=0))
-    starts = np.cumsum((0, *task.counts[:-1]))
-    return np.add.reduceat(r, starts, axis=1), eta / eta.sum(axis=0)
+    counts0 = np.add.reduceat(r, np.cumsum(counts) - counts, axis=1)
+    return counts0, np.ascontiguousarray(eta / eta.sum(axis=0))
 
 
 class _Block:
     """Tasks solved as one array problem, with segments, init noise counts0
     (K, classes) and eta0 (L, classes), and samples (rows, D) stacked."""
 
-    def __init__(self, tasks, noise):
+    def __init__(self, tasks, counts0, eta0):
         self.tasks = tasks
         self.seg = _Segments.of([task.counts for task in tasks])
-        self.counts0 = np.concatenate([counts for counts, _ in noise], axis=1)
-        self.eta0 = np.concatenate([eta for _, eta in noise], axis=1)
+        self.counts0, self.eta0 = counts0, eta0
         self.samples = stack_samples(tasks)
 
 
@@ -177,7 +192,8 @@ def _plan_blocks(tasks, model, config, noise=None):
     """The tasks' `_Block`s, built as drawn; every dimension is checked first.
 
     With a dict as noise, each task's init noise is kept there, keyed by
-    (task.id, task.counts), and drawn only the first time.
+    (task.id, task.counts) as its (counts0, eta0) columns; a block draws
+    the noise of its tasks missing there only.
     """
     tasks = list(tasks)  # read twice, so an iterator of tasks is read once here
     for task in tasks:
@@ -186,15 +202,21 @@ def _plan_blocks(tasks, model, config, noise=None):
                 f"task {task.id!r} has dimension {task.dimension}, model expects {model.D}"
             )
 
-    def task_noise(task):
+    def block(run):
         if noise is None:
-            return _init_noise(task, model, config)
-        key = (task.id, task.counts)
-        if key not in noise:
-            noise[key] = _init_noise(task, model, config)
-        return noise[key]
+            return _Block(run, *_init_noise(run, model, config))
+        keys = [(task.id, task.counts) for task in run]
+        missing = {key: task for key, task in zip(keys, run) if key not in noise}
+        if missing:
+            counts0, eta0 = _init_noise(list(missing.values()), model, config)
+            cut = np.cumsum([task.num_classes for task in missing.values()])[:-1]
+            noise.update(zip(missing, zip(np.split(counts0, cut, axis=1),
+                                          np.split(eta0, cut, axis=1))))
+        kept = [noise[key] for key in keys]
+        return _Block(run, np.concatenate([counts0 for counts0, _ in kept], axis=1),
+                      np.concatenate([eta0 for _, eta0 in kept], axis=1))
 
-    return (_Block(run, list(map(task_noise, run))) for run in _blocks(tasks))
+    return map(block, _blocks(tasks))
 
 
 class Posterior:

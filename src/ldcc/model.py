@@ -20,7 +20,7 @@ import numpy as np
 from .data import TaskCollection, stack_samples
 from .errors import CheckpointError, DataError, ModelError
 from .special import log_beta_rows
-from .streams import init_stream
+from .streams import check_seed, init_stream
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -259,3 +259,4 @@ class TrainConfig:
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.max_batches < 1:
             raise ValueError(f"max_batches must be >= 1, got {self.max_batches}")
+        check_seed(self.seed)

@@ -9,6 +9,18 @@ per-item keys (a task index, or a digest of a task id) select a stream, so
 * E-step initialization noise for a task does not depend on batch order,
 * results are reproducible bit-for-bit from the seed alone.
 
+A seed is an integer in [0, 2^64); anything else, a float included, raises
+ValueError, so no two seeds name the same streams.  `stream` is the
+definition of a stream: the words (seed low, seed high, tag, key...) seed a
+SeedSequence, whose first two 64-bit words are the Philox key, with the
+counter at zero.  Philox
+draws are a function of key and counter alone (Salmon et al. 2011), so a
+stream is its key: `rekey` moves a generator to the start of another
+stream in place, with the same draws as a new one but without building a
+bit generator.  Loops over tasks (`generate_synthetic`, the E-step's
+init noise of a block) build one generator and re-key it per task
+(`task_rekey`, `estep_rekey`).
+
 Streams in use:
 
 ====  =======================================  =========================
@@ -35,16 +47,38 @@ SHUFFLE_STREAM = 4
 RANDOM_MODEL_STREAM = 5
 
 
-def _seed_words(seed: int) -> list[int]:
-    # Negative or oversized seeds are folded into two 32-bit words.
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    return [seed & _MASK32, (seed >> 32) & _MASK32]
+def check_seed(seed) -> int:
+    """seed as an int; ValueError unless it is an integer in [0, 2^64)."""
+    # A float is refused too: 1.5 would alias int(1.5).
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
+def _words(seed, tag, key) -> list[int]:
+    seed = check_seed(seed)
+    return [seed & _MASK32, seed >> 32, int(tag)] + [int(k) & _MASK32 for k in key]
 
 
 def stream(seed: int, tag: int, *key: int) -> np.random.Generator:
     """Generator for the (seed, tag, key...) stream."""
-    words = _seed_words(seed) + [int(tag)] + [int(k) & _MASK32 for k in key]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_words(seed, tag, key))))
+
+
+def rekey(rng: np.random.Generator, seed: int, tag: int, *key: int) -> np.random.Generator:
+    """rng, a Philox generator, moved in place to the start of
+    stream(seed, tag, *key): the same key, counter and buffer, so the same
+    draws from here on.  Returns rng."""
+    philox_key = np.random.SeedSequence(_words(seed, tag, key)).generate_state(2, np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": philox_key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,  # empty: the next draw runs the counter's first block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def id_digest(task_id: str) -> tuple[int, int]:
@@ -57,12 +91,20 @@ def task_stream(seed: int, index: int) -> np.random.Generator:
     return stream(seed, TASK_STREAM, index)
 
 
+def task_rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generator:
+    return rekey(rng, seed, TASK_STREAM, index)
+
+
 def init_stream(seed: int) -> np.random.Generator:
     return stream(seed, INIT_STREAM)
 
 
 def estep_stream(seed: int, task_id: str) -> np.random.Generator:
     return stream(seed, ESTEP_STREAM, *id_digest(task_id))
+
+
+def estep_rekey(rng: np.random.Generator, seed: int, task_id: str) -> np.random.Generator:
+    return rekey(rng, seed, ESTEP_STREAM, *id_digest(task_id))
 
 
 def shuffle_stream(seed: int) -> np.random.Generator:

@@ -80,15 +80,29 @@ def task_elbo(task, state, model):
     return float(elbo(stack_states([task], [state], model), model)[0])
 
 
-def two_call_init_noise(task, model, config):
-    """`inference._init_noise` as two draws from the task's stream: r's
-    (rows, K) noise, then eta's (classes, L)."""
-    draw = estep_stream(config.seed, task.id).standard_gamma
-    r = draw(_INIT_NOISE_CONCENTRATION, (task.total_samples, model.K)).T
-    eta = draw(_INIT_NOISE_CONCENTRATION, (task.num_classes, model.L)).T
+def init_noise(task, model, config):
+    """The oracle of `inference._init_noise`, one task alone: its
+    Dirichlet(100) noise in one draw from a new stream, normalized and
+    summed per class on its own.  Returns r's class sums (K, classes) and
+    eta (L, classes)."""
+    split = task.total_samples * model.K
+    noise = estep_stream(config.seed, task.id).standard_gamma(
+        _INIT_NOISE_CONCENTRATION, split + task.num_classes * model.L)
+    r = noise[:split].reshape(task.total_samples, model.K).T
+    eta = noise[split:].reshape(task.num_classes, model.L).T
     r = np.ascontiguousarray(r / r.sum(axis=0))
     starts = np.cumsum((0, *task.counts[:-1]))
     return np.add.reduceat(r, starts, axis=1), eta / eta.sum(axis=0)
+
+
+def array_dirichlet(rng, concentration):
+    """A normalized Dirichlet draw as one `standard_gamma(array)` call per
+    attempt, redrawn while every entry underflows to zero."""
+    for _ in range(100):
+        g = rng.standard_gamma(concentration)
+        if g.sum() > 0:
+            return g / g.sum()
+    raise AssertionError("every attempt underflowed")
 
 
 def update_r(task, c, state, model, log_pdfs=None):

@@ -592,6 +592,44 @@ def test_echo_is_every_option(command, out_is_dir, small_collection, tmp_path, c
     assert reparsed == expected
 
 
+class TestSeedRange:
+    """--seed takes [0, 2^64); any other is a usage error, not an alias."""
+
+    TOP = str(2**64 - 1)
+
+    def commands(self, data, tmp_path, seed):
+        manifest = str(data / "manifest.json")
+        return [
+            gen_args(tmp_path / "gen", seed=seed),
+            ["train", "--data", manifest, "--task-themes", "2", "--image-themes", "2",
+             "--batch", "5", "--max-batches", "1", "--seed", seed, "--out", str(tmp_path / "run")],
+            ["infer", "--model", str(tmp_path / "run" / "model.json"), "--data", manifest,
+             "--seed", seed, "--out", str(tmp_path / "lam.csv")],
+        ]
+
+    @pytest.mark.parametrize("seed", ["-5", "-1", str(2**64), str(2**64 + 1), "1.5"])
+    def test_out_of_range_is_usage_error(self, small_collection, tmp_path, capsys, seed):
+        for argv in self.commands(small_collection, tmp_path, seed):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv[0]
+            assert "argument --seed: must be an integer in [0, 2^64)" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", ["0", TOP])
+    def test_ends_work(self, small_collection, tmp_path, capsys, seed):
+        for argv in self.commands(small_collection, tmp_path, seed):
+            code, stdout, _ = run(capsys, *argv)
+            assert code == 0, argv[0]
+            assert json.loads(stdout)["seed"] == int(seed)
+
+    def test_no_alias(self, tmp_path, capsys):
+        # 2^64 + 1 used to write seed 1's tasks; 2^64 - 1 writes its own.
+        assert run(capsys, *gen_args(tmp_path / "one", seed=1))[0] == 0
+        assert run(capsys, *gen_args(tmp_path / "top", seed=self.TOP))[0] == 0
+        one, top = (load_tasks(tmp_path / name / "manifest.json") for name in ("one", "top"))
+        assert one != top
+
+
 class TestTopLevel:
     def test_no_command(self, capsys):
         assert main([]) == 2

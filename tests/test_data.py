@@ -1,12 +1,14 @@
 import hashlib
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import array_dirichlet
 from ldcc.cli import _random_model
 from ldcc.data import (
     LatentRecord,
@@ -23,7 +25,8 @@ from ldcc.data import (
     stack_samples,
 )
 from ldcc.errors import DataError, FormatError
-from ldcc.model import ThemeModel
+from ldcc.inference import _plan_blocks
+from ldcc.model import ThemeModel, TrainConfig
 from ldcc.streams import task_stream
 
 
@@ -234,6 +237,56 @@ class TestGenerator:
         h = hashlib.sha256()
         for path in sorted(tmp_path.iterdir()):
             h.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert h.hexdigest() == digest
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_dirichlet_is_array_gamma(self, data):
+        # Entry-wise scalar draws: the values and stream position of one
+        # standard_gamma(array) call per attempt, also when small
+        # concentrations underflow every entry and force a redraw.
+        n = data.draw(st.integers(1, 12))
+        concentration = np.array(data.draw(st.lists(
+            st.sampled_from([1e-4, 0.001, 0.1, 1.0, 6.0, 100.0]), min_size=n, max_size=n)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        for conc in (concentration, concentration.tolist()):
+            ours, numpy_s = task_stream(seed, 1), task_stream(seed, 1)
+            got, want = _dirichlet(ours, conc), array_dirichlet(numpy_s, concentration)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert repr(ours.bit_generator.state) == repr(numpy_s.bit_generator.state)
+
+    def test_dirichlet_redraws_underflow(self):
+        # Seeds whose first attempt underflows every entry take the redraw.
+        concentration = np.array([1e-4, 1e-4])
+        redrawn = 0
+        for seed in range(20):
+            got = _dirichlet(task_stream(seed, 1), concentration.tolist())
+            assert got.tobytes() == array_dirichlet(task_stream(seed, 1), concentration).tobytes()
+            redrawn += not task_stream(seed, 1).standard_gamma(concentration).sum() > 0
+        assert redrawn > 0
+        with pytest.raises(DataError, match="underflowed"):
+            _dirichlet(task_stream(0, 1), [0.0, 0.0])
+
+    @pytest.mark.parametrize("shape, digest", [
+        ((3, 2), "4b89414abedcf635c8cc1d649b5a13c21c7c975fa79d5dd512b9c8b2dc8f13e1"),
+        ((9, 8), "8f7c572a3f3ea5eacca19ab4e751f8c92e2d7a31af99758a1f2b0d67d0b99c80"),
+    ])
+    def test_golden_init_noise(self, shape, digest):
+        # The E-step init noise (counts0, eta0) of the planted golden
+        # collection's block, at K, L = 3, 2 and at 9, 8 (pairwise sums).
+        # Like test_golden_bytes, it moves only with the draw order, the
+        # arithmetic or numpy's Generator streams.
+        model = ThemeModel(
+            np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]]),
+            np.stack([np.eye(2)] * 3),
+            np.array([[6.0, 1.0, 1.0], [1.0, 1.0, 6.0]]),
+            np.array([0.01, 0.01]),
+        )
+        coll, _ = generate_synthetic(model, 12, 5, 16, 7)
+        K, L = shape
+        h = hashlib.sha256()
+        for block in _plan_blocks(coll, SimpleNamespace(K=K, L=L, D=2), TrainConfig(seed=3)):
+            h.update(block.counts0.tobytes() + block.eta0.tobytes())
         assert h.hexdigest() == digest
 
     def test_rejects_bad_counts(self):

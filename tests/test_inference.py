@@ -1,6 +1,7 @@
 import math
 import warnings
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from scipy import stats
 from helpers import (
     VariationalState,
     estep_states,
+    init_noise,
     naive_elbo_terms,
     stack_states,
     task_elbo,
-    two_call_init_noise,
     update_eta,
     update_gamma,
     update_lambda,
@@ -352,6 +353,21 @@ class TestUpdateLambda:
         assert np.allclose(out, [1.4, 1.6], atol=1e-12)
 
 
+def noise_task(task_id, counts):
+    return Task(task_id, [np.zeros((n, 2), dtype=np.float32) for n in counts])
+
+
+def oracle_noise(tasks, model, config):
+    """The per-task oracle's noise of consecutive tasks, joined by class."""
+    parts = [init_noise(task, model, config) for task in tasks]
+    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*parts))
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
+
 class TestInitNoise:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -359,12 +375,56 @@ class TestInitNoise:
         counts=st.lists(st.integers(1, 20), max_size=5), at=st.integers(0, 5),
     )
     def test_one_draw_matches_two_call_oracle(self, K, L, seed, counts, at):
+        # The block draws r's noise, then eta's, into two buffers; the
+        # oracle draws both at once from a new stream.
         counts.insert(at, 1)  # every case holds a one-sample class
-        task = Task(f"noise-{seed}", [np.zeros((n, 2), dtype=np.float32) for n in counts])
+        task = noise_task(f"noise-{seed}", counts)
         model, cfg = SimpleNamespace(K=K, L=L), TrainConfig(seed=seed % 1000)
-        got, want = inference._init_noise(task, model, cfg), two_call_init_noise(task, model, cfg)
-        for a, b in zip(got, want, strict=True):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert_same_bits(inference._init_noise([task], model, cfg), init_noise(task, model, cfg))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        K=st.integers(1, 12), L=st.integers(1, 12), seed=st.integers(0, 2**64 - 1),
+        splits=st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=4),
+                        min_size=1, max_size=6),
+    )
+    def test_block_matches_per_task_oracle(self, K, L, seed, splits):
+        # K or L of 8 and more sums each sample's noise pairwise, not
+        # sequentially; one-sample classes and one-task blocks are drawn too.
+        tasks = [noise_task(f"t{d}", counts) for d, counts in enumerate(splits)]
+        model, cfg = SimpleNamespace(K=K, L=L), TrainConfig(seed=seed)
+        assert_same_bits(inference._init_noise(tasks, model, cfg),
+                         oracle_noise(tasks, model, cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        block_rows=st.integers(1, 30), kept_every=st.integers(0, 3), seed=st.integers(0, 99),
+        splits=st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=4),
+                        min_size=1, max_size=8),
+    )
+    def test_planned_blocks_match_oracle(self, block_rows, kept_every, seed, splits):
+        # A collection cut at _BLOCK_ROWS, with a kept-noise dict that
+        # already holds some of each block's tasks (every kept_every-th,
+        # none for 0): every block starts from its tasks' oracle noise, and
+        # the dict keeps its entries and gains the missing ones.
+        model = SimpleNamespace(K=3, L=2, D=2)
+        cfg = TrainConfig(seed=seed)
+        tasks = [noise_task(f"t{d}", counts) for d, counts in enumerate(splits)]
+        for kept in (None, {}):
+            if kept is not None and kept_every:
+                list(inference._plan_blocks(tasks[::kept_every], model, cfg, kept))
+            before = dict(kept or {})
+            with patch.object(inference, "_BLOCK_ROWS", block_rows):
+                blocks = list(inference._plan_blocks(tasks, model, cfg, kept))
+            assert [task for block in blocks for task in block.tasks] == tasks
+            if len(tasks) > 1 and block_rows < sum(task.total_samples for task in tasks):
+                assert len(blocks) > 1
+            for block in blocks:
+                assert_same_bits((block.counts0, block.eta0),
+                                 oracle_noise(block.tasks, model, cfg))
+            if kept is not None:
+                assert all(kept[key] is value for key, value in before.items())
+                assert set(kept) == {(task.id, task.counts) for task in tasks}
 
 
 class TestRunEstep:

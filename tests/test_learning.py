@@ -12,6 +12,7 @@ from helpers import (
     dense_newton_solve,
     estep_states,
     fd_alpha_gradient,
+    init_noise,
     random_posterior_instance,
     stack_states,
     task_elbo,
@@ -716,9 +717,9 @@ class TestTrainMatchesReference:
         built = []
 
         class CountedBlock(inference._Block):
-            def __init__(self, tasks, noise):
+            def __init__(self, tasks, counts0, eta0):
                 built.append(len(tasks))
-                super().__init__(tasks, noise)
+                super().__init__(tasks, counts0, eta0)
 
         monkeypatch.setattr(inference, "_Block", CountedBlock)
         cfg = TrainConfig(seed=6, max_batches=4, batch_size=len(coll) + 3,
@@ -743,7 +744,7 @@ class TestTrainMatchesReference:
         kept = {}
         for twin in twins:
             [block] = inference._plan_blocks([twin], planted_model(), TrainConfig(seed=2), kept)
-            fresh = inference._init_noise(twin, planted_model(), TrainConfig(seed=2))
+            fresh = init_noise(twin, planted_model(), TrainConfig(seed=2))
             for a, b in zip((block.counts0, block.eta0), fresh, strict=True):
                 assert a.shape == b.shape and np.array_equal(a, b)
         assert len(kept) == 2

@@ -356,11 +356,17 @@ class TestTrainConfig:
             {"tau0": math.inf},
             {"e_tol": math.inf},
             {"jitter": math.inf},
+            {"seed": -1},
+            {"seed": 2**64},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_boundary_seeds(self):
+        assert TrainConfig(seed=0).seed == 0
+        assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_boundary_tau1(self):
         assert TrainConfig(tau1=1.0).tau1 == 1.0
