@@ -151,7 +151,7 @@ def cmd_infer(args) -> None:
 def cmd_distance(args) -> None:
     test_ids, test_lambdas = read_lambda_csv(args.test_lambdas)
     _, train_lambdas = read_lambda_csv(args.train_lambdas)
-    report = distance_matrix(test_lambdas, train_lambdas, keep_matrix=False)
+    report = distance_matrix(test_lambdas, train_lambdas)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_distance_csv(out, test_ids, report.mean_kl)

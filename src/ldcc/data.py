@@ -308,27 +308,35 @@ def load_task_file(path, task_id: str, expected_dim=None) -> Task:
         raise fail(None) or exc
 
 
+def read_json_object(path, what, fields, error):
+    """The JSON object in a UTF-8 file; `error` (an exception type) is raised,
+    naming `what`, unless the file decodes to an object holding `fields`."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{what} must be a JSON object")
+    for key in fields:
+        if key not in payload:
+            raise error(f"{what} missing field {key!r}")
+    return payload
+
+
 def load_tasks(manifest_path) -> TaskCollection:
     """Load a collection from its manifest."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}") from exc
-    if (
-        not isinstance(manifest, dict)
-        or "dimension" not in manifest
-        or "tasks" not in manifest
-        or not isinstance(manifest["tasks"], list)
-    ):
-        raise FormatError("manifest must be an object with 'dimension' and 'tasks'")
+    manifest = read_json_object(manifest_path, "manifest", ("dimension", "tasks"), FormatError)
+    if not isinstance(manifest["tasks"], list):
+        raise FormatError("manifest 'tasks' must be a list")
     dim = manifest["dimension"]
     if not isinstance(dim, int) or dim < 1:
         raise FormatError(f"manifest dimension must be a positive integer, got {dim!r}")
     tasks = []
     for entry in manifest["tasks"]:
-        if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
-            raise FormatError(f"manifest task entries need 'id' and 'path': {entry!r}")
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                and isinstance(entry.get("path"), str)):
+            raise FormatError(f"manifest task entries need string 'id' and 'path': {entry!r}")
         path = manifest_path.parent / entry["path"]
         tasks.append(load_task_file(path, entry["id"], expected_dim=dim))
     return TaskCollection(tasks)
@@ -344,13 +352,7 @@ def save_latents(record: LatentRecord, path) -> None:
 
 
 def load_latents(path) -> LatentRecord:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"latent record is not valid JSON: {exc}") from exc
-    for key in ("phi", "y", "z"):
-        if key not in payload:
-            raise FormatError(f"latent record missing field {key!r}")
+    payload = read_json_object(path, "latent record", ("phi", "y", "z"), FormatError)
     return LatentRecord(payload["phi"], payload["y"], payload["z"])
 
 
@@ -375,22 +377,25 @@ def read_table(path, header_ok, describe) -> list[tuple[int, str, list[float]]]:
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header_ok(header):
-            raise FormatError(f"{path}: expected header {describe}")
-        rows, keys = [], set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(f"{path}:{line_no}: expected {len(header)} fields")
-            try:
-                rows.append((line_no, row[0], [float(v) for v in row[1:]]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{line_no}: {exc}") from exc
-            if row[0] in keys:
-                raise FormatError(f"{path}:{line_no}: duplicate task id {row[0]!r}")
-            keys.add(row[0])
+        try:
+            header = next(reader, None)
+            if header is None or not header_ok(header):
+                raise FormatError(f"{path}: expected header {describe}")
+            rows, keys = [], set()
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise FormatError(f"{path}:{line_no}: expected {len(header)} fields")
+                try:
+                    rows.append((line_no, row[0], [float(v) for v in row[1:]]))
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{line_no}: {exc}") from exc
+                if row[0] in keys:
+                    raise FormatError(f"{path}:{line_no}: duplicate task id {row[0]!r}")
+                keys.add(row[0])
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}: not a CSV table: {exc}") from exc
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return rows

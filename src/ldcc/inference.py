@@ -53,7 +53,7 @@ from scipy.special import psi
 
 from .data import read_table, stack_samples, write_table
 from .errors import DataError, FormatError, NumericError
-from .special import dirichlet_expected_log, log_beta_dirichlet, log_beta_rows, xlogy
+from .special import dirichlet_expected_log, log_beta_rows, xlogy
 from .streams import estep_rekey, estep_stream
 
 logger = logging.getLogger(__name__)
@@ -442,7 +442,7 @@ def elbo_terms(posterior, model):
         "log_pz": over_classes((counts * expected_log_theta).sum(axis=1)),
         "log_ptheta": over_classes((eta * theta_affinity).sum(axis=1)),
         "log_py": over_classes((eta * expected_log_phi[seg.class_task]).sum(axis=1)),
-        "log_pphi": -log_beta_dirichlet(model.delta)
+        "log_pphi": -log_beta_rows(model.delta[None])
         + ((model.delta - 1.0) * expected_log_phi).sum(axis=1),
         "log_qz": over_rows(xlogy(r, r)),
         "log_qtheta": over_classes(

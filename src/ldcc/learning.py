@@ -23,12 +23,13 @@ import logging
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
+from scipy.special import zeta
 
 from .data import write_table
 from .errors import ModelError, NumericError
 from .inference import _estep_block, _plan_blocks, elbo, warn_estep_waste
 from .model import ThemeModel, TrainConfig, init_model
-from .special import dirichlet_expected_log, trigamma
+from .special import dirichlet_expected_log
 from .streams import shuffle_stream
 
 logger = logging.getLogger(__name__)
@@ -134,8 +135,9 @@ def alpha_newton_work(posteriors, alpha) -> AlphaNewtonWork:
     active = mass > 0.0
     gradient = weighted_log_theta - mass[:, None] * dirichlet_expected_log(alpha)
     gradient = np.where(active[:, None], gradient, 0.0)
-    q_diag = np.where(active[:, None], -mass[:, None] * trigamma(alpha), -1.0)
-    u = np.where(active, mass * trigamma(alpha.sum(axis=1)), 0.0)
+    # Trigamma is zeta(2, x); dirichlet_expected_log(alpha) has checked alpha and its row sums.
+    q_diag = np.where(active[:, None], -mass[:, None] * zeta(2.0, alpha), -1.0)
+    u = np.where(active, mass * zeta(2.0, alpha.sum(axis=1)), 0.0)
 
     inv_u = np.where(u > 0.0, 1.0 / np.where(u > 0.0, u, 1.0), 0.0)
     inv_q = 1.0 / q_diag

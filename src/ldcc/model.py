@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TaskCollection, stack_samples
+from .data import TaskCollection, read_json_object, stack_samples
 from .errors import CheckpointError, DataError, ModelError
 from .special import log_beta_rows
 from .streams import check_seed, init_stream
@@ -202,17 +202,10 @@ def save_model(model: ThemeModel, path) -> None:
 
 def load_model(path) -> ThemeModel:
     """Read a JSON checkpoint, re-deriving factorizations and re-validating."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CheckpointError("checkpoint must be a JSON object")
+    fields = ("L", "K", "D", "delta", "alpha", "mu", "sigma")
+    payload = read_json_object(path, "checkpoint", fields, CheckpointError)
     if payload.get("version") != 1:
         raise CheckpointError(f"unsupported checkpoint version {payload.get('version')!r}")
-    for key in ("L", "K", "D", "delta", "alpha", "mu", "sigma"):
-        if key not in payload:
-            raise CheckpointError(f"checkpoint missing field {key!r}")
     L, K, D = payload["L"], payload["K"], payload["D"]
     try:
         model = ThemeModel(payload["mu"], payload["sigma"], payload["alpha"], payload["delta"])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import read_table, write_table
 from .errors import DataError, DomainError, FormatError, NumericError
-from .special import digamma, dirichlet_expected_log, log_beta_dirichlet, log_beta_rows
+from .special import dirichlet_expected_log, log_beta_rows
 
 _NEGATIVE_KL_TOL = -1e-9
 # The last training pool `_kl_matrix` was given, as (a copy, its log_beta_rows).
@@ -34,15 +34,13 @@ def dirichlet_kl(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"parameter vectors must match, got {a.shape} and {b.shape}")
+    if a.size == 0:
+        raise DomainError("dirichlet parameters need at least one theme")
     with np.errstate(over="ignore"):
         if not (np.isfinite(a.sum()) and np.isfinite(b.sum())):
             raise NumericError("dirichlet parameters overflow the KL computation")
-    value = (
-        log_beta_dirichlet(b)
-        - log_beta_dirichlet(a)
-        + ((a - b) * (digamma(a) - digamma(a.sum()))).sum()
-    )
-    return float(value)
+    log_beta_b, log_beta_a = log_beta_rows(np.stack([b, a]))
+    return float(log_beta_b - log_beta_a + ((a - b) * dirichlet_expected_log(a)).sum())
 
 
 @dataclass
@@ -50,7 +48,7 @@ class DistanceReport:
     """Per-test-task mean KL to the training tasks, plus the full matrix."""
 
     mean_kl: np.ndarray
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
 
 
 def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
@@ -109,7 +107,7 @@ def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
     return np.maximum(matrix, 0.0, out=matrix)
 
 
-def distance_matrix(test_lambdas, train_lambdas, keep_matrix=True) -> DistanceReport:
+def distance_matrix(test_lambdas, train_lambdas) -> DistanceReport:
     """KL of every test posterior from every training posterior.
 
     Entry (i, d) is dirichlet_kl(test_i, train_d), clamped at 0; mean_kl
@@ -117,7 +115,7 @@ def distance_matrix(test_lambdas, train_lambdas, keep_matrix=True) -> DistanceRe
     array pass.
     """
     matrix = _kl_matrix(test_lambdas, train_lambdas)
-    return DistanceReport(mean_kl=matrix.mean(axis=1), matrix=matrix if keep_matrix else None)
+    return DistanceReport(mean_kl=matrix.mean(axis=1), matrix=matrix)
 
 
 @dataclass
@@ -155,10 +153,8 @@ def correlation_diagram(distances, accuracies, num_bins: int) -> list[DiagramBin
     else:
         assignment = np.ones(distances.size, dtype=int)
     bins = []
-    for j in range(1, num_bins + 1):
+    for j in np.unique(assignment).tolist():  # the occupied bins, ascending, as ints
         members = assignment == j
-        if not members.any():
-            continue
         bins.append(
             DiagramBin(
                 index=j,

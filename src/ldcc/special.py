@@ -1,16 +1,16 @@
-"""Special functions underlying the variational updates.
+"""The checked Dirichlet kernels that scipy lacks.
 
-digamma is scipy.special.psi, trigamma is the Hurwitz zeta function
-scipy.special.zeta(2, x), and the log-beta functions sum
-scipy.special.gammaln.  Arguments are validated rather than clamped:
-non-positive, non-finite, or denormal-range inputs raise DomainError so
-silent upstream corruption cannot hide here.
-
-All functions accept scalars or numpy arrays and return matching shapes.
+log_beta_rows sums scipy.special.gammaln, and dirichlet_expected_log
+subtracts scipy.special.psi of the row sums; callers that need digamma
+or trigamma alone call scipy.special.psi and scipy.special.zeta(2, x)
+themselves.  Arguments are validated rather than clamped: non-positive,
+non-finite, or denormal-range inputs raise DomainError so silent upstream
+corruption cannot hide here.  xlogy keeps its own arithmetic, which
+differs from scipy.special.xlogy in the last bit on some inputs.
 """
 
 import numpy as np
-from scipy.special import gammaln, psi, zeta
+from scipy.special import gammaln, psi
 
 from .errors import DomainError
 
@@ -29,42 +29,16 @@ def _positive_array(x, name):
             raise DomainError(
                 f"{name} requires finite inputs >= {_TINY:g}; got min {low}, max {high}"
             )
-    return arr, arr.ndim == 0
-
-
-def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    arr, scalar = _positive_array(x, "digamma")
-    out = psi(arr)
-    return float(out) if scalar else out
-
-
-def trigamma(x):
-    """psi'(x), the derivative of digamma, for x > 0.
-
-    This is the Hurwitz zeta function zeta(2, x).  Near the domain edge the
-    true value exceeds the float range and the result is +inf.
-    """
-    arr, scalar = _positive_array(x, "trigamma")
-    out = zeta(2.0, arr)
-    return float(out) if scalar else out
+    return arr
 
 
 def log_beta_rows(u):
     """ln of the multivariate beta function of each row of a 2-d array of
     positive rows: sum ln Gamma(u_k) - ln Gamma(sum u_k)."""
-    arr, _ = _positive_array(u, "log_beta_rows")
+    arr = _positive_array(u, "log_beta_rows")
     if arr.ndim != 2:
         raise DomainError("log_beta_rows expects a 2-d array")
     return gammaln(arr).sum(axis=1) - gammaln(arr.sum(axis=1))
-
-
-def log_beta_dirichlet(u):
-    """log_beta_rows of one non-empty 1-d vector, as a float."""
-    arr, _ = _positive_array(u, "log_beta_dirichlet")
-    if arr.ndim != 1 or arr.size < 1:
-        raise DomainError("log_beta_dirichlet expects a non-empty 1-d vector")
-    return float(log_beta_rows(arr[None])[0])
 
 
 def dirichlet_expected_log(u):
@@ -75,7 +49,9 @@ def dirichlet_expected_log(u):
     u = np.asarray(u, dtype=np.float64)
     if u.ndim not in (1, 2):
         raise ValueError(f"expected a vector or matrix, got ndim={u.ndim}")
-    return digamma(u) - digamma(u.sum(axis=-1, keepdims=True))
+    return psi(_positive_array(u, "dirichlet_expected_log")) - psi(
+        _positive_array(u.sum(axis=-1, keepdims=True), "dirichlet_expected_log")
+    )
 
 
 def xlogy(x, y):

@@ -18,6 +18,7 @@ from ldcc.data import Task, stack_samples
 from ldcc.inference import Posterior, _floor_gamma, _Segments, _softmax, dirichlet_expected_log
 from ldcc.inference import _INIT_NOISE_CONCENTRATION, elbo, estep_blocks
 from ldcc.learning import _ALPHA_FLOOR, _MAX_HALVINGS
+from ldcc.similarity import DiagramBin
 from ldcc.special import log_beta_rows
 from ldcc.streams import estep_stream
 
@@ -315,6 +316,26 @@ def mc_dirichlet_kl(a, b, num_samples, rng):
 
     values = logpdf(x, a) - logpdf(x, b)
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(num_samples))
+
+
+def per_bin_diagram(distances, accuracies, num_bins):
+    """correlation_diagram's bins by a scan of every bin, 1 to num_bins."""
+    distances = np.asarray(distances, dtype=np.float64)
+    accuracies = np.asarray(accuracies, dtype=np.float64)
+    width = distances.max() / num_bins
+    if width > 0.0:
+        assignment = np.clip(np.ceil(distances / width).astype(int), 1, num_bins)
+    else:
+        assignment = np.ones(distances.size, dtype=int)
+    bins = []
+    for j in range(1, num_bins + 1):
+        members = assignment == j
+        if members.any():
+            bins.append(DiagramBin(
+                j, float((j - 1) * width), float(j * width), float(distances[members].mean()),
+                float(accuracies[members].mean()), int(members.sum()),
+            ))
+    return bins
 
 
 def reference_gmm_em(x, num_components, means_init, iters=500, jitter=1e-6, tol=1e-12):

@@ -14,6 +14,7 @@ import pytest
 import ldcc
 from ldcc.cli import build_parser, main
 from ldcc.data import load_latents, load_tasks
+from ldcc.errors import FormatError
 from ldcc.inference import read_lambda_csv, write_lambda_csv
 from ldcc.model import ThemeModel, load_model, save_model
 from ldcc.similarity import dirichlet_kl
@@ -538,6 +539,56 @@ class TestDiagram:
         )
         assert code == 3
         assert "mean_kl must be finite and >= 0" in err
+
+
+class TestMalformedFiles:
+    """An input file of the wrong kind is a format error (exit 3), never a traceback."""
+
+    def check(self, capsys, command, *argv):
+        code, _, err = run(capsys, command, *argv)
+        assert code == 3
+        assert err.startswith(f"ldcc {command}: error:")
+        return err
+
+    def train(self, capsys, manifest, tmp_path):
+        return self.check(capsys, "train", "--data", str(manifest), "--task-themes", "2",
+                          "--image-themes", "2", "--out", str(tmp_path / "run"))
+
+    def test_binary_file_as_json(self, small_collection, tmp_path, capsys):
+        binary = small_collection / "task_00000.task"
+        self.train(capsys, binary, tmp_path)
+        self.check(capsys, "infer", "--model", str(binary), "--data",
+                   str(small_collection / "manifest.json"), "--out", str(tmp_path / "l.csv"))
+        self.check(capsys, "gen", "--model", str(binary), "--tasks", "1", "--classes", "1",
+                   "--shots", "1", "--out", str(tmp_path / "g"))
+
+    def test_json_that_is_not_an_object(self, small_collection, tmp_path, capsys):
+        number = tmp_path / "three.json"
+        number.write_text("3\n")
+        self.train(capsys, number, tmp_path)
+        self.check(capsys, "infer", "--model", str(number), "--data",
+                   str(small_collection / "manifest.json"), "--out", str(tmp_path / "l.csv"))
+        with pytest.raises(FormatError):
+            load_latents(number)
+
+    @pytest.mark.parametrize("entry", [{"id": "t", "path": 5}, {"id": "t", "path": None},
+                                       {"id": 5, "path": "task_00000.task"}, ["t", "x.task"]])
+    def test_manifest_entry_types(self, small_collection, tmp_path, capsys, entry):
+        manifest = small_collection / "bad_manifest.json"
+        manifest.write_text(json.dumps({"dimension": 2, "tasks": [entry]}))
+        assert "manifest task entries" in self.train(capsys, manifest, tmp_path)
+
+    @pytest.mark.parametrize("content", [b"task_id,lambda_1\n\xff\xfe,1.0\n",
+                                         b"task_id,lambda_1\nt," + b"1" * 200_000 + b"\n"],
+                             ids=["binary", "huge-field"])
+    def test_unreadable_csv(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        ok = tmp_path / "ok.csv"
+        write_lambda_csv(ok, ["a"], np.ones((1, 1)))
+        err = self.check(capsys, "distance", "--test-lambdas", str(bad), "--train-lambdas",
+                         str(ok), "--out", str(tmp_path / "out.csv"))
+        assert str(bad) in err
 
 
 def echo_argv(command, data, tmp_path):

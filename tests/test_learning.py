@@ -284,6 +284,28 @@ class TestNewtonDirection:
             ref = dense_newton_solve(work)
             assert np.max(np.abs(got - ref)) < 1e-9
 
+    def test_hessian_matches_finite_differences(self):
+        # diag(q) + u 11^T must be the Jacobian of the gradient in alpha: the
+        # one check of the trigamma that q and u are built from, which
+        # dense_newton_solve takes from the same work and cannot catch.
+        rng = np.random.default_rng(8)
+        step = 1e-5
+        for trial in range(5):
+            L, K = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            part, _ = posterior_states(3, seed=trial + 70, K=K, L=L)
+            alpha = rng.uniform(0.3, 5.0, size=(L, K))
+            work = alpha_newton_work([part], alpha)
+            for l in range(L):
+                fd = np.empty((K, K))
+                for j in range(K):
+                    hi, lo = alpha.copy(), alpha.copy()
+                    hi[l, j] += step
+                    lo[l, j] -= step
+                    fd[:, j] = (alpha_newton_work([part], hi).gradient[l]
+                                - alpha_newton_work([part], lo).gradient[l]) / (2 * step)
+                hessian = np.diag(work.q_diag[l]) + work.u[l]
+                assert np.max(np.abs(hessian - fd)) <= 1e-5 * np.max(np.abs(fd))
+
     def test_quadratic_signs(self):
         part, _ = posterior_states(3, seed=60)
         alpha = np.full((2, 3), 1.2)

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import astuple
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import psi
 
-from helpers import mc_dirichlet_kl
+from helpers import mc_dirichlet_kl, per_bin_diagram
 from ldcc import similarity
-from ldcc.errors import DataError, FormatError, NumericError
-from ldcc.special import log_beta_dirichlet
+from ldcc.errors import DataError, DomainError, FormatError, NumericError
+from ldcc.special import log_beta_rows
 from ldcc.similarity import (
     DiagramBin,
     correlation_diagram,
@@ -67,6 +68,10 @@ class TestDirichletKl:
         with pytest.raises(ValueError):
             dirichlet_kl([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_empty_vectors(self):
+        with pytest.raises(DomainError):
+            dirichlet_kl([], [])
+
 
 class TestDistanceMatrix:
     def test_entries_compose_dirichlet_kl(self):
@@ -87,12 +92,6 @@ class TestDistanceMatrix:
         report = distance_matrix(lam, lam)
         assert report.matrix[0, 0] == 0.0
         assert np.all(report.matrix >= 0.0)
-
-    def test_matrix_optional(self):
-        lam = np.array([[2.0, 3.0]])
-        report = distance_matrix(lam, lam, keep_matrix=False)
-        assert report.matrix is None
-        assert report.mean_kl.shape == (1,)
 
     def test_theme_count_mismatch(self):
         with pytest.raises(DataError):
@@ -137,7 +136,7 @@ class TestDistanceMatrix:
             # b.E, which reach ~1e6 here while their difference may be small.
             e = np.abs(psi(a) - psi(a.sum()))
             for d, b in enumerate(train):
-                magnitude = abs(log_beta_dirichlet(a)) + abs(log_beta_dirichlet(b)) + a @ e + b @ e
+                magnitude = np.abs(log_beta_rows([a, b])).sum() + a @ e + b @ e
                 assert abs(matrix[i, d] - dirichlet_kl(a, b)) <= 1e-12 * (1.0 + magnitude)
 
 
@@ -195,6 +194,29 @@ class TestCorrelationDiagram:
         a = rng.uniform(0.0, 1.0, size=100)
         bins = correlation_diagram(d, a, num_bins=8)
         assert sum(b.count for b in bins) == 100
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_bin_oracle(self, data):
+        n = data.draw(st.integers(1, 12))
+        distances = data.draw(arrays(np.float64, n, elements=st.sampled_from(
+            [0.0, 0.25, 1.0, 1.5, 2.0, 3.0, 7.0])) | arrays(
+                np.float64, n, elements=st.floats(0.0, 100.0)))
+        accuracies = data.draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+        num_bins = data.draw(st.integers(1, 40))
+        got = correlation_diagram(distances, accuracies, num_bins)
+        assert [astuple(b) for b in got] == [
+            astuple(b) for b in per_bin_diagram(distances, accuracies, num_bins)
+        ]
+        assert all(type(b.index) is int for b in got)
+
+    def test_cost_follows_tasks_not_bins(self):
+        rng = np.random.default_rng(9)
+        distances = rng.uniform(0.0, 5.0, size=50)
+        bins = correlation_diagram(distances, rng.uniform(0.0, 1.0, size=50), 10**12)
+        assert 1 <= len(bins) <= 50
+        assert sum(b.count for b in bins) == 50
+        assert bins[-1].index == 10**12
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -373,8 +395,8 @@ class TestPoolTermReuse:
     def test_mean_kl_is_cold_identical(self):
         pool = np.random.default_rng(16).uniform(0.5, 6.0, size=(30, 3))
         for _ in range(3):
-            want = _cold(distance_matrix, self.test, pool, False).mean_kl
-            assert distance_matrix(self.test, pool, False).mean_kl.tobytes() == want.tobytes()
+            want = _cold(distance_matrix, self.test, pool).mean_kl
+            assert distance_matrix(self.test, pool).mean_kl.tobytes() == want.tobytes()
 
 
 class TestCsvHelpers:
