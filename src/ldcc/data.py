@@ -149,6 +149,8 @@ class LatentRecord:
         self.phi = np.asarray(phi, dtype=np.float64)
         self.y = np.asarray(y, dtype=np.int64)
         self.z = np.asarray(z, dtype=np.int64)
+        if not (np.array_equal(self.y, y) and np.array_equal(self.z, z)):
+            raise DataError("latent record y and z must hold integers")
         if self.phi.ndim != 2 or self.y.ndim != 2 or self.z.ndim != 3:
             raise DataError("latent record arrays have wrong rank")
         if not (self.phi.shape[0] == self.y.shape[0] == self.z.shape[0]):
@@ -323,6 +325,11 @@ def read_json_object(path, what, fields, error):
     return payload
 
 
+def is_json_int(value) -> bool:
+    """Whether a decoded JSON value is an integer: true and 1.0 are not."""
+    return type(value) is int
+
+
 def load_tasks(manifest_path) -> TaskCollection:
     """Load a collection from its manifest."""
     manifest_path = Path(manifest_path)
@@ -330,7 +337,7 @@ def load_tasks(manifest_path) -> TaskCollection:
     if not isinstance(manifest["tasks"], list):
         raise FormatError("manifest 'tasks' must be a list")
     dim = manifest["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if not is_json_int(dim) or dim < 1:
         raise FormatError(f"manifest dimension must be a positive integer, got {dim!r}")
     tasks = []
     for entry in manifest["tasks"]:

@@ -85,27 +85,16 @@ def local_mstep(stats: LocalThemeStats, jitter: float):
     """Maximum-likelihood Gaussian themes from pooled moments.
 
     Returns (means, covariances, active): themes whose responsibility mass
-    is below 1e-8 are marked inactive and get placeholder values; callers
-    keep the previous model values for those themes.
+    is below 1e-8 are marked inactive, and their rows are not estimates;
+    `online_update` keeps the previous model values for those themes.
     """
     active = stats.count > _EMPTY_THEME_MASS
     safe = np.where(active, stats.count, 1.0)
     means = stats.weighted_sum / safe[:, None]
     covs = stats.scatter / safe[:, None, None] - np.einsum("ki,kj->kij", means, means)
     covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
-    dim = means.shape[1]
-    covs = covs + jitter * np.eye(dim)
-    if not active.all():
-        means = np.where(active[:, None], means, 0.0)
-        covs = np.where(active[:, None, None], covs, np.eye(dim))
+    covs = covs + jitter * np.eye(means.shape[1])
     return means, covs, active
-
-
-def _eta_moments(posteriors):
-    """Batch sums S_l = sum eta_dcl and T_lk = sum eta_dcl E[ln theta_dck] over `Posterior`s."""
-    eta = np.concatenate([part.eta for part in posteriors])
-    gamma = np.concatenate([part.gamma for part in posteriors])
-    return eta.sum(axis=0), eta.T @ dirichlet_expected_log(gamma)
 
 
 @dataclass
@@ -130,10 +119,11 @@ class AlphaNewtonWork:
 def alpha_newton_work(posteriors, alpha) -> AlphaNewtonWork:
     """Assemble gradient, Hessian diagonal, and rank-one terms per row, from
     the eta and gamma of a batch's `Posterior`s."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    mass, weighted_log_theta = _eta_moments(posteriors)
+    eta = np.concatenate([part.eta for part in posteriors])
+    gamma = np.concatenate([part.gamma for part in posteriors])
+    mass = eta.sum(axis=0)  # S_l = sum_{d,c} eta_dcl
     active = mass > 0.0
-    gradient = weighted_log_theta - mass[:, None] * dirichlet_expected_log(alpha)
+    gradient = eta.T @ dirichlet_expected_log(gamma) - mass[:, None] * dirichlet_expected_log(alpha)
     gradient = np.where(active[:, None], gradient, 0.0)
     # Trigamma is zeta(2, x); dirichlet_expected_log(alpha) has checked alpha and its row sums.
     q_diag = np.where(active[:, None], -mass[:, None] * zeta(2.0, alpha), -1.0)
@@ -161,7 +151,8 @@ def online_update(model, means, covs, newton_direction, rho, active=None) -> The
     """Blend batch estimates into the model with step size rho.
 
     Gaussian themes move along the convex combination (1 - rho) old +
-    rho new; inactive themes (no batch mass) keep their previous values.
+    rho new, except that inactive themes (no batch mass) keep their
+    previous mean and covariance bit for bit, with one warning.
     alpha takes a damped Newton step alpha - rho * direction: the rows
     whose step leaves an entry nonpositive halve it together, up to
     _MAX_HALVINGS times, and then every entry is floored at _ALPHA_FLOOR.
@@ -170,20 +161,15 @@ def online_update(model, means, covs, newton_direction, rho, active=None) -> The
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    means = np.asarray(means, dtype=np.float64)
-    covs = np.asarray(covs, dtype=np.float64)
-    newton_direction = np.asarray(newton_direction, dtype=np.float64)
-    if active is None:
-        active = np.ones(model.K, dtype=bool)
-    if not active.all():
+    new_mu = (1.0 - rho) * model.mu + rho * means
+    new_sigma = (1.0 - rho) * model.sigma + rho * covs
+    if active is not None and not active.all():
         logger.warning(
             "themes %s received no responsibility mass; keeping previous values",
             np.flatnonzero(~active).tolist(),
         )
-        means = np.where(active[:, None], means, model.mu)
-        covs = np.where(active[:, None, None], covs, model.sigma)
-    new_mu = (1.0 - rho) * model.mu + rho * means
-    new_sigma = (1.0 - rho) * model.sigma + rho * covs
+        new_mu = np.where(active[:, None], new_mu, model.mu)
+        new_sigma = np.where(active[:, None, None], new_sigma, model.sigma)
     step = rho * newton_direction
     halving = np.ones(model.L, dtype=bool)
     for _ in range(_MAX_HALVINGS):
@@ -205,7 +191,7 @@ def online_update(model, means, covs, newton_direction, rho, active=None) -> The
             floored,
         )
     try:
-        return model.with_updates(mu=new_mu, sigma=new_sigma, alpha=new_alpha)
+        return ThemeModel(new_mu, new_sigma, new_alpha, model.delta)
     except ModelError as exc:
         raise NumericError(f"online update produced an invalid model: {exc}") from exc
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TaskCollection, read_json_object, stack_samples
+from .data import TaskCollection, is_json_int, read_json_object, stack_samples
 from .errors import CheckpointError, DataError, ModelError
 from .special import log_beta_rows
 from .streams import check_seed, init_stream
@@ -95,17 +95,8 @@ class ThemeModel:
     def L(self) -> int:
         return self.alpha.shape[0]
 
-    def with_updates(self, mu=None, sigma=None, alpha=None) -> "ThemeModel":
-        """A new model sharing this one's values except where overridden."""
-        return ThemeModel(
-            self.mu if mu is None else mu,
-            self.sigma if sigma is None else sigma,
-            self.alpha if alpha is None else alpha,
-            self.delta,
-        )
-
     def log_pdfs(self, x: np.ndarray) -> np.ndarray:
-        """Gaussian log-densities of the n rows of x under every theme, as (K, n).
+        """Gaussian log-densities of the rows of x, (n, D), under every theme, as (K, n).
 
         Mahalanobis terms come from forward substitution against the cached
         Cholesky factors, one feature at a time over the (D, K, rows)
@@ -115,7 +106,6 @@ class ThemeModel:
         A lone row is solved as the first of two: einsum sums it in another order.
         Factor slices and the constant term are cached; one piece is not split.
         """
-        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.D:
             raise ModelError(f"expected samples of shape (n, {self.D}), got {x.shape}")
         n = len(x)
@@ -204,9 +194,11 @@ def load_model(path) -> ThemeModel:
     """Read a JSON checkpoint, re-deriving factorizations and re-validating."""
     fields = ("L", "K", "D", "delta", "alpha", "mu", "sigma")
     payload = read_json_object(path, "checkpoint", fields, CheckpointError)
-    if payload.get("version") != 1:
-        raise CheckpointError(f"unsupported checkpoint version {payload.get('version')!r}")
-    L, K, D = payload["L"], payload["K"], payload["D"]
+    version, L, K, D = (payload.get(key) for key in ("version", "L", "K", "D"))
+    if not is_json_int(version) or version != 1:
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
+    if not all(map(is_json_int, (L, K, D))):
+        raise CheckpointError(f"checkpoint L, K and D must be integers, got {L!r}, {K!r}, {D!r}")
     try:
         model = ThemeModel(payload["mu"], payload["sigma"], payload["alpha"], payload["delta"])
     except (ModelError, ValueError) as exc:

@@ -46,12 +46,12 @@ def dirichlet_expected_log(u):
 
     Accepts a single parameter vector or a stack of rows.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = _positive_array(u, "dirichlet_expected_log")
     if u.ndim not in (1, 2):
         raise ValueError(f"expected a vector or matrix, got ndim={u.ndim}")
-    return psi(_positive_array(u, "dirichlet_expected_log")) - psi(
-        _positive_array(u.sum(axis=-1, keepdims=True), "dirichlet_expected_log")
-    )
+    with np.errstate(over="ignore"):  # an overflowing row sum is refused below
+        total = u.sum(axis=-1, keepdims=True)
+    return psi(u) - psi(_positive_array(total, "dirichlet_expected_log"))
 
 
 def xlogy(x, y):

@@ -9,7 +9,7 @@ per-item keys (a task index, or a digest of a task id) select a stream, so
 * E-step initialization noise for a task does not depend on batch order,
 * results are reproducible bit-for-bit from the seed alone.
 
-A seed is an integer in [0, 2^64); anything else, a float included, raises
+A seed is an integer in [0, 2^64); anything else (a float, a bool) raises
 ValueError, so no two seeds name the same streams.  `stream` is the
 definition of a stream: the words (seed low, seed high, tag, key...) seed a
 SeedSequence, whose first two 64-bit words are the Philox key, with the
@@ -49,8 +49,8 @@ RANDOM_MODEL_STREAM = 5
 
 def check_seed(seed) -> int:
     """seed as an int; ValueError unless it is an integer in [0, 2^64)."""
-    # A float is refused too: 1.5 would alias int(1.5).
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+    # A float or a bool is refused too: 1.5 would alias int(1.5), and True the seed 1.
+    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return int(seed)
 

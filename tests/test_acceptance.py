@@ -72,8 +72,8 @@ def test_elbo_monotonic_over_sweeps():
     start = time.monotonic()
     collection, _ = generate_synthetic(planted_model(), 50, 5, 16, seed=13)
     base = init_model(collection, 2, 3, delta_value=0.5, seed=13)
-    model = base.with_updates(
-        alpha=np.array([[2.0, 1.0, 0.8], [0.9, 1.5, 2.5]])
+    model = ThemeModel(
+        base.mu, base.sigma, np.array([[2.0, 1.0, 0.8], [0.9, 1.5, 2.5]]), base.delta
     )
     worst = 0.0
     for task in collection:

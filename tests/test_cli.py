@@ -14,7 +14,7 @@ import pytest
 import ldcc
 from ldcc.cli import build_parser, main
 from ldcc.data import load_latents, load_tasks
-from ldcc.errors import FormatError
+from ldcc.errors import CheckpointError, FormatError
 from ldcc.inference import read_lambda_csv, write_lambda_csv
 from ldcc.model import ThemeModel, load_model, save_model
 from ldcc.similarity import dirichlet_kl
@@ -577,6 +577,28 @@ class TestMalformedFiles:
         manifest = small_collection / "bad_manifest.json"
         manifest.write_text(json.dumps({"dimension": 2, "tasks": [entry]}))
         assert "manifest task entries" in self.train(capsys, manifest, tmp_path)
+
+    def test_manifest_dimension_true(self, tmp_path, capsys):
+        # A one-dimensional collection whose manifest says "dimension": true.
+        assert main(gen_args(tmp_path / "one", tasks=4, dim=1)) == 0
+        manifest = tmp_path / "one" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "dimension": True}))
+        with pytest.raises(FormatError, match="positive integer, got True"):
+            load_tasks(manifest)
+        self.train(capsys, manifest, tmp_path)
+
+    @pytest.mark.parametrize("field, value", [("version", True), ("version", 1.0), ("L", True),
+                                              ("L", 1.0), ("K", 2.0), ("D", True), ("D", 1.0)])
+    def test_checkpoint_dims_not_integers(self, tmp_path, capsys, field, value):
+        # Each value equals the field's own (L=1, K=2, D=1), but is no JSON integer.
+        path = tmp_path / "model.json"
+        save_model(ThemeModel(np.zeros((2, 1)), np.ones((2, 1, 1)), np.ones((1, 2)), np.ones(1)),
+                   path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(CheckpointError, match="version|integers"):
+            load_model(path)
+        self.check(capsys, "gen", "--model", str(path), "--tasks", "1", "--classes", "1",
+                   "--shots", "1", "--out", str(tmp_path / "g"))
 
     @pytest.mark.parametrize("content", [b"task_id,lambda_1\n\xff\xfe,1.0\n",
                                          b"task_id,lambda_1\nt," + b"1" * 200_000 + b"\n"],

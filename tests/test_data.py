@@ -105,6 +105,11 @@ class TestLatentRecord:
         with pytest.raises(DataError):
             LatentRecord(np.array([[0.6, 0.6]]), np.zeros((1, 2)), np.zeros((1, 2, 3)))
 
+    @pytest.mark.parametrize("y, z", [([[0.7]], [[[0, 1]]]), ([[0]], [[[0, 1.9]]])], ids=["y", "z"])
+    def test_rejects_non_integral_assignments(self, y, z):
+        with pytest.raises(DataError, match="integers"):
+            LatentRecord([[1.0]], y, z)
+
     def test_task_themes(self):
         rec = LatentRecord(
             np.array([[0.9, 0.1], [0.2, 0.8]]),

@@ -81,16 +81,6 @@ class TestThemeModel:
         with pytest.raises(ModelError):
             ThemeModel(np.zeros((2, 2)), np.stack([np.eye(2)]), np.ones((1, 2)), np.ones(1))
 
-    def test_with_updates_replaces_and_freezes(self):
-        m = make_model()
-        mu2 = m.mu + 1.0
-        m2 = m.with_updates(mu=mu2)
-        assert np.array_equal(m2.mu, mu2)
-        assert np.array_equal(m2.sigma, m.sigma)
-        assert np.array_equal(m2.alpha, m.alpha)
-        with pytest.raises(ValueError):
-            m2.mu[0, 0] = 0.0
-
 
 class TestGaussianLogPdf:
     def test_standard_normal_origin_1d(self):

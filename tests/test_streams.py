@@ -47,7 +47,7 @@ class TestRekey:
 
 
 class TestSeedRange:
-    @pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**64 + 1, 1.5, 1.0])
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**64 + 1, 1.5, 1.0, True, np.True_])
     def test_out_of_range_raises(self, seed):
         with pytest.raises(ValueError, match=r"integer in \[0, 2\^64\)"):
             stream(seed, TASK_STREAM, 0)
