@@ -225,10 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--task-themes", type=_positive(int), required=True, metavar="L")
     tr.add_argument("--image-themes", type=_positive(int), required=True, metavar="K")
     tr.add_argument("--delta", type=_positive(float), default=0.5)
-    tr.add_argument("--tau0", type=float, default=100.0)
+    tr.add_argument(
+        "--tau0", type=float, default=100.0,
+        help="step-size delay; mini-batches only (a whole-collection batch uses rho = 1)",
+    )
     tr.add_argument(
         "--tau1", type=float, default=0.51,
-        help="step-size decay exponent; must lie in (0.5, 1]",
+        help="step-size decay exponent; must lie in (0.5, 1]; mini-batches only "
+             "(a whole-collection batch uses rho = 1)",
     )
     tr.add_argument("--batch", type=int, default=500)
     tr.add_argument("--e-tol", type=float, default=1e-3)

@@ -179,7 +179,11 @@ def _init_noise(tasks, model, config):
 
 class _Block:
     """Tasks solved as one array problem, with segments, init noise counts0
-    (K, classes) and eta0 (L, classes), and samples (rows, D) stacked."""
+    (K, classes) and eta0 (L, classes), and samples (rows, D) stacked.
+
+    Whole-collection training replaces counts0 and eta0 with the last
+    posterior's r class sums and eta, so its next E-step continues there.
+    """
 
     def __init__(self, tasks, counts0, eta0):
         self.tasks = tasks

@@ -4,11 +4,17 @@ Each batch solves the E-steps of its tasks together, a block at a time,
 pools responsibility-weighted moments into one M-step estimate of the
 Gaussian themes, builds a Newton step for the Dirichlet rows alpha from the
 batch posteriors, and blends everything into the running model with step
-size rho_b = (tau0 + b)^(-tau1).  As in stochastic variational inference,
-the global step needs only the batch's expected sufficient statistics, so
-`train` folds each block's `Posterior` into the statistics
-(`accumulate_stats`) and the bound (`elbo`) as the block is solved, and
-keeps only its per-class and per-task arrays for the alpha step.
+size rho_b = (tau0 + b)^(-tau1).  When the batch is the whole collection,
+training is batch variational EM instead: each E-step continues from the
+last posterior and rho = 1, so the bound does not fall from batch to batch
+(Neal & Hinton 1998; coordinate-ascent VI is SVI with the whole data set
+as the batch and step 1, Hoffman et al. 2013).
+
+As in stochastic variational inference, the global step needs only the
+batch's expected sufficient statistics, so `train` folds each block's
+`Posterior` into the statistics (`accumulate_stats`) and the bound
+(`elbo`) as the block is solved, and keeps only its per-class and per-task
+arrays for the alpha step.
 
 The statistics are raw moments (count, weighted sum, weighted second
 moment), summed per task over the theme-major responsibilities and folded
@@ -223,11 +229,17 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
     diagnostic rows.  A batch whose E-steps stop at config.max_e_iters or
     clamp gamma entries logs one warning with both counts.
 
+    A mini-batch (config.batch_size below the number of tasks) starts each
+    E-step from its init noise and takes step rho_b = (tau0 + b)^(-tau1).
+    When the batch is the whole collection, tau0 and tau1 are not used:
+    each E-step after the first continues from its task's last posterior
+    (r's class sums and eta), and rho = 1, which the log's rho column reads.
+
     train holds what its batches reuse, for this call only.  When the batch
     is the whole collection, every batch is the same tasks in the same
-    order, so their E-step blocks (`_plan_blocks`) are built once.  When
-    smaller batches come back to a task, its E-step init noise is drawn
-    once.
+    order, so their E-step blocks (`_plan_blocks`) are built once, and each
+    block keeps its last posterior's start.  When smaller batches come back
+    to a task, its E-step init noise is drawn once.
 
     threads is accepted for compatibility and has no effect: every batch is
     solved as one array problem on the calling thread.  It stays because
@@ -257,6 +269,9 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
             part = _estep_block(block, model, config)
             stats = accumulate_stats(part, stats)
             elbos.append(elbo(part, model))
+            if whole:  # the next E-step continues from this posterior
+                block.counts0 = np.add.reduceat(part.r, part.seg.class_starts, axis=1)
+                block.eta0 = np.ascontiguousarray(part.eta.T)
             # The alpha step and the counters need only per-class and per-task arrays.
             parts.append(part.classes())
             del part  # no r or log-densities alive while the next block sweeps
@@ -264,7 +279,7 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
         means, covs, active = local_mstep(stats, config.jitter)
         work = alpha_newton_work(parts, model.alpha)
         direction = alpha_newton_direction(work)
-        rho = float((config.tau0 + batch_index) ** -config.tau1)
+        rho = 1.0 if whole else float((config.tau0 + batch_index) ** -config.tau1)
         model = online_update(model, means, covs, direction, rho, active=active)
 
         log_rows.append(

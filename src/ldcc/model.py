@@ -215,9 +215,11 @@ def load_model(path) -> ThemeModel:
 class TrainConfig:
     """Knobs for online training; validated on construction.
 
-    tau0/tau1 set the step-size schedule rho_b = (tau0 + b)^(-tau1); tau1
-    must lie in (0.5, 1] so the schedule's steps are square-summable but not
-    summable, which is what lets the stochastic updates settle.
+    tau0/tau1 set the mini-batch step-size schedule rho_b = (tau0 + b)^(-tau1);
+    tau1 must lie in (0.5, 1] so the schedule's steps are square-summable but
+    not summable, which is what lets the stochastic updates settle.  They
+    apply to mini-batches only: when batch_size covers the whole collection,
+    `train` continues each E-step from the last posterior and uses rho = 1.
     """
 
     tau0: float = 100.0

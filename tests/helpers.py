@@ -14,6 +14,7 @@ between it and the library's `Posterior`.
 import numpy as np
 from scipy import special as sp
 
+from ldcc import inference
 from ldcc.data import Task, stack_samples
 from ldcc.inference import Posterior, _floor_gamma, _Segments, _softmax, dirichlet_expected_log
 from ldcc.inference import _INIT_NOISE_CONCENTRATION, elbo, estep_blocks
@@ -74,6 +75,27 @@ def unstack(posterior):
 def estep_states(tasks, model, config):
     """Every task's solved VariationalState, in task order."""
     return [state for part in estep_blocks(tasks, model, config) for state in unstack(part)]
+
+
+def warm_start(state):
+    """The E-step start that continues from a solved state: r's class sums
+    (K, classes), summed as `init_noise` sums its noise, and eta (L, classes)."""
+    counts = [len(block) for block in state.r]
+    r = np.ascontiguousarray(np.concatenate(state.r).T)
+    return (np.add.reduceat(r, np.cumsum((0, *counts[:-1])), axis=1),
+            np.ascontiguousarray(state.eta.T))
+
+
+def continued_estep_states(tasks, states, model, config):
+    """`estep_states` where each task's E-step starts from its solved state
+    (`warm_start`) instead of its init noise, in the blocks `estep_blocks` cuts."""
+    starts = map(warm_start, states)
+    solved = []
+    for run in inference._blocks(tasks):
+        counts0, eta0 = zip(*(next(starts) for _ in run))
+        block = inference._Block(run, np.concatenate(counts0, axis=1), np.concatenate(eta0, axis=1))
+        solved += unstack(inference._estep_block(block, model, config))
+    return solved
 
 
 def task_elbo(task, state, model):

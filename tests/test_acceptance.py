@@ -68,6 +68,25 @@ def recovery_run():
     return collection, latents, model, lambdas, train_seconds
 
 
+def train_planted(classes, shots):
+    """Default training on 200 planted tasks of classes x shots (data seed 7)."""
+    collection, _ = generate_synthetic(planted_model(), 200, classes, shots, seed=7)
+    return train(collection, 2, 3, TrainConfig(seed=0))
+
+
+def mu_error(model):
+    """Largest distance from a planted image-theme mean to its matched trained one."""
+    planted = planted_model()
+    perm = best_permutation(planted.mu, model.mu)
+    return max(float(np.linalg.norm(planted.mu[k] - model.mu[perm[k]])) for k in range(planted.K))
+
+
+@pytest.fixture(scope="module")
+def default_runs():
+    """The acceptance collection (5x16) and 5x1, each trained with defaults."""
+    return {(classes, shots): train_planted(classes, shots) for classes, shots in ((5, 16), (5, 1))}
+
+
 def test_elbo_monotonic_over_sweeps():
     start = time.monotonic()
     collection, _ = generate_synthetic(planted_model(), 50, 5, 16, seed=13)
@@ -253,6 +272,61 @@ def test_synthetic_recovery(recovery_run):
         ok,
         f"(mu err {mu_err:.3f}, within<cross {auc:.4f}, train {train_seconds:.0f}s)",
     )
+
+
+def test_training_bound_never_falls_across_batches(default_runs):
+    # Whole-collection batches are batch variational EM: each E-step
+    # continues from the last posterior and rho = 1, so the bound cannot fall.
+    falls = {}
+    for (classes, shots), (_, rows) in default_runs.items():
+        elbos = np.array([row.mean_elbo for row in rows])
+        falls[f"{classes}x{shots}"] = float(np.max((elbos[:-1] - elbos[1:]) / np.abs(elbos[:-1])))
+    ok = max(falls.values()) <= 1e-9
+    detail = ", ".join(f"{case} {fall:.1e}" for case, fall in falls.items())
+    report("training_bound_monotonic", ok, f"(worst relative fall per batch: {detail})")
+
+
+@pytest.mark.parametrize("classes", [16, 20])
+def test_recovery_at_more_ways(classes):
+    start = time.monotonic()
+    model, _ = train_planted(classes, 5)
+    seconds = time.monotonic() - start
+    mu_err = mu_error(model)
+    report(f"recovery_{classes}x5", mu_err < 0.1, f"(mu err {mu_err:.3f}, train {seconds:.1f}s)")
+
+
+def test_alpha_recovery(default_runs):
+    model, _ = default_runs[5, 16]
+    planted = planted_model()
+    alpha = model.alpha[:, best_permutation(planted.mu, model.mu)]
+    alpha = alpha[best_permutation(planted.alpha, alpha)]
+    large = planted.alpha == planted.alpha.max()
+    got = alpha[large]
+    ok = bool(np.all(np.abs(got - planted.alpha[large]) <= 0.1 * planted.alpha[large]))
+    report("alpha_recovery", ok, f"(planted large entries {planted.alpha[large]}, trained {got.round(3)})")
+
+
+def test_train_reduces_to_gmm_em():
+    # test_gmm_equivalence_single_task_theme's data, through train itself.
+    rng = np.random.default_rng(1234)
+    x = np.concatenate(
+        [
+            rng.normal(size=(50, 2)) + np.array([-5.0, 0.0]),
+            rng.normal(size=(50, 2)) + np.array([5.0, 0.0]),
+        ]
+    ).astype(np.float32)
+    collection = TaskCollection([Task("gmm", [x])])
+    config = TrainConfig(seed=0)
+    init_mu = init_model(collection, 1, 2, delta_value=1.0, seed=0, jitter=config.jitter).mu
+    model, _ = train(collection, 1, 2, config, delta=1.0)
+    _, mu_ref, cov_ref, _ = reference_gmm_em(
+        x.astype(np.float64), 2, means_init=init_mu, iters=500, jitter=config.jitter, tol=1e-13,
+    )
+    perm = best_permutation(mu_ref, model.mu)
+    mu_err = np.abs(mu_ref - model.mu[perm]).max()
+    cov_err = np.abs(cov_ref - model.sigma[perm]).max()
+    ok = mu_err < 1e-6 and cov_err < 1e-6
+    report("train_gmm_equivalence", ok, f"(mu err {mu_err:.2e}, cov err {cov_err:.2e})")
 
 
 def test_correlation_diagram_hand_instance():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     VariationalState,
+    continued_estep_states,
     damped_alpha_step,
     dense_newton_solve,
     estep_states,
@@ -327,7 +328,8 @@ class TestNewtonDirection:
 
 
 class TestLearningRate:
-    """train's step size rho_b = (tau0 + b)^(-tau1), read from its log rows."""
+    """train's step size, read from its log rows: rho_b = (tau0 + b)^(-tau1)
+    for mini-batches, 1 for whole-collection batches."""
 
     def rates(self, tau0, tau1, batches):
         coll, _ = generate_synthetic(planted_model(), 4, 2, 3, seed=0)
@@ -343,6 +345,11 @@ class TestLearningRate:
         rates = self.rates(100.0, 0.51, 49)
         assert all(a > b for a, b in zip(rates, rates[1:]))
         assert all(0 < r <= 1 for r in rates)
+
+    def test_whole_collection_takes_full_steps(self):
+        coll, _ = generate_synthetic(planted_model(), 4, 2, 3, seed=0)
+        cfg = TrainConfig(max_batches=3, batch_size=4, max_e_iters=2)
+        assert [row.rho for row in train(coll, 2, 3, cfg)[1]] == [1.0] * 3
 
 
 class TestOnlineUpdate:
@@ -680,23 +687,29 @@ def uneven_collection(num_tasks=11, seed=11):
 
 def reference_train(tasks, num_task_themes, num_image_themes, config, delta=0.5):
     """train() composed per task state, batch by batch: each batch's states
-    are stacked whole, and each bound is one task's alone."""
+    are stacked whole, and each bound is one task's alone.  When the batch is
+    the whole collection, each E-step after the first continues from the
+    task's last state, and rho is 1."""
     model = init_model(
         tasks, num_task_themes, num_image_themes, delta, config.seed, jitter=config.jitter
     )
     order = shuffle_stream(config.seed).permutation(len(tasks))
-    rows, cursor = [], 0
+    whole = config.batch_size >= len(tasks)
+    rows, cursor, states = [], 0, None
     for b in range(1, config.max_batches + 1):
         batch = []
         for _ in range(min(config.batch_size, len(tasks))):
             batch.append(tasks[int(order[cursor])])
             cursor = (cursor + 1) % len(tasks)
-        states = estep_states(batch, model, config)
+        if whole and states is not None:
+            states = continued_estep_states(batch, states, model, config)
+        else:
+            states = estep_states(batch, model, config)
         elbos = [task_elbo(task, state, model) for task, state in zip(batch, states)]
         part = stack_states(batch, states)
         means, covs, active = local_mstep(accumulate_stats(part), config.jitter)
         direction = alpha_newton_direction(alpha_newton_work([part], model.alpha))
-        rho = (config.tau0 + b) ** -config.tau1
+        rho = 1.0 if whole else (config.tau0 + b) ** -config.tau1
         model = online_update(model, means, covs, direction, rho, active=active)
         rows.append(TrainLogRow(
             b, rho, float(np.mean(elbos)), float(model.alpha.min()),
