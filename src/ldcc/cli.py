@@ -111,7 +111,7 @@ def cmd_gen(args) -> None:
 def _config(args, **fields) -> TrainConfig:
     """The E-step options common to train and infer plus fields; bad values are usage errors."""
     try:
-        return TrainConfig(e_tol=args.e_tol, max_e_iters=args.max_e_iters, seed=args.seed, **fields)
+        return TrainConfig(e_tol=args.e_tol, max_e_iters=args.max_e_iters, **fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -119,7 +119,7 @@ def _config(args, **fields) -> TrainConfig:
 def cmd_train(args) -> None:
     config = _config(
         args, tau0=args.tau0, tau1=args.tau1, batch_size=args.batch,
-        jitter=args.jitter, max_batches=args.max_batches,
+        jitter=args.jitter, seed=args.seed, max_batches=args.max_batches,
     )
     collection = load_tasks(args.data)
     model, log_rows = train(
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--data", required=True, help="collection manifest JSON")
     inf.add_argument("--e-tol", type=float, default=1e-3)
     inf.add_argument("--max-e-iters", type=int, default=100)
-    inf.add_argument("--seed", type=_seed, default=0)
     inf.add_argument("--threads", type=_positive(int), default=1, help=_THREADS_HELP)
     inf.add_argument("--out", required=True, help="output CSV path")
     inf.set_defaults(func=cmd_infer)

@@ -30,16 +30,15 @@ has the bits the task's last sweep computed; a caller that reads only
 lambda, as `run_estep` and `ldcc infer` do, never builds it.  Per-model
 constants (alpha - 1, the rows' log-normalizers) come from the `ThemeModel`.
 
-A `_Block` holds what no sweep changes: segments, init noise and the
-samples stacked by `stack_samples`.  `_plan_blocks` checks every task's
-dimension, then builds the blocks as they are drawn.  A block's init noise
-is drawn task by task into one buffer, each task from its own stream (one
-generator, re-keyed per task), then normalized and summed per class once
-(`_init_noise`); a caller that passes `_plan_blocks` a dict keeps each
-task's noise columns there, and later blocks draw only the tasks missing
-from it.  Each block's result is a `Posterior`, the one posterior type:
-its tasks' arrays stacked, with the log-densities its sweep used and its
-samples, so `elbo` and `learning.accumulate_stats` read it as it is.
+A `_Block` holds what no sweep changes: segments and the samples stacked
+by `stack_samples`.  `_plan_blocks` checks every task's dimension, then
+builds the blocks as they are drawn.  A block's E-step starts from the
+model's own densities (`_start`): each sample's responsibilities are the
+softmax over themes of its log-densities, and each class's eta is
+uniform, so a task's result depends only on its samples and the model.
+Each block's result is a `Posterior`, the one posterior type: its tasks'
+arrays stacked, with the log-densities its sweep used and its samples, so
+`elbo` and `learning.accumulate_stats` read it as it is.
 `run_estep` is a batch of one that keeps only the task's lambda and
 counters.
 """
@@ -54,19 +53,29 @@ from scipy.special import psi
 from .data import read_table, stack_samples, write_table
 from .errors import DataError, FormatError, NumericError
 from .special import dirichlet_expected_log, log_beta_rows, xlogy
-from .streams import estep_rekey, estep_stream
 
 logger = logging.getLogger(__name__)
 
 _GAMMA_FLOOR = 1e-8
-_INIT_NOISE_CONCENTRATION = 100.0
+
+
+def _column_sums(a, keepdims=False):
+    """np.add.reduce(a, axis=0), row after row for a 2-D a of any width.
+
+    numpy sums a lone column of 8 or more rows pairwise, so that one is
+    summed as the first of two, and a task alone gets the bits it gets in
+    a block (as `_gemm` pads a one-column product).
+    """
+    lone = a.ndim == 2 and a.shape[1] == 1 and len(a) >= 8
+    total = np.add.reduce(a.repeat(2, axis=1) if lone else a, axis=0, keepdims=keepdims)
+    return total[..., :1] if lone else total
 
 
 def _expected_log(u):
     """dirichlet_expected_log of theme-major (K, n) columns without the
     domain check, for the sweep's gamma and lambda, which are positive by
     construction."""
-    total = np.add.reduce(u, axis=0)
+    total = _column_sums(u)
     out = psi(u)
     out -= psi(total, out=total)
     return out
@@ -86,7 +95,8 @@ def _softmax(logits, axis):
     _check_shift(m)
     logits -= m
     np.exp(logits, out=logits)
-    logits /= np.add.reduce(logits, axis=axis, keepdims=True, out=m)
+    logits /= (_column_sums(logits, keepdims=True) if axis == 0
+               else np.add.reduce(logits, axis=axis, keepdims=True, out=m))
     return logits
 
 
@@ -151,76 +161,30 @@ class _Segments:
         return sub, keep_classes, keep_classes.repeat(self.class_counts)
 
 
-def _init_noise(tasks, model, config):
-    """The normalized Dirichlet(100) init noise of consecutive tasks: r's
-    class sums counts0 (K, classes) and eta0 (L, classes).
-
-    A task's noise depends only on (config.seed, task.id, K, L) and its
-    class sizes.  Each task's stream draws r's (rows, K) noise, then eta's
-    (classes, L), into one buffer per block; the normalizations and class
-    sums then run once over all of it.  One generator is built for the
-    first task and re-keyed for the next ones.
-    """
-    counts = np.array([n for task in tasks for n in task.counts])
-    r, eta = np.empty((counts.sum(), model.K)), np.empty((counts.size, model.L))
-    row = cls = 0
-    rng = None
-    for task in tasks:
-        rng = (estep_stream(config.seed, task.id) if rng is None
-               else estep_rekey(rng, config.seed, task.id))
-        rng.standard_gamma(_INIT_NOISE_CONCENTRATION, out=r[row:row + task.total_samples])
-        rng.standard_gamma(_INIT_NOISE_CONCENTRATION, out=eta[cls:cls + task.num_classes])
-        row, cls = row + task.total_samples, cls + task.num_classes
-    r, eta = r.T, eta.T
-    r = np.ascontiguousarray(r / r.sum(axis=0))
-    counts0 = np.add.reduceat(r, np.cumsum(counts) - counts, axis=1)
-    return counts0, np.ascontiguousarray(eta / eta.sum(axis=0))
-
-
 class _Block:
-    """Tasks solved as one array problem, with segments, init noise counts0
-    (K, classes) and eta0 (L, classes), and samples (rows, D) stacked.
+    """Tasks solved as one array problem, with segments and samples (rows, D) stacked.
 
-    Whole-collection training replaces counts0 and eta0 with the last
-    posterior's r class sums and eta, so its next E-step continues there.
+    counts0 (K, classes) and eta0 (L, classes) are None, or a warm start:
+    whole-collection training sets them to the last posterior's r class
+    sums and eta, so its next E-step continues there.
     """
 
-    def __init__(self, tasks, counts0, eta0):
+    def __init__(self, tasks, counts0=None, eta0=None):
         self.tasks = tasks
         self.seg = _Segments.of([task.counts for task in tasks])
         self.counts0, self.eta0 = counts0, eta0
         self.samples = stack_samples(tasks)
 
 
-def _plan_blocks(tasks, model, config, noise=None):
-    """The tasks' `_Block`s, built as drawn; every dimension is checked first.
-
-    With a dict as noise, each task's init noise is kept there, keyed by
-    (task.id, task.counts) as its (counts0, eta0) columns; a block draws
-    the noise of its tasks missing there only.
-    """
+def _plan_blocks(tasks, model):
+    """The tasks' `_Block`s, built as drawn; every dimension is checked first."""
     tasks = list(tasks)  # read twice, so an iterator of tasks is read once here
     for task in tasks:
         if task.dimension != model.D:
             raise DataError(
                 f"task {task.id!r} has dimension {task.dimension}, model expects {model.D}"
             )
-
-    def block(run):
-        if noise is None:
-            return _Block(run, *_init_noise(run, model, config))
-        keys = [(task.id, task.counts) for task in run]
-        missing = {key: task for key, task in zip(keys, run) if key not in noise}
-        if missing:
-            counts0, eta0 = _init_noise(list(missing.values()), model, config)
-            cut = np.cumsum([task.num_classes for task in missing.values()])[:-1]
-            noise.update(zip(missing, zip(np.split(counts0, cut, axis=1),
-                                          np.split(eta0, cut, axis=1))))
-        kept = [noise[key] for key in keys]
-        return _Block(run, np.concatenate([counts0 for counts0, _ in kept], axis=1),
-                      np.concatenate([eta0 for _, eta0 in kept], axis=1))
-
-    return map(block, _blocks(tasks))
+    return map(_Block, _blocks(tasks))
 
 
 class Posterior:
@@ -279,7 +243,7 @@ def _responsibilities(expected_log_theta, dens, seg, log_pdfs):
     weights = np.subtract(expected_log_theta, np.maximum.reduce(expected_log_theta, axis=0))
     r = np.exp(weights, out=weights).repeat(seg.class_counts, axis=1)
     r *= dens
-    total = np.add.reduce(r, axis=0)
+    total = _column_sums(r)
     # Also false for a NaN total, which a NaN or infinite E[ln theta] gives:
     # the log-space path then raises NumericError.
     if not np.minimum.reduce(total) >= _TINY:
@@ -305,6 +269,18 @@ def _update_gamma(counts, eta, alpha_m1, seg, clamps):
     return gamma
 
 
+def _start(block, dens, num_task_themes):
+    """The E-step start of a `_Block`: r's class sums (K, classes) and eta (L, classes).
+
+    Without a warm start, r is each sample's softmax over themes of its
+    log-densities, from their dens, and eta is uniform.
+    """
+    if block.counts0 is not None:
+        return block.counts0, block.eta0
+    counts0 = np.add.reduceat(dens / _column_sums(dens), block.seg.class_starts, axis=1)
+    return counts0, np.full((num_task_themes, counts0.shape[1]), 1.0 / num_task_themes)
+
+
 def _estep_block(block, model, config):
     """`estep_blocks` for one `_Block`, on theme-major arrays (module docstring)."""
     seg = block.seg
@@ -313,9 +289,9 @@ def _estep_block(block, model, config):
     alpha_m1, log_norm, delta = model.alpha_m1, model.log_norm, model.delta_col
     num_tasks = len(block.tasks)
 
-    eta = block.eta0
+    counts0, eta = _start(block, dens, model.L)
     clamps = np.zeros(num_tasks, dtype=np.int64)
-    gamma = _update_gamma(block.counts0, eta, alpha_m1, seg, clamps)
+    gamma = _update_gamma(counts0, eta, alpha_m1, seg, clamps)
     lam = delta + np.add.reduceat(eta, seg.task_starts, axis=1)
 
     # Final values, filled in per class as tasks stop; r is rebuilt from
@@ -344,8 +320,7 @@ def _estep_block(block, model, config):
         _softmax(eta, axis=0)
         new_lam = delta + np.add.reduceat(eta, live.task_starts, axis=1)
         change = np.abs(np.subtract(lam, new_lam, out=lam), out=lam)
-        # The sum over L rows divided by L is bit-identical to ndarray.mean.
-        done = np.add.reduce(change, axis=0) / model.L < config.e_tol
+        done = _column_sums(change) / model.L < config.e_tol
         lam = new_lam
 
         stop = done if it < config.max_e_iters else np.ones_like(done)
@@ -379,21 +354,21 @@ def _estep_block(block, model, config):
 def estep_blocks(tasks, model, config):
     """Fit the posterior of every task; yields one `Posterior` per block, in task order.
 
-    Per task, responsibilities and theme weights start uniform plus
-    symmetric Dirichlet(100) noise (the noise breaks theme symmetry), gamma
-    and lambda from one application of their update rules.  Sweeps run
-    until the mean absolute lambda change falls below config.e_tol or
+    Per task, each sample's responsibilities start at the softmax over
+    themes of its log-densities and each class's theme weights uniform,
+    gamma and lambda from one application of their update rules.  Sweeps
+    run until the mean absolute lambda change falls below config.e_tol or
     config.max_e_iters is reached; `converged` records which, and
     `gamma_clamps` counts the gamma entries floored while the task ran.
 
     The tasks are solved together in blocks of stacked samples, and a task
     that stops is taken out of the sweeps, so each result is the one the
-    task reaches alone.  Its noise stream is keyed by (config.seed, digest
-    of task.id), so the same seed and task give the same posterior
-    regardless of batch order or composition.  Every task's dimension is
-    checked before any block is solved.
+    task reaches alone: it depends only on the task's samples, the model
+    and config's e_tol and max_e_iters, not on the task's id, the seed or
+    the batch's order or composition.  Every task's dimension is checked
+    before any block is solved.
     """
-    return (_estep_block(block, model, config) for block in _plan_blocks(tasks, model, config))
+    return (_estep_block(block, model, config) for block in _plan_blocks(tasks, model))
 
 
 def run_estep(task, model, config):

@@ -230,16 +230,15 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
     clamp gamma entries logs one warning with both counts.
 
     A mini-batch (config.batch_size below the number of tasks) starts each
-    E-step from its init noise and takes step rho_b = (tau0 + b)^(-tau1).
-    When the batch is the whole collection, tau0 and tau1 are not used:
-    each E-step after the first continues from its task's last posterior
-    (r's class sums and eta), and rho = 1, which the log's rho column reads.
+    E-step from the model's own densities (`estep_blocks`) and takes step
+    rho_b = (tau0 + b)^(-tau1).  When the batch is the whole collection,
+    tau0 and tau1 are not used: each E-step after the first continues from
+    its task's last posterior (r's class sums and eta), and rho = 1, which
+    the log's rho column reads.
 
-    train holds what its batches reuse, for this call only.  When the batch
-    is the whole collection, every batch is the same tasks in the same
-    order, so their E-step blocks (`_plan_blocks`) are built once, and each
-    block keeps its last posterior's start.  When smaller batches come back
-    to a task, its E-step init noise is drawn once.
+    When the batch is the whole collection, every batch is the same tasks
+    in the same order, so their E-step blocks (`_plan_blocks`) are built
+    once per call, and each block keeps its last posterior's start.
 
     threads is accepted for compatibility and has no effect: every batch is
     solved as one array problem on the calling thread.  It stays because
@@ -255,13 +254,12 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
     order = shuffle_stream(config.seed).permutation(len(tasks))
     cursor, size = 0, min(config.batch_size, len(tasks))
     whole = size == len(tasks)
-    noise = {} if not whole and config.max_batches * size > len(tasks) else None
     log_rows = []
     for batch_index in range(1, config.max_batches + 1):
         if batch_index == 1 or not whole:
             batch = [tasks[int(order[(cursor + j) % len(order)])] for j in range(size)]
             cursor = (cursor + size) % len(order)
-            blocks = _plan_blocks(batch, model, config, noise)
+            blocks = _plan_blocks(batch, model)
             blocks = list(blocks) if whole else blocks
 
         stats, parts, elbos = None, [], []

@@ -152,7 +152,10 @@ def init_model(
     Theme means are distinct randomly chosen data rows; every covariance
     starts at the pooled sample covariance (plus jitter on the diagonal), so
     initial responsibilities are soft across the whole spread of the data.
-    alpha starts at all-ones and delta at the symmetric delta_value.
+    alpha starts at exp(0.2 z), z standard normal (L, K), drawn from the
+    same stream after the means: the E-step start is deterministic, so
+    equal alpha rows would stay equal forever.  delta starts at the
+    symmetric delta_value.
     """
     if num_task_themes < 1 or num_image_themes < 1:
         raise ValueError("theme counts must be >= 1")
@@ -170,7 +173,7 @@ def init_model(
     centered = pooled - pooled.mean(axis=0)
     cov = centered.T @ centered / n + jitter * np.eye(pooled.shape[1])
     sigma = np.broadcast_to(cov, (num_image_themes, *cov.shape)).copy()
-    alpha = np.ones((num_task_themes, num_image_themes))
+    alpha = np.exp(0.2 * rng.standard_normal((num_task_themes, num_image_themes)))
     delta = np.full(num_task_themes, float(delta_value))
     return ThemeModel(mu, sigma, alpha, delta)
 
@@ -201,7 +204,7 @@ def load_model(path) -> ThemeModel:
         raise CheckpointError(f"checkpoint L, K and D must be integers, got {L!r}, {K!r}, {D!r}")
     try:
         model = ThemeModel(payload["mu"], payload["sigma"], payload["alpha"], payload["delta"])
-    except (ModelError, ValueError) as exc:
+    except (ModelError, ValueError, TypeError) as exc:  # TypeError: a JSON object for an array
         raise CheckpointError(f"invalid checkpoint parameters: {exc}") from exc
     if (model.L, model.K, model.D) != (L, K, D):
         raise CheckpointError(

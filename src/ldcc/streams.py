@@ -3,10 +3,9 @@
 Everything stochastic in the package draws from numpy's Philox generator, a
 counter-based bit generator whose streams are split by key rather than by
 call order.  A single user seed plus a small integer tag plus optional
-per-item keys (a task index, or a digest of a task id) select a stream, so
+per-item keys (a task index) select a stream, so
 
 * every task's synthetic draw is independent of how many tasks precede it,
-* E-step initialization noise for a task does not depend on batch order,
 * results are reproducible bit-for-bit from the seed alone.
 
 A seed is an integer in [0, 2^64); anything else (a float, a bool) raises
@@ -17,9 +16,8 @@ counter at zero.  Philox
 draws are a function of key and counter alone (Salmon et al. 2011), so a
 stream is its key: `rekey` moves a generator to the start of another
 stream in place, with the same draws as a new one but without building a
-bit generator.  Loops over tasks (`generate_synthetic`, the E-step's
-init noise of a block) build one generator and re-key it per task
-(`task_rekey`, `estep_rekey`).
+bit generator.  `generate_synthetic` builds one generator and re-keys it
+per task (`task_rekey`).
 
 Streams in use:
 
@@ -27,14 +25,12 @@ Streams in use:
 tag   purpose                                  extra key
 ====  =======================================  =========================
 1     synthetic generation of one task         task index
-2     model initialization (theme seeding)     --
-3     E-step initialization noise              64-bit digest of task id
+2     model initialization (means, then alpha) --
+3     retired: E-step init noise, not reused   --
 4     batch-order shuffle in training          --
 5     random demo models (CLI ``gen``)         --
 ====  =======================================  =========================
 """
-
-import hashlib
 
 import numpy as np
 
@@ -42,7 +38,6 @@ _MASK32 = 0xFFFFFFFF
 
 TASK_STREAM = 1
 INIT_STREAM = 2
-ESTEP_STREAM = 3
 SHUFFLE_STREAM = 4
 RANDOM_MODEL_STREAM = 5
 
@@ -81,12 +76,6 @@ def rekey(rng: np.random.Generator, seed: int, tag: int, *key: int) -> np.random
     return rng
 
 
-def id_digest(task_id: str) -> tuple[int, int]:
-    """Stable 64-bit digest of a task id, as two 32-bit words."""
-    h = hashlib.sha256(task_id.encode("utf-8")).digest()
-    return int.from_bytes(h[:4], "little"), int.from_bytes(h[4:8], "little")
-
-
 def task_stream(seed: int, index: int) -> np.random.Generator:
     return stream(seed, TASK_STREAM, index)
 
@@ -97,14 +86,6 @@ def task_rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Gen
 
 def init_stream(seed: int) -> np.random.Generator:
     return stream(seed, INIT_STREAM)
-
-
-def estep_stream(seed: int, task_id: str) -> np.random.Generator:
-    return stream(seed, ESTEP_STREAM, *id_digest(task_id))
-
-
-def estep_rekey(rng: np.random.Generator, seed: int, task_id: str) -> np.random.Generator:
-    return rekey(rng, seed, ESTEP_STREAM, *id_digest(task_id))
 
 
 def shuffle_stream(seed: int) -> np.random.Generator:

@@ -17,11 +17,10 @@ from scipy import special as sp
 from ldcc import inference
 from ldcc.data import Task, stack_samples
 from ldcc.inference import Posterior, _floor_gamma, _Segments, _softmax, dirichlet_expected_log
-from ldcc.inference import _INIT_NOISE_CONCENTRATION, elbo, estep_blocks
+from ldcc.inference import elbo, estep_blocks
 from ldcc.learning import _ALPHA_FLOOR, _MAX_HALVINGS
 from ldcc.similarity import DiagramBin
 from ldcc.special import log_beta_rows
-from ldcc.streams import estep_stream
 
 
 class VariationalState:
@@ -79,7 +78,7 @@ def estep_states(tasks, model, config):
 
 def warm_start(state):
     """The E-step start that continues from a solved state: r's class sums
-    (K, classes), summed as `init_noise` sums its noise, and eta (L, classes)."""
+    (K, classes), summed as `softmax_start` sums its start, and eta (L, classes)."""
     counts = [len(block) for block in state.r]
     r = np.ascontiguousarray(np.concatenate(state.r).T)
     return (np.add.reduceat(r, np.cumsum((0, *counts[:-1])), axis=1),
@@ -88,7 +87,7 @@ def warm_start(state):
 
 def continued_estep_states(tasks, states, model, config):
     """`estep_states` where each task's E-step starts from its solved state
-    (`warm_start`) instead of its init noise, in the blocks `estep_blocks` cuts."""
+    (`warm_start`) instead of its softmax start, in the blocks `estep_blocks` cuts."""
     starts = map(warm_start, states)
     solved = []
     for run in inference._blocks(tasks):
@@ -103,19 +102,14 @@ def task_elbo(task, state, model):
     return float(elbo(stack_states([task], [state], model), model)[0])
 
 
-def init_noise(task, model, config):
-    """The oracle of `inference._init_noise`, one task alone: its
-    Dirichlet(100) noise in one draw from a new stream, normalized and
-    summed per class on its own.  Returns r's class sums (K, classes) and
-    eta (L, classes)."""
-    split = task.total_samples * model.K
-    noise = estep_stream(config.seed, task.id).standard_gamma(
-        _INIT_NOISE_CONCENTRATION, split + task.num_classes * model.L)
-    r = noise[:split].reshape(task.total_samples, model.K).T
-    eta = noise[split:].reshape(task.num_classes, model.L).T
-    r = np.ascontiguousarray(r / r.sum(axis=0))
+def softmax_start(task, model):
+    """The oracle of a block's E-step start (`inference._start`), one task
+    alone: each sample's softmax over themes of its own log-densities,
+    summed per class, and uniform eta.  Returns r's class sums
+    (K, classes) and eta (L, classes)."""
+    r = _softmax(model.log_pdfs(stack_samples([task])), axis=0)
     starts = np.cumsum((0, *task.counts[:-1]))
-    return np.add.reduceat(r, starts, axis=1), eta / eta.sum(axis=0)
+    return np.add.reduceat(r, starts, axis=1), np.full((model.L, task.num_classes), 1.0 / model.L)
 
 
 def array_dirichlet(rng, concentration):

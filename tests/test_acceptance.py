@@ -5,9 +5,12 @@ Each test prints one `ACCEPTANCE <name>: PASS|FAIL` line; run with
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     VariationalState,
@@ -24,7 +27,8 @@ from helpers import (
     update_lambda,
     update_r,
 )
-from ldcc.cli import main
+import ldcc.inference as inference
+from ldcc.cli import _random_model, main
 from ldcc.data import Task, TaskCollection, generate_synthetic, load_tasks, save_tasks
 from ldcc.inference import estep_blocks, run_estep
 from ldcc.learning import (
@@ -327,6 +331,49 @@ def test_train_reduces_to_gmm_em():
     cov_err = np.abs(cov_ref - model.sigma[perm]).max()
     ok = mu_err < 1e-6 and cov_err < 1e-6
     report("train_gmm_equivalence", ok, f"(mu err {mu_err:.2e}, cov err {cov_err:.2e})")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(1, 9), L=st.integers(1, 9),
+    splits=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3), min_size=2, max_size=6),
+    data=st.data(),
+)
+def test_embedding_depends_only_on_samples_and_model(K, L, splits, data):
+    # Each task's lambda alone, under the default config, against the same
+    # tasks renamed, reordered and subset, under any seed and block size.
+    # K and L of 8 and more are drawn too, where numpy sums a lone column
+    # pairwise, and so are one-sample tasks.
+    rng = np.random.default_rng([K, L, len(splits)])
+    model = ThemeModel(4.0 * rng.standard_normal((K, 2)), np.stack([np.eye(2)] * K),
+                       rng.uniform(0.5, 2.0, (L, K)), np.full(L, 0.5))
+    tasks = [Task(f"t{d}", [(model.mu[rng.integers(K)] + rng.normal(size=(n, 2))).astype(np.float32)
+                            for n in counts])
+             for d, counts in enumerate(splits)]
+    alone = [run_estep(task, model, TrainConfig()).lam.tobytes() for task in tasks]
+    order = data.draw(st.permutations(range(len(tasks))))
+    picked = order[:data.draw(st.integers(1, len(tasks)))]
+    names = data.draw(st.lists(st.text("abcxyz-_0123", min_size=1, max_size=6),
+                               min_size=len(picked), max_size=len(picked), unique=True))
+    seed, block_rows = data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(1, 40))
+    renamed = [Task(name, tasks[i].classes) for name, i in zip(names, picked)]
+    with mock.patch.object(inference, "_BLOCK_ROWS", block_rows):
+        parts = list(estep_blocks(renamed, model, TrainConfig(seed=seed)))
+    got = [row.tobytes() for part in parts for row in part.lam]
+    ok = got == [alone[i] for i in picked]
+    report("embedding_invariance", ok, f"(K={K}, L={L}, {len(picked)} tasks, seed {seed}, "
+           f"blocks of {block_rows} rows)")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_task_themes_separate_on_cli_pipeline_recipe(seed):
+    # The benchmark's cli-pipeline data (gen --random-model 3 4 4, 400 tasks
+    # of 5 x 16) trained as it trains it (--batch 50 --max-batches 8): the
+    # alpha rows must move apart, or the model has no task themes to embed.
+    tasks, _ = generate_synthetic(_random_model((3, 4, 4), 0.5, 0), 400, 5, 16, seed=seed)
+    model, _ = train(tasks, 3, 4, TrainConfig(seed=seed, batch_size=50, max_batches=8))
+    spread = float(np.max(np.ptp(model.alpha, axis=0)))
+    report(f"task_themes_separate_seed{seed}", spread > 0.1, f"(max alpha column spread {spread:.3f})")
 
 
 def test_correlation_diagram_hand_instance():

@@ -600,6 +600,16 @@ class TestMalformedFiles:
         self.check(capsys, "gen", "--model", str(path), "--tasks", "1", "--classes", "1",
                    "--shots", "1", "--out", str(tmp_path / "g"))
 
+    @pytest.mark.parametrize("field", ["mu", "sigma", "alpha", "delta"])
+    def test_checkpoint_array_is_an_object(self, small_collection, tmp_path, capsys, field):
+        path = tmp_path / "model.json"
+        save_model(ThemeModel(np.zeros((2, 2)), np.stack([np.eye(2)] * 2), np.ones((1, 2)),
+                              np.ones(1)), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: {}}))
+        err = self.check(capsys, "infer", "--model", str(path), "--data",
+                         str(small_collection / "manifest.json"), "--out", str(tmp_path / "l.csv"))
+        assert "invalid checkpoint parameters" in err
+
     @pytest.mark.parametrize("content", [b"task_id,lambda_1\n\xff\xfe,1.0\n",
                                          b"task_id,lambda_1\nt," + b"1" * 200_000 + b"\n"],
                              ids=["binary", "huge-field"])
@@ -676,8 +686,6 @@ class TestSeedRange:
             gen_args(tmp_path / "gen", seed=seed),
             ["train", "--data", manifest, "--task-themes", "2", "--image-themes", "2",
              "--batch", "5", "--max-batches", "1", "--seed", seed, "--out", str(tmp_path / "run")],
-            ["infer", "--model", str(tmp_path / "run" / "model.json"), "--data", manifest,
-             "--seed", seed, "--out", str(tmp_path / "lam.csv")],
         ]
 
     @pytest.mark.parametrize("seed", ["-5", "-1", str(2**64), str(2**64 + 1), "1.5"])
@@ -694,6 +702,13 @@ class TestSeedRange:
             code, stdout, _ = run(capsys, *argv)
             assert code == 0, argv[0]
             assert json.loads(stdout)["seed"] == int(seed)
+
+    def test_infer_takes_no_seed(self, small_collection, tmp_path, capsys):
+        # The E-step draws nothing, so infer has no --seed to take.
+        code, _, err = run(capsys, "infer", "--model", str(tmp_path / "model.json"), "--data",
+                           str(small_collection / "manifest.json"), "--seed", "0",
+                           "--out", str(tmp_path / "lam.csv"))
+        assert code == 2 and "unrecognized arguments: --seed 0" in err
 
     def test_no_alias(self, tmp_path, capsys):
         # 2^64 + 1 used to write seed 1's tasks; 2^64 - 1 writes its own.

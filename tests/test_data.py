@@ -1,7 +1,6 @@
 import hashlib
 import json
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,8 +24,7 @@ from ldcc.data import (
     stack_samples,
 )
 from ldcc.errors import DataError, FormatError
-from ldcc.inference import _plan_blocks
-from ldcc.model import ThemeModel, TrainConfig
+from ldcc.model import ThemeModel
 from ldcc.streams import task_stream
 
 
@@ -271,28 +269,6 @@ class TestGenerator:
         assert redrawn > 0
         with pytest.raises(DataError, match="underflowed"):
             _dirichlet(task_stream(0, 1), [0.0, 0.0])
-
-    @pytest.mark.parametrize("shape, digest", [
-        ((3, 2), "4b89414abedcf635c8cc1d649b5a13c21c7c975fa79d5dd512b9c8b2dc8f13e1"),
-        ((9, 8), "8f7c572a3f3ea5eacca19ab4e751f8c92e2d7a31af99758a1f2b0d67d0b99c80"),
-    ])
-    def test_golden_init_noise(self, shape, digest):
-        # The E-step init noise (counts0, eta0) of the planted golden
-        # collection's block, at K, L = 3, 2 and at 9, 8 (pairwise sums).
-        # Like test_golden_bytes, it moves only with the draw order, the
-        # arithmetic or numpy's Generator streams.
-        model = ThemeModel(
-            np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]]),
-            np.stack([np.eye(2)] * 3),
-            np.array([[6.0, 1.0, 1.0], [1.0, 1.0, 6.0]]),
-            np.array([0.01, 0.01]),
-        )
-        coll, _ = generate_synthetic(model, 12, 5, 16, 7)
-        K, L = shape
-        h = hashlib.sha256()
-        for block in _plan_blocks(coll, SimpleNamespace(K=K, L=L, D=2), TrainConfig(seed=3)):
-            h.update(block.counts0.tobytes() + block.eta0.tobytes())
-        assert h.hexdigest() == digest
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -13,8 +12,8 @@ from scipy import stats
 from helpers import (
     VariationalState,
     estep_states,
-    init_noise,
     naive_elbo_terms,
+    softmax_start,
     stack_states,
     task_elbo,
     update_eta,
@@ -353,78 +352,44 @@ class TestUpdateLambda:
         assert np.allclose(out, [1.4, 1.6], atol=1e-12)
 
 
-def noise_task(task_id, counts):
-    return Task(task_id, [np.zeros((n, 2), dtype=np.float32) for n in counts])
-
-
-def oracle_noise(tasks, model, config):
-    """The per-task oracle's noise of consecutive tasks, joined by class."""
-    parts = [init_noise(task, model, config) for task in tasks]
-    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*parts))
-
-
 def assert_same_bits(got, want):
     for a, b in zip(got, want, strict=True):
         assert a.shape == b.shape and a.flags.c_contiguous and a.tobytes() == b.tobytes()
 
 
-class TestInitNoise:
+class TestSoftmaxStart:
     @settings(max_examples=60, deadline=None)
     @given(
-        K=st.integers(1, 7), L=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
-        counts=st.lists(st.integers(1, 20), max_size=5), at=st.integers(0, 5),
-    )
-    def test_one_draw_matches_two_call_oracle(self, K, L, seed, counts, at):
-        # The block draws r's noise, then eta's, into two buffers; the
-        # oracle draws both at once from a new stream.
-        counts.insert(at, 1)  # every case holds a one-sample class
-        task = noise_task(f"noise-{seed}", counts)
-        model, cfg = SimpleNamespace(K=K, L=L), TrainConfig(seed=seed % 1000)
-        assert_same_bits(inference._init_noise([task], model, cfg), init_noise(task, model, cfg))
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        K=st.integers(1, 12), L=st.integers(1, 12), seed=st.integers(0, 2**64 - 1),
-        splits=st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=4),
-                        min_size=1, max_size=6),
-    )
-    def test_block_matches_per_task_oracle(self, K, L, seed, splits):
-        # K or L of 8 and more sums each sample's noise pairwise, not
-        # sequentially; one-sample classes and one-task blocks are drawn too.
-        tasks = [noise_task(f"t{d}", counts) for d, counts in enumerate(splits)]
-        model, cfg = SimpleNamespace(K=K, L=L), TrainConfig(seed=seed)
-        assert_same_bits(inference._init_noise(tasks, model, cfg),
-                         oracle_noise(tasks, model, cfg))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        block_rows=st.integers(1, 30), kept_every=st.integers(0, 3), seed=st.integers(0, 99),
+        K=st.integers(1, 9), L=st.integers(1, 9), block_rows=st.integers(1, 40),
+        seed=st.integers(0, 99),
         splits=st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=4),
                         min_size=1, max_size=8),
     )
-    def test_planned_blocks_match_oracle(self, block_rows, kept_every, seed, splits):
-        # A collection cut at _BLOCK_ROWS, with a kept-noise dict that
-        # already holds some of each block's tasks (every kept_every-th,
-        # none for 0): every block starts from its tasks' oracle noise, and
-        # the dict keeps its entries and gains the missing ones.
-        model = SimpleNamespace(K=3, L=2, D=2)
-        cfg = TrainConfig(seed=seed)
-        tasks = [noise_task(f"t{d}", counts) for d, counts in enumerate(splits)]
-        for kept in (None, {}):
-            if kept is not None and kept_every:
-                list(inference._plan_blocks(tasks[::kept_every], model, cfg, kept))
-            before = dict(kept or {})
-            with patch.object(inference, "_BLOCK_ROWS", block_rows):
-                blocks = list(inference._plan_blocks(tasks, model, cfg, kept))
-            assert [task for block in blocks for task in block.tasks] == tasks
-            if len(tasks) > 1 and block_rows < sum(task.total_samples for task in tasks):
-                assert len(blocks) > 1
-            for block in blocks:
-                assert_same_bits((block.counts0, block.eta0),
-                                 oracle_noise(block.tasks, model, cfg))
-            if kept is not None:
-                assert all(kept[key] is value for key, value in before.items())
-                assert set(kept) == {(task.id, task.counts) for task in tasks}
+    def test_block_starts_match_per_task_oracle(self, K, L, block_rows, seed, splits):
+        # A collection cut at _BLOCK_ROWS: the start each block's E-step
+        # uses is its tasks' per-task oracle starts joined by class, bit for
+        # bit.  One-sample tasks and one-task blocks are drawn too, and K of
+        # 8 and more, where numpy sums a lone column pairwise.
+        model = make_model(K=K, L=L, seed=seed)
+        rng = np.random.default_rng(seed)
+        tasks = [Task(f"t{d}", [(3.0 * rng.normal(size=(n, 2))).astype(np.float32)
+                                for n in counts])
+                 for d, counts in enumerate(splits)]
+        starts, start = [], inference._start
+
+        def spy(block, dens, num_task_themes):
+            starts.append((block.tasks, start(block, dens, num_task_themes)))
+            return starts[-1][1]
+
+        with patch.object(inference, "_BLOCK_ROWS", block_rows), \
+                patch.object(inference, "_start", spy):
+            list(estep_blocks(tasks, model, TrainConfig(max_e_iters=1)))
+        assert [task for run, _ in starts for task in run] == tasks
+        if len(tasks) > 1 and block_rows < sum(task.total_samples for task in tasks):
+            assert len(starts) > 1
+        for run, got in starts:
+            oracle = [softmax_start(task, model) for task in run]
+            assert_same_bits(got, [np.concatenate(part, axis=1) for part in zip(*oracle)])
 
 
 class TestRunEstep:
@@ -454,12 +419,15 @@ class TestRunEstep:
         assert np.array_equal(a.lam, b.lam)
         assert a.iterations == b.iterations
 
-    def test_seed_changes_noise(self):
+    def test_seed_does_not_change_lambda(self):
+        # The E-step starts from the model's densities, so the seed, which
+        # drives only generation, the model init and the batch order, does
+        # not reach it.
         model = make_model()
         task = make_task(C=2, N=5, task_id="det")
-        (a,) = estep_states([task], model, TrainConfig(seed=9, max_e_iters=1, e_tol=1e-12))
-        (b,) = estep_states([task], model, TrainConfig(seed=10, max_e_iters=1, e_tol=1e-12))
-        assert not np.array_equal(a.gamma, b.gamma)
+        (a,) = estep_states([task], model, TrainConfig(seed=9))
+        (b,) = estep_states([task], model, TrainConfig(seed=10))
+        assert a.iterations > 1 and a.lam.tobytes() == b.lam.tobytes()
 
     def test_rows_stay_normalized(self):
         model = make_model(K=3, L=2)
@@ -486,22 +454,19 @@ class TestRunEstep:
 
     def test_matches_per_class_update_composition(self):
         # One vectorized sweep must equal composing the per-class updates in
-        # the documented order (r, then gamma, then eta, then lambda).
-        from ldcc.streams import estep_stream
-
+        # the documented order (r, then gamma, then eta, then lambda), from
+        # each sample's softmax of its log-densities and uniform eta.
         model = make_model(K=3, L=2, seed=2)
         task = make_task(C=3, N=5, task_id="sweep-equivalence")
         cfg = TrainConfig(seed=4, max_e_iters=1, e_tol=1e-15)
         (got,) = estep_states([task], model, cfg)
 
-        rng = estep_stream(cfg.seed, task.id)
-        total = task.total_samples
-        r_noise = rng.standard_gamma(100.0, (total, model.K))
-        r_noise /= r_noise.sum(axis=1)[:, None]
-        eta = rng.standard_gamma(100.0, (task.num_classes, model.L))
-        eta /= eta.sum(axis=1)[:, None]
+        log_pdfs = model.log_pdfs(stack_samples([task])).T
+        r_start = np.exp(log_pdfs - log_pdfs.max(axis=1)[:, None])
+        r_start /= r_start.sum(axis=1)[:, None]
+        eta = np.full((task.num_classes, model.L), 1.0 / model.L)
         offsets = np.concatenate([[0], np.cumsum(task.counts)])
-        r = [r_noise[offsets[c] : offsets[c + 1]] for c in range(task.num_classes)]
+        r = [r_start[offsets[c] : offsets[c + 1]] for c in range(task.num_classes)]
         state = VariationalState(r, np.empty((task.num_classes, model.K)), eta, np.empty(model.L))
         for c in range(task.num_classes):
             state.gamma[c] = update_gamma(state, c, model.alpha)

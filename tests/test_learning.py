@@ -13,7 +13,6 @@ from helpers import (
     dense_newton_solve,
     estep_states,
     fd_alpha_gradient,
-    init_noise,
     random_posterior_instance,
     stack_states,
     task_elbo,
@@ -658,9 +657,9 @@ class TestTrain:
 
         original = learning_module._plan_blocks
 
-        def spy(tasks, model, config, noise):
+        def spy(tasks, model):
             seen.extend(task.id for task in tasks)
-            return original(tasks, model, config, noise)
+            return original(tasks, model)
 
         learning_module._plan_blocks = spy
         try:
@@ -726,8 +725,8 @@ def artifact_bytes(result, tmp_path):
 
 
 class TestTrainMatchesReference:
-    """train() reads the E-step's stacked blocks and reuses its blocks or
-    noise; the result must be the per-state composition's, bit for bit."""
+    """train() reads the E-step's stacked blocks and reuses its blocks; the
+    result must be the per-state composition's, bit for bit."""
 
     @pytest.mark.parametrize("max_e_iters", [100, 1])
     def test_bitwise_equal_to_per_state_composition(self, monkeypatch, max_e_iters):
@@ -756,7 +755,7 @@ class TestTrainMatchesReference:
         built = []
 
         class CountedBlock(inference._Block):
-            def __init__(self, tasks, counts0, eta0):
+            def __init__(self, tasks, counts0=None, eta0=None):
                 built.append(len(tasks))
                 super().__init__(tasks, counts0, eta0)
 
@@ -771,22 +770,14 @@ class TestTrainMatchesReference:
         assert model == want_model
         assert rows == want_rows
 
-    def test_same_id_other_split_gets_its_own_noise(self):
+    def test_tasks_sharing_an_id_match_reference(self):
         # Two tasks in a train list share an id and a sample count but not
-        # their class sizes (3+5 against 5+3).  Each must start from the
-        # class sums of its own split, as it does without kept noise.
+        # their class sizes (3+5 against 5+3), in revisiting mini-batches.
         rng = np.random.default_rng(4)
         mu = planted_model().mu
         twins = [Task("twin", [(mu[k] + rng.normal(size=(n, 2))).astype(np.float32)
                                for k, n in zip(ks, split)])
                  for ks, split in (((0, 1), (3, 5)), ((2, 0), (5, 3)))]
-        kept = {}
-        for twin in twins:
-            [block] = inference._plan_blocks([twin], planted_model(), TrainConfig(seed=2), kept)
-            fresh = init_noise(twin, planted_model(), TrainConfig(seed=2))
-            for a, b in zip((block.counts0, block.eta0), fresh, strict=True):
-                assert a.shape == b.shape and np.array_equal(a, b)
-        assert len(kept) == 2
         tasks = [*uneven_collection(), *twins]
         cfg = TrainConfig(seed=2, max_batches=5, batch_size=6)
         assert train(tasks, 2, 3, cfg) == reference_train(tasks, 2, 3, cfg)

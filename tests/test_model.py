@@ -17,6 +17,7 @@ from ldcc.model import (
     load_model,
     save_model,
 )
+from ldcc.streams import init_stream
 
 
 def one_pass_log_pdfs(m, x):
@@ -222,8 +223,13 @@ class TestInitModel:
         # mean (1,1), each coordinate deviates by 1, cross terms cancel
         expected = np.eye(2) + 1e-6 * np.eye(2)
         assert np.allclose(m.sigma[0], expected, atol=1e-12)
-        assert m.alpha.shape == (2, 1)
-        assert np.all(m.alpha == 1.0)
+        # The mean is the row the init stream picks, as before alpha was
+        # drawn; alpha is exp(0.2 z), z drawn from the same stream after it.
+        assert m.mu.tolist() == [[2.0, 2.0]]
+        rng = init_stream(0)
+        assert np.array_equal(m.mu, stack_samples(coll)[rng.choice(4, size=1, replace=False)])
+        assert np.array_equal(m.alpha, np.exp(0.2 * rng.standard_normal((2, 1))))
+        assert len(np.unique(m.alpha)) == 2
         assert np.all(m.delta == 0.5)
 
     def test_means_are_data_rows(self):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ldcc.data import generate_synthetic
 from ldcc.model import ThemeModel, TrainConfig
 from ldcc.streams import (
-    TASK_STREAM, estep_rekey, estep_stream, rekey, stream, task_rekey, task_stream,
+    TASK_STREAM, rekey, stream, task_rekey, task_stream,
 )
 
 seeds = st.integers(0, 2**64 - 1)
@@ -39,9 +39,7 @@ class TestRekey:
         assert state(rng) == state(want)
 
     def test_named_streams(self):
-        # The E-step and gen re-key with the keys of their named streams.
-        rng = estep_rekey(estep_stream(3, "first"), 3, "second")
-        assert state(rng) == state(estep_stream(3, "second"))
+        # gen re-keys with the keys of its named stream.
         rng = task_rekey(task_stream(3, 0), 3, 41)
         assert state(rng) == state(task_stream(3, 41))
 
