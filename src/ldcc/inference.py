@@ -32,10 +32,11 @@ constants (alpha - 1, the rows' log-normalizers) come from the `ThemeModel`.
 
 A `_Block` holds what no sweep changes: segments and the samples stacked
 by `stack_samples`.  `_plan_blocks` checks every task's dimension, then
-builds the blocks as they are drawn.  A block's E-step starts from the
-model's own densities (`_start`): each sample's responsibilities are the
-softmax over themes of its log-densities, and each class's eta is
+builds the blocks as they are drawn.  A fresh block's E-step starts from
+the model's own densities (`_start`): each sample's responsibilities are
+the softmax over themes of its log-densities, and each class's eta is
 uniform, so a task's result depends only on its samples and the model.
+A reused block continues from its own last posterior (`block.start`).
 Each block's result is a `Posterior`, the one posterior type: its tasks'
 arrays stacked, with the log-densities its sweep used and its samples, so
 `elbo` and `learning.accumulate_stats` read it as it is.
@@ -164,16 +165,15 @@ class _Segments:
 class _Block:
     """Tasks solved as one array problem, with segments and samples (rows, D) stacked.
 
-    counts0 (K, classes) and eta0 (L, classes) are None, or a warm start:
-    whole-collection training sets them to the last posterior's r class
-    sums and eta, so its next E-step continues there.
+    start is None until the block is solved, then the last posterior's r class
+    sums (K, classes) and eta (L, classes): a block solved again continues there.
     """
 
-    def __init__(self, tasks, counts0=None, eta0=None):
+    def __init__(self, tasks):
         self.tasks = tasks
         self.seg = _Segments.of([task.counts for task in tasks])
-        self.counts0, self.eta0 = counts0, eta0
         self.samples = stack_samples(tasks)
+        self.start = None
 
 
 def _plan_blocks(tasks, model):
@@ -272,11 +272,11 @@ def _update_gamma(counts, eta, alpha_m1, seg, clamps):
 def _start(block, dens, num_task_themes):
     """The E-step start of a `_Block`: r's class sums (K, classes) and eta (L, classes).
 
-    Without a warm start, r is each sample's softmax over themes of its
-    log-densities, from their dens, and eta is uniform.
+    A solved block continues from its last posterior (`block.start`); a fresh one
+    starts from each sample's softmax over themes of its dens, and uniform eta.
     """
-    if block.counts0 is not None:
-        return block.counts0, block.eta0
+    if block.start is not None:
+        return block.start
     counts0 = np.add.reduceat(dens / _column_sums(dens), block.seg.class_starts, axis=1)
     return counts0, np.full((num_task_themes, counts0.shape[1]), 1.0 / num_task_themes)
 
@@ -294,11 +294,11 @@ def _estep_block(block, model, config):
     gamma = _update_gamma(counts0, eta, alpha_m1, seg, clamps)
     lam = delta + np.add.reduceat(eta, seg.task_starts, axis=1)
 
-    # Final values, filled in per class as tasks stop; r is rebuilt from
-    # each class's last E[ln theta] once the block is done.  The arrays
-    # above always hold the running tasks only; `live_tasks` and
-    # `live_classes` map them back.
-    out_log_theta, out_gamma = np.empty_like(gamma), np.empty_like(gamma)
+    # Final values, filled in per class as tasks stop: r is rebuilt from
+    # each class's last E[ln theta] once the block is done, and r's class
+    # sums and eta are the block's next start.  The arrays above always
+    # hold the running tasks only; `live_tasks` and `live_classes` map them back.
+    out_log_theta, out_gamma, out_counts = (np.empty_like(gamma) for _ in range(3))
     out_eta, out_lam = np.empty_like(eta), np.empty_like(lam)
     out_clamps = np.zeros(num_tasks, dtype=np.int64)
     iterations = np.zeros(num_tasks, dtype=np.int64)
@@ -335,6 +335,7 @@ def _estep_block(block, model, config):
         stopped_classes = live_classes[stop_classes]
         out_log_theta[:, stopped_classes] = used_log_theta[:, stop_classes]
         out_gamma[:, stopped_classes] = gamma[:, stop_classes]
+        out_counts[:, stopped_classes] = counts[:, stop_classes]
         out_eta[:, stopped_classes] = eta[:, stop_classes]
         if np.logical_and.reduce(stop):
             break
@@ -348,6 +349,7 @@ def _estep_block(block, model, config):
     posterior = Posterior(seg, None, out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
                           iterations, converged, out_clamps, log_pdfs, block.samples)
     posterior._r_inputs = (out_log_theta, all_dens)
+    block.start = (out_counts, out_eta)
     return posterior
 
 

@@ -232,13 +232,10 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
     A mini-batch (config.batch_size below the number of tasks) starts each
     E-step from the model's own densities (`estep_blocks`) and takes step
     rho_b = (tau0 + b)^(-tau1).  When the batch is the whole collection,
-    tau0 and tau1 are not used: each E-step after the first continues from
-    its task's last posterior (r's class sums and eta), and rho = 1, which
-    the log's rho column reads.
-
-    When the batch is the whole collection, every batch is the same tasks
-    in the same order, so their E-step blocks (`_plan_blocks`) are built
-    once per call, and each block keeps its last posterior's start.
+    tau0 and tau1 are not used and rho = 1, which the log's rho column
+    reads.  Every batch is then the same tasks in the same order, so its
+    E-step blocks (`_plan_blocks`) are built once per call, and each
+    reused block continues its tasks' E-steps from their last posterior.
 
     threads is accepted for compatibility and has no effect: every batch is
     solved as one array problem on the calling thread.  It stays because
@@ -267,9 +264,6 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
             part = _estep_block(block, model, config)
             stats = accumulate_stats(part, stats)
             elbos.append(elbo(part, model))
-            if whole:  # the next E-step continues from this posterior
-                block.counts0 = np.add.reduceat(part.r, part.seg.class_starts, axis=1)
-                block.eta0 = np.ascontiguousarray(part.eta.T)
             # The alpha step and the counters need only per-class and per-task arrays.
             parts.append(part.classes())
             del part  # no r or log-densities alive while the next block sweeps

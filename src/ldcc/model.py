@@ -56,16 +56,18 @@ class ThemeModel:
         if (delta <= 0).any():
             raise ModelError("delta entries must be strictly positive")
 
-        chol = np.empty_like(sigma)
-        log_dets = np.empty(K)
-        for k in range(K):
-            if not np.allclose(sigma[k], sigma[k].T, atol=1e-8):
-                raise ModelError(f"sigma[{k}] is not symmetric")
-            try:
-                chol[k] = np.linalg.cholesky(sigma[k])
-            except np.linalg.LinAlgError as exc:
-                raise ModelError(f"sigma[{k}] is not positive definite") from exc
-            log_dets[k] = 2.0 * np.log(np.diag(chol[k])).sum()
+        symmetric = np.isclose(sigma, sigma.transpose(0, 2, 1), atol=1e-8).all(axis=(1, 2))
+        if not symmetric.all():
+            raise ModelError(f"sigma[{np.argmin(symmetric)}] is not symmetric")
+        try:
+            chol = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError as exc:
+            for k in range(K):  # only a failure pays for naming its theme
+                try:
+                    np.linalg.cholesky(sigma[k])
+                except np.linalg.LinAlgError:
+                    raise ModelError(f"sigma[{k}] is not positive definite") from exc
+        log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
         with np.errstate(over="ignore", invalid="ignore"):  # NaN for huge alpha; E-steps reject it
             alpha_m1, log_norm = alpha - 1.0, log_beta_rows(alpha)[:, None]
@@ -216,7 +218,7 @@ def load_model(path) -> ThemeModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for online training; validated on construction.
+    """Knobs for online training; validated on construction: counts are integers, no value a bool.
 
     tau0/tau1 set the mini-batch step-size schedule rho_b = (tau0 + b)^(-tau1);
     tau1 must lie in (0.5, 1] so the schedule's steps are square-summable but
@@ -235,18 +237,19 @@ class TrainConfig:
     max_batches: int = 100
 
     def __post_init__(self):
+        for name in ("batch_size", "max_e_iters", "max_batches"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("tau0", "tau1", "e_tol", "jitter"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0 <= self.tau0 < math.inf:
             raise ValueError(f"tau0 must be finite and >= 0, got {self.tau0}")
         if not 0.5 < self.tau1 <= 1.0:
             raise ValueError(f"tau1 must lie in (0.5, 1], got {self.tau1}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.e_tol < math.inf:
             raise ValueError(f"e_tol must be finite and positive, got {self.e_tol}")
-        if self.max_e_iters < 1:
-            raise ValueError(f"max_e_iters must be >= 1, got {self.max_e_iters}")
         if not 0 <= self.jitter < math.inf:
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
-        if self.max_batches < 1:
-            raise ValueError(f"max_batches must be >= 1, got {self.max_batches}")
         check_seed(self.seed)

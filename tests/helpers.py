@@ -92,7 +92,8 @@ def continued_estep_states(tasks, states, model, config):
     solved = []
     for run in inference._blocks(tasks):
         counts0, eta0 = zip(*(next(starts) for _ in run))
-        block = inference._Block(run, np.concatenate(counts0, axis=1), np.concatenate(eta0, axis=1))
+        block = inference._Block(run)
+        block.start = np.concatenate(counts0, axis=1), np.concatenate(eta0, axis=1)
         solved += unstack(inference._estep_block(block, model, config))
     return solved
 

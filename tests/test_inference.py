@@ -11,6 +11,7 @@ from scipy import stats
 
 from helpers import (
     VariationalState,
+    continued_estep_states,
     estep_states,
     naive_elbo_terms,
     softmax_start,
@@ -20,6 +21,7 @@ from helpers import (
     update_gamma,
     update_lambda,
     update_r,
+    unstack,
 )
 from ldcc.data import Task, generate_synthetic, stack_samples
 from ldcc.errors import DataError, FormatError, NumericError
@@ -563,6 +565,30 @@ class TestEstepBatch:
             bounds = np.concatenate([elbo(part, model) for part in estep_blocks(batch, model, cfg)])
             for task, state, bound in zip(batch, states, bounds, strict=True):
                 assert bound == pytest.approx(task_elbo(task, state, model), rel=1e-12, abs=1e-12)
+
+    def test_solved_block_continues_from_its_own_posterior(self, monkeypatch):
+        # A solved block keeps its last posterior's r class sums and eta as
+        # its start, so solving it again is the oracle's continued E-step,
+        # bit for bit, for capped, converged and clamped tasks alike.
+        model, tasks, cfg = self.model(), self.tasks(), self.config
+        monkeypatch.setattr(inference, "_BLOCK_ROWS", 20)
+        blocks = list(inference._plan_blocks(tasks, model))
+        assert len(blocks) >= 3 and all(block.start is None for block in blocks)
+        solved = []
+        for block in blocks:
+            part = inference._estep_block(block, model, cfg)
+            want = np.add.reduceat(part.r, part.seg.class_starts, axis=1), part.eta.T.copy()
+            assert_same_bits(block.start, want)
+            solved += unstack(part)
+        again = [state for block in blocks
+                 for state in unstack(inference._estep_block(block, model, cfg))]
+        want = continued_estep_states(tasks, solved, model, cfg)
+        assert [s.iterations for s in again] != [s.iterations for s in solved]
+        for got, expected in zip(again, want, strict=True):
+            assert_same_bits([*got.r, got.gamma, got.eta, got.lam], [*expected.r, expected.gamma,
+                                                                     expected.eta, expected.lam])
+            assert (got.iterations, got.converged, got.gamma_clamps) == (
+                expected.iterations, expected.converged, expected.gamma_clamps)
 
     @pytest.mark.parametrize("K, L", [(1, 1), (1, 3), (6, 1)])
     def test_edge_shapes_match_batches_of_one(self, K, L):

@@ -755,9 +755,9 @@ class TestTrainMatchesReference:
         built = []
 
         class CountedBlock(inference._Block):
-            def __init__(self, tasks, counts0=None, eta0=None):
+            def __init__(self, tasks):
                 built.append(len(tasks))
-                super().__init__(tasks, counts0, eta0)
+                super().__init__(tasks)
 
         monkeypatch.setattr(inference, "_Block", CountedBlock)
         cfg = TrainConfig(seed=6, max_batches=4, batch_size=len(coll) + 3,

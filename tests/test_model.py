@@ -72,6 +72,25 @@ class TestThemeModel:
         with pytest.raises(ModelError):
             ThemeModel(np.zeros((1, 2)), sigma, np.ones((1, 1)), np.ones(1))
 
+    @pytest.mark.parametrize("bad, problem", [
+        ([[1.0, 0.4], [0.1, 1.0]], "symmetric"),
+        ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+    ])
+    def test_names_the_one_bad_sigma(self, bad, problem):
+        # Only sigma[2] of four fails; the themes are factorized in one call.
+        sigma = np.stack([np.eye(2)] * 4)
+        sigma[2] = bad
+        with pytest.raises(ModelError, match=rf"^sigma\[2\] is not {problem}$"):
+            ThemeModel(np.zeros((4, 2)), sigma, np.ones((1, 4)), np.ones(1))
+
+    @pytest.mark.parametrize("K, D", [(1, 1), (3, 2), (5, 9), (32, 16)])
+    def test_factors_match_per_theme_factorization(self, K, D):
+        m = make_model(K=K, D=D)
+        for k in range(K):
+            chol = np.linalg.cholesky(m.sigma[k])
+            assert m.chol_factors[k].tobytes() == chol.tobytes()
+            assert m.log_dets[k] == 2.0 * np.log(np.diag(chol)).sum()
+
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ModelError):
             ThemeModel(
@@ -359,6 +378,22 @@ class TestTrainConfig:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["batch_size", "max_e_iters", "max_batches"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_])
+    def test_counts_take_only_integers(self, name, value):
+        # 2.5 used to fail later, in range(); True trained on one-task batches.
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["tau0", "tau1", "e_tol", "jitter"])
+    def test_rejects_bool_numbers(self, name):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: True})
+
+    def test_numpy_integer_counts(self):
+        cfg = TrainConfig(batch_size=np.int64(7), max_e_iters=np.uint8(3), max_batches=np.int32(2))
+        assert (cfg.batch_size, cfg.max_e_iters, cfg.max_batches) == (7, 3, 2)
 
     def test_boundary_seeds(self):
         assert TrainConfig(seed=0).seed == 0
