@@ -27,8 +27,13 @@ the per-class E[ln theta] its last sweep used and drops the task's rows
 from the next sweeps.  The result's r is built when it is first read, from
 those and the block's densities by the same per-sample arithmetic, so it
 has the bits the task's last sweep computed; a caller that reads only
-lambda, as `run_estep` and `ldcc infer` do, never builds it.  Per-model
-constants (alpha - 1, the rows' log-normalizers) come from the `ThemeModel`.
+lambda, as `run_estep` and `ldcc infer` do, never builds it.  The build
+keeps each sample's total before normalizing, and the result's `bound`,
+each task's evidence lower bound, is read from those totals, the class
+sums and the final gamma, eta and lambda (`_sweep_bound`), with no pass
+over (K, rows) of its own; `elbo` stays the term-by-term definition.
+Per-model constants (alpha - 1, the rows' log-normalizers) come from the
+`ThemeModel`.
 
 A `_Block` holds what no sweep changes: segments and the samples stacked
 by `stack_samples`.  `_plan_blocks` checks every task's dimension, then
@@ -49,7 +54,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.special import psi
+from scipy.special import gammaln, psi
 
 from .data import read_table, stack_samples, write_table
 from .errors import DataError, FormatError, NumericError
@@ -80,6 +85,11 @@ def _expected_log(u):
     out = psi(u)
     out -= psi(total, out=total)
     return out
+
+
+def _log_beta(u):
+    """log_beta_rows of theme-major (K, n) columns without the domain check."""
+    return _column_sums(gammaln(u)) - gammaln(_column_sums(u))
 
 
 def _check_shift(m):
@@ -199,7 +209,7 @@ class Posterior:
 
     From a sweep it also holds the per-task iterations, converged and
     gamma_clamps, the (K, rows) log_pdfs the sweep used and its block's
-    (rows, D) samples.
+    (rows, D) samples, and `bound`.
     """
 
     def __init__(self, seg, r, gamma, eta, lam, iterations=None, converged=None,
@@ -208,13 +218,35 @@ class Posterior:
         self.iterations, self.converged, self.gamma_clamps = iterations, converged, gamma_clamps
         self.log_pdfs, self.samples = log_pdfs, samples
         self._r_inputs = None  # a sweep's (per-class E[ln theta], densities) until r is read
+        self._r_totals = None  # r's sample totals before normalizing, until bound is read
+        self._bound = None
+        self._bound_inputs = None  # a sweep's `_sweep_bound` arguments until bound is read
+
+    def _build_r(self):
+        self._r, self._r_totals = _responsibilities(*self._r_inputs, self.seg, self.log_pdfs)
+        self._r_inputs = None
 
     @property
     def r(self):
-        pending = self._r_inputs
-        if pending is not None:
-            self._r, self._r_inputs = _responsibilities(*pending, self.seg, self.log_pdfs), None
+        if self._r_inputs is not None:
+            self._build_r()
         return self._r
+
+    @property
+    def bound(self):
+        """A sweep's evidence lower bound of each task (tasks,), the value `elbo`
+        gives, read from the normalizers its last sweep computed (`_sweep_bound`).
+
+        It is built on first read, with r if r was not read yet; None for
+        a posterior that no sweep returned.
+        """
+        if self._bound_inputs is not None:
+            if self._r_inputs is not None:
+                self._build_r()
+            self._bound = _sweep_bound(self.seg, self.log_pdfs, self._r_totals,
+                                       *self._bound_inputs)
+            self._r_totals = self._bound_inputs = None
+        return self._bound
 
     def classes(self):
         """This result without its per-sample arrays."""
@@ -226,19 +258,29 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _densities(log_pdfs):
-    """exp(log_pdfs - each sample's max), r's factor (K, rows) that no sweep changes."""
+    """exp(log_pdfs - each sample's max), r's factor (K, rows) that no sweep
+    changes, and that max (rows,)."""
     shift = np.maximum.reduce(log_pdfs, axis=0)
     _check_shift(shift)
     dens = np.subtract(log_pdfs, shift)
-    return np.exp(dens, out=dens)
+    return np.exp(dens, out=dens), shift
+
+
+def _log_space_logits(expected_log_theta, rows, seg, log_pdfs):
+    """E[ln theta] + log_pdfs (K, len(rows)) of these rows of seg's classes;
+    log_pdfs are the block's log-densities."""
+    classes = np.searchsorted(seg.class_starts, rows, side="right") - 1
+    block_rows = seg.rows0[classes] + (rows - seg.class_starts[classes])
+    return expected_log_theta[:, classes] + log_pdfs[:, block_rows]
 
 
 def _responsibilities(expected_log_theta, dens, seg, log_pdfs):
     """r (K, rows) of the classes of seg: exp(E[ln theta] - each class's max)
-    times their samples' dens, normalized per sample.
+    times their samples' dens, normalized per sample; and each sample's
+    total before normalizing (rows,).
 
-    A sample whose products all underflow is normalized in log space from
-    log_pdfs, the block's log-densities, instead.
+    A sample whose products all underflow (total below _TINY) is normalized
+    in log space from log_pdfs, the block's log-densities, instead.
     """
     weights = np.subtract(expected_log_theta, np.maximum.reduce(expected_log_theta, axis=0))
     r = np.exp(weights, out=weights).repeat(seg.class_counts, axis=1)
@@ -246,14 +288,56 @@ def _responsibilities(expected_log_theta, dens, seg, log_pdfs):
     total = _column_sums(r)
     # Also false for a NaN total, which a NaN or infinite E[ln theta] gives:
     # the log-space path then raises NumericError.
-    if not np.minimum.reduce(total) >= _TINY:
-        rows = np.flatnonzero(~(total >= _TINY))
-        classes = np.searchsorted(seg.class_starts, rows, side="right") - 1
-        block_rows = seg.rows0[classes] + (rows - seg.class_starts[classes])
-        r[:, rows] = _softmax(expected_log_theta[:, classes] + log_pdfs[:, block_rows], axis=0)
-        total[rows] = 1.0
-    r /= total
-    return r
+    if np.minimum.reduce(total) >= _TINY:
+        r /= total
+        return r, total
+    ok = total >= _TINY
+    rows = np.flatnonzero(~ok)
+    r[:, rows] = _softmax(_log_space_logits(expected_log_theta, rows, seg, log_pdfs), axis=0)
+    r /= np.where(ok, total, 1.0)
+    return r, total
+
+
+def _sweep_bound(seg, log_pdfs, total, expected_log_theta, shift, counts, gamma, eta, lam,
+                 model):
+    """`elbo` of each task of a swept block, from its last sweep's normalizers
+    (as `onlineldavb` reads its bound from phinorm; Hoffman, Blei & Bach 2010).
+
+    expected_log_theta is the E[ln theta] (K, classes) r was built from, total
+    and shift r's sample totals and the samples' max log-densities (rows,),
+    counts r's class sums; gamma, eta and lam are the final theme-major
+    values.  Each sample's ln Z = ln sum_k exp(E[ln theta_k] + log p_k(x))
+    is ln total + its class's max E[ln theta] + its shift (a log-space
+    sample's logsumexp), and as ln r = E[ln theta] + log p(x) - ln Z,
+    log p(x) + log p(z) - log q(z) = sum ln Z + counts . (E_final[ln theta]
+    - E[ln theta]).  The other terms are per class (log p(theta) -
+    log q(theta) - log q(y)) and per task: lam = delta + the task's eta
+    sums, so log p(y) + log p(phi) - log q(phi) = ln B(lam) - ln B(delta).
+    No term is a pass over (K, rows).
+    """
+    log_z = np.maximum(total, _TINY)
+    np.log(log_z, out=log_z)
+    log_z += np.maximum.reduce(expected_log_theta, axis=0).repeat(seg.class_counts)
+    log_z += shift
+    rows = np.flatnonzero(total < _TINY)
+    if rows.size:
+        logits = _log_space_logits(expected_log_theta, rows, seg, log_pdfs)
+        peak = np.maximum.reduce(logits, axis=0)
+        logits -= peak
+        log_z[rows] = peak + np.log(_column_sums(np.exp(logits, out=logits)))
+    final_log_theta = _expected_log(gamma)
+    # E_final[ln theta]'s weight in log p(z) + log p(theta) - log q(theta)
+    # is gamma's update from the final eta less gamma: 0 but for the last
+    # eta change and the floor.  So where gamma is near 0 and E_final[ln
+    # theta] huge, no huge products are summed to cancel.
+    weight = counts + 1.0 + _gemm(model.alpha_m1.T, eta) - gamma
+    weight *= final_log_theta
+    weight -= counts * expected_log_theta
+    per_class = _column_sums(weight) + _log_beta(gamma)
+    per_class -= _column_sums(eta * model.log_norm + xlogy(eta, eta))
+    return (np.add.reduceat(log_z, seg.task_row_starts)
+            + np.add.reduceat(per_class, seg.task_starts)
+            + _log_beta(lam) - _log_beta(model.delta_col))
 
 
 def _gemm(a, b):
@@ -285,7 +369,8 @@ def _estep_block(block, model, config):
     """`estep_blocks` for one `_Block`, on theme-major arrays (module docstring)."""
     seg = block.seg
     log_pdfs = model.log_pdfs(block.samples)
-    all_dens = dens = _densities(log_pdfs)
+    dens, shift = _densities(log_pdfs)
+    all_dens = dens
     alpha_m1, log_norm, delta = model.alpha_m1, model.log_norm, model.delta_col
     num_tasks = len(block.tasks)
 
@@ -309,7 +394,7 @@ def _estep_block(block, model, config):
     expected_log_theta = _expected_log(gamma)
 
     for it in range(1, config.max_e_iters + 1):
-        r = _responsibilities(expected_log_theta, dens, live, log_pdfs)
+        r = _responsibilities(expected_log_theta, dens, live, log_pdfs)[0]
         counts = np.add.reduceat(r, live.class_starts, axis=1)
         del r  # only its class sums are needed
         gamma = _update_gamma(counts, eta, alpha_m1, live, clamps)
@@ -349,6 +434,8 @@ def _estep_block(block, model, config):
     posterior = Posterior(seg, None, out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
                           iterations, converged, out_clamps, log_pdfs, block.samples)
     posterior._r_inputs = (out_log_theta, all_dens)
+    posterior._bound_inputs = (out_log_theta, shift, out_counts, out_gamma, out_eta, out_lam,
+                               model)
     block.start = (out_counts, out_eta)
     return posterior
 
@@ -435,7 +522,12 @@ def elbo_terms(posterior, model):
 
 
 def elbo(posterior, model):
-    """Evidence lower bound of each task of a `Posterior`: its `elbo_terms` summed."""
+    """Evidence lower bound of each task of a `Posterior`: its `elbo_terms` summed.
+
+    This is the bound's definition, for any posterior.  A sweep's result
+    also carries the same value as `Posterior.bound`, read from the sweep's
+    normalizers, which is what `train` logs.
+    """
     t = elbo_terms(posterior, model)
     return (t["log_px"] + t["log_pz"] + t["log_ptheta"] + t["log_py"] + t["log_pphi"]
             - t["log_qz"] - t["log_qtheta"] - t["log_qy"] - t["log_qphi"])

@@ -12,9 +12,11 @@ as the batch and step 1, Hoffman et al. 2013).
 
 As in stochastic variational inference, the global step needs only the
 batch's expected sufficient statistics, so `train` folds each block's
-`Posterior` into the statistics (`accumulate_stats`) and the bound
-(`elbo`) as the block is solved, and keeps only its per-class and per-task
-arrays for the alpha step.
+`Posterior` into the statistics (`accumulate_stats`) and the bound as the
+block is solved, and keeps only its per-class and per-task arrays for the
+alpha step.  The bound is the one each E-step read from its own
+normalizers (`Posterior.bound`, the value `elbo` defines), so the log
+costs no pass over the block's responsibilities.
 
 The statistics are raw moments (count, weighted sum, weighted second
 moment), summed per task over the theme-major responsibilities and folded
@@ -33,7 +35,7 @@ from scipy.special import zeta
 
 from .data import write_table
 from .errors import ModelError, NumericError
-from .inference import _estep_block, _plan_blocks, elbo, warn_estep_waste
+from .inference import _estep_block, _plan_blocks, warn_estep_waste
 from .model import ThemeModel, TrainConfig, init_model
 from .special import dirichlet_expected_log
 from .streams import shuffle_stream
@@ -263,7 +265,7 @@ def train(tasks, num_task_themes, num_image_themes, config: TrainConfig,
         for block in blocks:
             part = _estep_block(block, model, config)
             stats = accumulate_stats(part, stats)
-            elbos.append(elbo(part, model))
+            elbos.append(part.bound)
             # The alpha step and the counters need only per-class and per-task arrays.
             parts.append(part.classes())
             del part  # no r or log-densities alive while the next block sweeps

@@ -8,7 +8,8 @@ time, built from the library's log-densities, special functions, softmax
 and gamma floor; composing them checks the stacked sweep's segment sums.
 They work on `VariationalState`, one task's posterior with its
 responsibilities split by class; `stack_states` and `unstack` convert
-between it and the library's `Posterior`.
+between it and the library's `Posterior`.  `bound_gap` checks a sweep's
+bound against `elbo`.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy import special as sp
 from ldcc import inference
 from ldcc.data import Task, stack_samples
 from ldcc.inference import Posterior, _floor_gamma, _Segments, _softmax, dirichlet_expected_log
-from ldcc.inference import elbo, estep_blocks
+from ldcc.inference import elbo, elbo_terms, estep_blocks
 from ldcc.learning import _ALPHA_FLOOR, _MAX_HALVINGS
 from ldcc.similarity import DiagramBin
 from ldcc.special import log_beta_rows
@@ -30,9 +31,12 @@ class VariationalState:
     gamma: (C, K) per-class Dirichlet parameters over image themes.
     eta: (C, L) per-class task-theme weights, row-normalized.
     lam: (L,) task-level Dirichlet parameter; the task's embedding.
+    bound: a solved state's evidence lower bound from its sweep
+    (`Posterior.bound`), a float; None otherwise.
     """
 
-    def __init__(self, r, gamma, eta, lam, iterations=0, converged=False, gamma_clamps=0):
+    def __init__(self, r, gamma, eta, lam, iterations=0, converged=False, gamma_clamps=0,
+                 bound=None):
         self.r = list(r)
         self.gamma = np.asarray(gamma, dtype=np.float64)
         self.eta = np.asarray(eta, dtype=np.float64)
@@ -40,6 +44,7 @@ class VariationalState:
         self.iterations = iterations
         self.converged = converged
         self.gamma_clamps = gamma_clamps
+        self.bound = bound
 
 
 def stack_states(tasks, states, model=None):
@@ -66,6 +71,7 @@ def unstack(posterior):
             iterations=int(posterior.iterations[d]),
             converged=bool(posterior.converged[d]),
             gamma_clamps=int(posterior.gamma_clamps[d]),
+            bound=float(posterior.bound[d]),
         )
         for d, (a, b) in enumerate(zip(starts, starts + posterior.seg.task_classes))
     ]
@@ -101,6 +107,15 @@ def continued_estep_states(tasks, states, model, config):
 def task_elbo(task, state, model):
     """`elbo` of one task under its state, as a float."""
     return float(elbo(stack_states([task], [state], model), model)[0])
+
+
+def bound_gap(task, state, model):
+    """|bound - elbo| of a solved state, over the sum of the magnitudes of the
+    nine `elbo_terms`: the terms cancel (from 1e8 and more each where gamma
+    is near 0), so the value is no scale for either form's rounding."""
+    terms = elbo_terms(stack_states([task], [state], model), model)
+    scale = sum(abs(float(value[0])) for value in terms.values())
+    return abs(state.bound - task_elbo(task, state, model)) / scale
 
 
 def softmax_start(task, model):

@@ -340,10 +340,10 @@ def test_train_reduces_to_gmm_em():
     data=st.data(),
 )
 def test_embedding_depends_only_on_samples_and_model(K, L, splits, data):
-    # Each task's lambda alone, under the default config, against the same
-    # tasks renamed, reordered and subset, under any seed and block size.
-    # K and L of 8 and more are drawn too, where numpy sums a lone column
-    # pairwise, and so are one-sample tasks.
+    # Each task's lambda and bound alone, under the default config, against
+    # the same tasks renamed, reordered and subset, under any seed and block
+    # size.  K and L of 8 and more are drawn too, where numpy sums a lone
+    # column pairwise, and so are one-sample tasks.
     rng = np.random.default_rng([K, L, len(splits)])
     model = ThemeModel(4.0 * rng.standard_normal((K, 2)), np.stack([np.eye(2)] * K),
                        rng.uniform(0.5, 2.0, (L, K)), np.full(L, 0.5))
@@ -351,6 +351,8 @@ def test_embedding_depends_only_on_samples_and_model(K, L, splits, data):
                             for n in counts])
              for d, counts in enumerate(splits)]
     alone = [run_estep(task, model, TrainConfig()).lam.tobytes() for task in tasks]
+    alone_bounds = [next(estep_blocks([task], model, TrainConfig())).bound.tobytes()
+                    for task in tasks]
     order = data.draw(st.permutations(range(len(tasks))))
     picked = order[:data.draw(st.integers(1, len(tasks)))]
     names = data.draw(st.lists(st.text("abcxyz-_0123", min_size=1, max_size=6),
@@ -360,7 +362,8 @@ def test_embedding_depends_only_on_samples_and_model(K, L, splits, data):
     with mock.patch.object(inference, "_BLOCK_ROWS", block_rows):
         parts = list(estep_blocks(renamed, model, TrainConfig(seed=seed)))
     got = [row.tobytes() for part in parts for row in part.lam]
-    ok = got == [alone[i] for i in picked]
+    got_bounds = [bound.tobytes() for part in parts for bound in part.bound]
+    ok = got == [alone[i] for i in picked] and got_bounds == [alone_bounds[i] for i in picked]
     report("embedding_invariance", ok, f"(K={K}, L={L}, {len(picked)} tasks, seed {seed}, "
            f"blocks of {block_rows} rows)")
 

@@ -11,6 +11,7 @@ from scipy import stats
 
 from helpers import (
     VariationalState,
+    bound_gap,
     continued_estep_states,
     estep_states,
     naive_elbo_terms,
@@ -179,12 +180,12 @@ class TestResponsibilityKernel:
         # log_pdfs (K, rows) of a block of one task per class; with keep,
         # only those tasks' rows, as in a sweep after others stopped.
         seg = inference._Segments.of([[n] for n in counts])
-        dens = inference._densities(log_pdfs)
+        dens = inference._densities(log_pdfs)[0]
         if keep is not None:
             seg, keep_classes, keep_rows = seg.subset(keep)
             expected_log_theta = expected_log_theta[:, keep_classes]
             dens = dens[:, keep_rows]
-        return inference._responsibilities(expected_log_theta, dens, seg, log_pdfs)
+        return inference._responsibilities(expected_log_theta, dens, seg, log_pdfs)[0]
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -230,7 +231,7 @@ class TestResponsibilityKernel:
             assert np.allclose(got, want[:, cols], rtol=0, atol=1e-12)
         # The products of block row 2 are exactly zero.
         weights = np.exp(expected_log_theta[:, 1] - expected_log_theta[:, 1].max())
-        assert not (weights * inference._densities(log_pdfs)[:, 2]).any()
+        assert not (weights * inference._densities(log_pdfs)[0][:, 2]).any()
 
     @pytest.mark.parametrize("where", ["log_pdfs", "theta"])
     @pytest.mark.parametrize("bad, message", [
@@ -538,6 +539,7 @@ class TestEstepBatch:
         assert got.iterations == want.iterations
         assert got.converged == want.converged
         assert got.gamma_clamps == want.gamma_clamps
+        assert got.bound == want.bound
 
     def test_matches_batches_of_one(self, monkeypatch):
         model, tasks, cfg = self.model(), self.tasks(), self.config
@@ -561,7 +563,7 @@ class TestEstepBatch:
             by_id = {task.id: state for task, state in zip(batch, states)}
             for task, want in zip(tasks, alone):
                 self.assert_same(by_id[task.id], want)
-            # The bound `train` reads from each block, against elbo per task.
+            # elbo of each block, against elbo per task.
             bounds = np.concatenate([elbo(part, model) for part in estep_blocks(batch, model, cfg)])
             for task, state, bound in zip(batch, states, bounds, strict=True):
                 assert bound == pytest.approx(task_elbo(task, state, model), rel=1e-12, abs=1e-12)
@@ -633,7 +635,7 @@ class TestEstepBatch:
         kept = []
         for task in generate_synthetic(model, 40, 5, 16, seed=1)[0]:
             (part,) = estep_blocks([task], model, cfg)
-            eager = inference._responsibilities(*part._r_inputs, part.seg, part.log_pdfs)
+            eager = inference._responsibilities(*part._r_inputs, part.seg, part.log_pdfs)[0]
             kept.append((part, eager))
             one = run_estep(task, model, cfg)
             assert one.lam.tobytes() == part.lam[0].tobytes()
@@ -693,6 +695,56 @@ class TestEstepBatch:
             list(estep_blocks(tasks, self.model(), self.config))
         assert calls == []
         assert len(list(inference._blocks(tasks))) >= 3
+
+
+class TestSweepBound:
+    """A sweep's `Posterior.bound`, read from its normalizers, is `elbo`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(1, 9), L=st.integers(1, 9), clamping=st.booleans(), data=st.data())
+    def test_matches_elbo(self, K, L, clamping, data):
+        # Random blocks of tasks with 1-3 classes of 1-6 samples and a
+        # one-sample task, cold-started and continued, at 1, 7 and 100
+        # sweeps.  With `TestEstepBatch`'s model gamma clamps, and a task
+        # continued from all its samples on theme 0 clamps its theme 2,
+        # whose E[ln theta] of about -1e8 underflows the products of its
+        # sample at (0, 60) and sends it to the log-space path.  The nine
+        # terms cancel to about 1e8 there, so the gap is scaled by them.
+        if clamping:
+            model, K, L = TestEstepBatch().model(), 3, 2
+            max_e_iters = data.draw(st.sampled_from([1, 7]))
+        else:
+            rng = np.random.default_rng([K, L])
+            model = ThemeModel(4.0 * rng.standard_normal((K, 2)), np.stack([np.eye(2)] * K),
+                               rng.uniform(0.5, 2.0, (L, K)), np.full(L, 0.5))
+            max_e_iters = data.draw(st.sampled_from([1, 7, 100]))
+        cfg = TrainConfig(seed=3, e_tol=1e-3, max_e_iters=max_e_iters)
+        splits = data.draw(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+                                    min_size=1, max_size=5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tasks = [Task(f"t{d}", [(model.mu[rng.integers(K)] + rng.normal(size=(n, 2)))
+                                .astype(np.float32) for n in counts])
+                 for d, counts in enumerate([*splits, [1]])]
+        if clamping:
+            far = rng.normal(size=(4, 2))
+            far[3, 1] += 60.0
+            tasks.append(Task("far", [far.astype(np.float32)]))
+        block_rows = data.draw(st.integers(1, 40))
+        with patch.object(inference, "_BLOCK_ROWS", block_rows), \
+                patch.object(inference, "_log_space_logits",
+                             wraps=inference._log_space_logits) as log_space:
+            states = estep_states(tasks, model, cfg)
+            for task, state in zip(tasks, states, strict=True):
+                assert bound_gap(task, state, model) <= 1e-12
+            if clamping:
+                on_zero = [np.eye(K)[np.zeros(len(block), dtype=int)] for block in states[-1].r]
+                states[-1] = VariationalState(on_zero, states[-1].gamma,
+                                              np.full((1, L), 1.0 / L), states[-1].lam)
+            continued = continued_estep_states(tasks, states, model, cfg)
+        if clamping:
+            assert continued[-1].gamma_clamps > 0 and log_space.called
+        for task, state in zip(tasks, continued, strict=True):
+            assert bound_gap(task, state, model) <= 1e-12
 
 
 class TestExactMaximizers:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     VariationalState,
+    bound_gap,
     continued_estep_states,
     damped_alpha_step,
     dense_newton_solve,
@@ -15,7 +16,6 @@ from helpers import (
     fd_alpha_gradient,
     random_posterior_instance,
     stack_states,
-    task_elbo,
 )
 from ldcc.data import Task, TaskCollection, generate_synthetic, stack_samples
 from ldcc.errors import DataError, NumericError
@@ -686,9 +686,10 @@ def uneven_collection(num_tasks=11, seed=11):
 
 def reference_train(tasks, num_task_themes, num_image_themes, config, delta=0.5):
     """train() composed per task state, batch by batch: each batch's states
-    are stacked whole, and each bound is one task's alone.  When the batch is
-    the whole collection, each E-step after the first continues from the
-    task's last state, and rho is 1."""
+    are stacked whole, and each bound is the one the task's E-step gave,
+    checked against its `elbo` alone.  When the batch is the whole
+    collection, each E-step after the first continues from the task's last
+    state, and rho is 1."""
     model = init_model(
         tasks, num_task_themes, num_image_themes, delta, config.seed, jitter=config.jitter
     )
@@ -704,7 +705,9 @@ def reference_train(tasks, num_task_themes, num_image_themes, config, delta=0.5)
             states = continued_estep_states(batch, states, model, config)
         else:
             states = estep_states(batch, model, config)
-        elbos = [task_elbo(task, state, model) for task, state in zip(batch, states)]
+        for task, state in zip(batch, states):
+            assert bound_gap(task, state, model) <= 1e-12
+        elbos = [state.bound for state in states]
         part = stack_states(batch, states)
         means, covs, active = local_mstep(accumulate_stats(part), config.jitter)
         direction = alpha_newton_direction(alpha_newton_work([part], model.alpha))
