@@ -34,13 +34,18 @@ embed = lambda tasks: np.vstack(
 train_lam = embed(train_tasks)
 themes = latents.task_themes
 
-# Embeddings of same-theme tasks should sit close together in KL.
+# Embeddings of same-theme tasks should sit close together in KL.  Each
+# task's mean KL to the other tasks of its theme, and to the tasks of the
+# other themes, averaged over tasks.
 M = len(train_tasks)
-kl = distance_matrix(train_lam, train_lam).matrix
-off = ~np.eye(M, dtype=bool)
-same = themes[:, None] == themes[None, :]
-print("mean KL within a theme: %.3f" % kl[same & off].mean())
-print("mean KL across themes:  %.3f" % kl[~same].mean())
+within, across = [], []
+for theme in np.unique(themes):
+    group, rest = train_lam[themes == theme], train_lam[themes != theme]
+    # The group's own row (KL 0) is in its mean; n / (n - 1) takes it out.
+    within.append(distance_matrix(group, group) * len(group) / (len(group) - 1))
+    across.append(distance_matrix(group, rest))
+print("mean KL within a theme: %.3f" % np.concatenate(within).mean())
+print("mean KL across themes:  %.3f" % np.concatenate(across).mean())
 
 # New tasks drawn from theme A only; selection should pull theme-A tasks
 # out of the pool.

@@ -52,7 +52,6 @@ from .model import (
 )
 from .similarity import (
     DiagramBin,
-    DistanceReport,
     correlation_diagram,
     dirichlet_kl,
     distance_matrix,
@@ -97,7 +96,6 @@ __all__ = [
     "train",
     "write_training_log",
     "dirichlet_kl",
-    "DistanceReport",
     "distance_matrix",
     "DiagramBin",
     "correlation_diagram",

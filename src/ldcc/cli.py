@@ -151,10 +151,10 @@ def cmd_infer(args) -> None:
 def cmd_distance(args) -> None:
     test_ids, test_lambdas = read_lambda_csv(args.test_lambdas)
     _, train_lambdas = read_lambda_csv(args.train_lambdas)
-    report = distance_matrix(test_lambdas, train_lambdas)
+    mean_kl = distance_matrix(test_lambdas, train_lambdas)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_distance_csv(out, test_ids, report.mean_kl)
+    write_distance_csv(out, test_ids, mean_kl)
 
 
 def cmd_select(args) -> None:

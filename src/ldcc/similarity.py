@@ -3,8 +3,8 @@
 A task's embedding is the Dirichlet parameter lambda of its inferred
 task-theme posterior.  Dissimilarity is the closed-form KL divergence
 between Dirichlet distributions, directed from the test task's posterior to
-the training task's.  On top of that sit the mean-distance report, the
-distance-vs-accuracy correlation diagram, and nearest-task selection.
+the training task's.  Distance and selection read only its mean over one
+side, built from per-row terms; the correlation diagram bins the distances.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import DataError, DomainError, FormatError, NumericError
 from .special import dirichlet_expected_log, log_beta_rows
 
 _NEGATIVE_KL_TOL = -1e-9
-# The last training pool `_kl_matrix` was given, as (a copy, its log_beta_rows).
+# The last training pool `_mean_kl` was given, as (a copy, its log_beta_rows).
 # It is read and replaced in single assignments, so threads may share it.
 _pool_terms = (np.empty((0, 0)), None)
 
@@ -43,25 +43,29 @@ def dirichlet_kl(a, b) -> float:
     return float(log_beta_b - log_beta_a + ((a - b) * dirichlet_expected_log(a)).sum())
 
 
-@dataclass
-class DistanceReport:
-    """Per-test-task mean KL to the training tasks, plus the full matrix."""
+def _dot(x, y):
+    """x . y over the themes, one theme at a time in a fixed order (no BLAS)."""
+    total = x[..., 0] * y[..., 0]
+    for k in range(1, x.shape[-1]):
+        total = total + x[..., k] * y[..., k]
+    return total
 
-    mean_kl: np.ndarray
-    matrix: np.ndarray
+
+def _mean(rows):
+    """Mean of a vector, or of each column: scaled by 1/n, so no partial sum
+    overflows, then summed pairwise along a contiguous axis."""
+    return np.add.reduce(np.multiply(rows.T, 1.0 / rows.shape[0], order="C"), axis=-1)
 
 
-def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
-    """KL[Dir(test_i) || Dir(train_d)] for every pair, checked and clamped at 0.
+def _mean_kl(test_lambdas, train_lambdas, axis) -> np.ndarray:
+    """Mean KL[Dir(test_i) || Dir(train_d)] over one side, checked and clamped at 0.
 
-    All pairs are computed in one array pass.  With
-    E_i = psi(a_i) - psi(sum a_i), entry (i, d) is
-
-        (ln B(b_d) - ln B(a_i)) + (a_i . E_i - E_i . b_d).
-
-    Both dot products add the themes one at a time in the same order, so an
-    identical pair gives exactly 0, equal training rows give bit-equal
-    columns, and the result does not depend on BLAS or its thread count.
+    axis=1 averages over the training rows, axis=0 over the test rows.  With
+    E_i = psi(a_i) - psi(sum a_i), pair (i, d) is (ln B(b_d) - ln B(a_i)) +
+    (a_i . E_i - E_i . b_d), affine in either side, so a mean needs only the
+    other side's mean ln B, a . E, E or row: O((n_test + n_train) * L).  So
+    grouped, an identical pair gives exactly 0.  Means are summed pairwise:
+    a sequential column sum over 10^5 equal rows errs by up to 2e-8.
 
     The pool's ln B(b_d) are kept with a copy of the last pool (8 bytes per
     entry) and reused, exactly, for a pool of equal shape and values: a NaN
@@ -94,28 +98,22 @@ def _kl_matrix(test_lambdas, train_lambdas) -> np.ndarray:
         if fresh:
             pool_log_beta = log_beta_rows(train)
             _pool_terms = (train.copy(), pool_log_beta)
-        self_term = test[:, 0] * expected[:, 0]
-        matrix = np.multiply.outer(expected[:, 0], train[:, 0])
-        scratch = np.empty_like(matrix)
-        for k in range(1, test.shape[1]):
-            self_term += test[:, k] * expected[:, k]
-            matrix += np.multiply.outer(expected[:, k], train[:, k], out=scratch)
-        np.subtract(self_term[:, None], matrix, out=matrix)
-        matrix += np.subtract(pool_log_beta[None, :], log_beta_rows(test)[:, None], out=scratch)
-    if matrix.min() < _NEGATIVE_KL_TOL or not np.isfinite(matrix).all():
-        raise NumericError(f"KL matrix contains invalid entries (min {matrix.min()})")
-    return np.maximum(matrix, 0.0, out=matrix)
+        log_beta, a_e = log_beta_rows(test), _dot(test, expected)
+        if axis == 1:
+            mean_kl = (_mean(pool_log_beta) - log_beta) + (a_e - _dot(expected, _mean(train)))
+        else:
+            mean_kl = (pool_log_beta - _mean(log_beta)) + (_mean(a_e) - _dot(_mean(expected), train))
+    if mean_kl.min() < _NEGATIVE_KL_TOL or not np.isfinite(mean_kl).all():
+        raise NumericError(f"mean KL contains invalid entries (min {mean_kl.min()})")
+    return np.maximum(mean_kl, 0.0)
 
 
-def distance_matrix(test_lambdas, train_lambdas) -> DistanceReport:
-    """KL of every test posterior from every training posterior.
+def distance_matrix(test_lambdas, train_lambdas) -> np.ndarray:
+    """Each test posterior's mean KL from the training posteriors, shape (n_test,).
 
-    Entry (i, d) is dirichlet_kl(test_i, train_d), clamped at 0; mean_kl
-    averages each row.  The whole matrix costs one O(n_test * n_train * L)
-    array pass.
+    Entry i is the mean over d of dirichlet_kl(test_i, train_d), clamped at 0.
     """
-    matrix = _kl_matrix(test_lambdas, train_lambdas)
-    return DistanceReport(mean_kl=matrix.mean(axis=1), matrix=matrix)
+    return _mean_kl(test_lambdas, train_lambdas, axis=1)
 
 
 @dataclass
@@ -171,19 +169,22 @@ def correlation_diagram(distances, accuracies, num_bins: int) -> list[DiagramBin
 def select_tasks(train_lambdas, test_lambdas, count: int) -> list[int]:
     """Indices of the `count` training tasks closest to the test set.
 
-    A training task's score is its mean KL from all test posteriors;
-    smallest scores win, ties broken by ascending index.  The pool's terms
-    are reused while the same pool comes back (`_kl_matrix`), and only the
-    scores at or below the `count`-th smallest, found by partition, are sorted.
+    A training task's score is its mean KL from all test posteriors, clamped
+    at 0; smallest scores win, ties broken by ascending index.  The pool's
+    terms are reused while the same pool comes back (`_mean_kl`), and only
+    the scores at or below the `count`-th smallest, found by partition, are
+    sorted.  count is an integer (a bool is refused).
     """
     train_lambdas = np.asarray(train_lambdas, dtype=np.float64)
+    if type(count) is bool or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count > train_lambdas.shape[0]:
         raise ValueError(f"cannot select {count} of {train_lambdas.shape[0]} training tasks")
     if count == 0:
         return []
-    scores = _kl_matrix(test_lambdas, train_lambdas).mean(axis=0)
+    scores = _mean_kl(test_lambdas, train_lambdas, axis=0)
     near = np.flatnonzero(scores <= np.partition(scores, count - 1)[count - 1])
     return near[np.lexsort((near, scores[near]))][:count].tolist()
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import astuple
 from concurrent.futures import ThreadPoolExecutor
 
@@ -78,20 +79,18 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(3)
         test = rng.uniform(0.5, 5.0, size=(3, 2))
         train = rng.uniform(0.5, 5.0, size=(4, 2))
-        report = distance_matrix(test, train)
-        assert report.matrix.shape == (3, 4)
-        for i in range(3):
-            for d in range(4):
-                assert report.matrix[i, d] == pytest.approx(
-                    dirichlet_kl(test[i], train[d]), abs=1e-12
-                )
-        assert np.allclose(report.mean_kl, report.matrix.mean(axis=1))
+        kl = np.array([[dirichlet_kl(a, b) for b in train] for a in test])
+        mean_kl = distance_matrix(test, train)
+        assert mean_kl.shape == (3,)
+        assert np.allclose(mean_kl, kl.mean(axis=1), rtol=0.0, atol=1e-12)
+        scores = similarity._mean_kl(test, train, axis=0)
+        assert scores.shape == (4,)
+        assert np.allclose(scores, kl.mean(axis=0), rtol=0.0, atol=1e-12)
 
     def test_identical_rows_give_zero(self):
         lam = np.array([[2.0, 3.0]])
-        report = distance_matrix(lam, lam)
-        assert report.matrix[0, 0] == 0.0
-        assert np.all(report.matrix >= 0.0)
+        assert distance_matrix(lam, lam)[0] == 0.0
+        assert similarity._mean_kl(lam, lam, axis=0)[0] == 0.0
 
     def test_theme_count_mismatch(self):
         with pytest.raises(DataError):
@@ -112,6 +111,13 @@ class TestDistanceMatrix:
         with pytest.raises(NumericError):
             distance_matrix(np.array([[1e308, 1e308]]), np.array([[1e-300, 1.0]]))
 
+    def test_pool_sums_past_the_float_range(self):
+        # The pool's column sums overflow; its mean and every KL do not.
+        test, train = np.array([[1e304, 2e304]]), np.full((100_000, 2), 1e304)
+        want = dirichlet_kl(test[0], train[0])
+        assert distance_matrix(test, train)[0] == pytest.approx(want, rel=1e-12)
+        assert similarity._mean_kl(test, train, axis=0)[:2] == pytest.approx([want] * 2, rel=1e-12)
+
     def test_cross_term_overflow_raises_numeric(self):
         # psi(1e-300) ~ -1e300 against a 1e300 training entry overflows the
         # cross term although every row sum is finite.
@@ -129,15 +135,44 @@ class TestDistanceMatrix:
         entries = st.floats(min_value=1e-3, max_value=1e3)
         test = data.draw(arrays(np.float64, (data.draw(st.integers(1, 4)), themes), elements=entries))
         train = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), themes), elements=entries))
-        matrix = distance_matrix(test, train).matrix
+        kl, magnitude = np.empty((2, len(test), len(train)))
         for i, a in enumerate(test):
             # Tolerance relative to the magnitudes of the terms both
             # formulas add: the log-betas and the two cross products a.E and
             # b.E, which reach ~1e6 here while their difference may be small.
             e = np.abs(psi(a) - psi(a.sum()))
             for d, b in enumerate(train):
-                magnitude = np.abs(log_beta_rows([a, b])).sum() + a @ e + b @ e
-                assert abs(matrix[i, d] - dirichlet_kl(a, b)) <= 1e-12 * (1.0 + magnitude)
+                kl[i, d] = dirichlet_kl(a, b)
+                magnitude[i, d] = np.abs(log_beta_rows([a, b])).sum() + a @ e + b @ e
+        # Each test row's mean over the pool, then each pool row's mean over the test rows.
+        for axis, got in [(1, distance_matrix(test, train)),
+                          (0, similarity._mean_kl(test, train, axis=0))]:
+            gap = np.abs(got - kl.mean(axis=axis))
+            assert (gap <= 1e-12 * (1.0 + magnitude.mean(axis=axis))).all()
+
+    def test_no_test_by_train_array(self):
+        # 100 x 100 000 pairs: a float64 matrix of them alone would take 80 MB.
+        rng = np.random.default_rng(18)
+        test, train = rng.uniform(0.5, 6.0, size=(100, 4)), rng.uniform(0.5, 6.0, size=(100_000, 4))
+        tracemalloc.start()
+        try:
+            distance_matrix(test, train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_pool_of_equal_rows_reads_zero(self):
+        # A sequential column mean over 10^5 equal rows at this scale errs
+        # by more than the -1e-9 guard and raises NumericError; pairwise
+        # sums stay within 1e-10.
+        row = np.array([[1056.64, 1248.57, 2341.25, 2294.38]])
+        copies = np.repeat(row, 100_000, axis=0)
+        for test, train in [(row, copies), (copies, row)]:
+            assert np.abs(distance_matrix(test, train)).max() <= 1e-9
+            assert np.abs(similarity._mean_kl(test, train, axis=0)).max() <= 1e-9
+        assert select_tasks(copies, row, 3) == [0, 1, 2]
+        assert select_tasks(row, copies, 1) == [0]
 
 
 class TestCorrelationDiagram:
@@ -273,6 +308,18 @@ class TestSelectTasks:
         with pytest.raises(ValueError):
             select_tasks(lam, lam, -1)
 
+    @pytest.mark.parametrize("count", [True, False, 2.0, 1.5, "2", None])
+    def test_count_must_be_an_integer(self, count):
+        lam = np.ones((3, 2))
+        with pytest.raises(ValueError, match="count must be an integer"):
+            select_tasks(lam, lam, count)
+
+    def test_numpy_integer_count(self):
+        rng = np.random.default_rng(19)
+        train, test = rng.uniform(0.5, 6.0, size=(8, 3)), rng.uniform(0.5, 6.0, size=(2, 3))
+        for count in [np.int64(3), np.int32(3), np.uint8(3)]:
+            assert select_tasks(train, test, count) == select_tasks(train, test, 3)
+
     def test_ties_broken_by_ascending_index(self):
         train = np.array([[2.0, 2.0], [2.0, 2.0], [9.0, 1.0], [2.0, 2.0]])
         test = np.array([[2.0, 2.0]])
@@ -308,7 +355,7 @@ class TestSelectTasks:
 
 
 def _cold(fn, *args):
-    """fn(*args) after dropping the pool terms `_kl_matrix` keeps between calls."""
+    """fn(*args) after dropping the pool terms `_mean_kl` keeps between calls."""
     similarity._pool_terms = (np.empty((0, 0)), None)
     return fn(*args)
 
@@ -319,11 +366,11 @@ def _outcome(fn, *args):
         result = fn(*args)
     except Exception as exc:
         return type(exc), str(exc)
-    return result.mean_kl.tobytes() + result.matrix.tobytes() if fn is distance_matrix else result
+    return result.tobytes() if fn is distance_matrix else result
 
 
 class TestPoolTermReuse:
-    """`_kl_matrix` reuses the last pool's log-beta terms; every result must be
+    """`_mean_kl` reuses the last pool's log-beta terms; every result must be
     the one a first (cold) call gives."""
 
     rng = np.random.default_rng(12)
@@ -395,8 +442,8 @@ class TestPoolTermReuse:
     def test_mean_kl_is_cold_identical(self):
         pool = np.random.default_rng(16).uniform(0.5, 6.0, size=(30, 3))
         for _ in range(3):
-            want = _cold(distance_matrix, self.test, pool).mean_kl
-            assert distance_matrix(self.test, pool).mean_kl.tobytes() == want.tobytes()
+            want = _cold(distance_matrix, self.test, pool)
+            assert distance_matrix(self.test, pool).tobytes() == want.tobytes()
 
 
 class TestCsvHelpers:
