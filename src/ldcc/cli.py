@@ -187,6 +187,8 @@ def cmd_diagram(args) -> None:
 
 
 _THREADS_HELP = "accepted for compatibility; has no effect"
+_MAX_E_ITERS_HELP = ("cap on each E-step's sweeps, every sweep of its SQUAREM cycles counted, "
+                     "the stabilizing sweep included")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument("--batch", type=int, default=500)
     tr.add_argument("--e-tol", type=float, default=1e-3)
-    tr.add_argument("--max-e-iters", type=int, default=100)
+    tr.add_argument("--max-e-iters", type=int, default=100, help=_MAX_E_ITERS_HELP)
     tr.add_argument("--jitter", type=float, default=1e-6)
     tr.add_argument("--seed", type=_seed, default=0)
     tr.add_argument("--max-batches", type=int, default=100)
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--model", required=True, help="checkpoint JSON")
     inf.add_argument("--data", required=True, help="collection manifest JSON")
     inf.add_argument("--e-tol", type=float, default=1e-3)
-    inf.add_argument("--max-e-iters", type=int, default=100)
+    inf.add_argument("--max-e-iters", type=int, default=100, help=_MAX_E_ITERS_HELP)
     inf.add_argument("--threads", type=_positive(int), default=1, help=_THREADS_HELP)
     inf.add_argument("--out", required=True, help="output CSV path")
     inf.set_defaults(func=cmd_infer)

@@ -7,24 +7,37 @@ blocks in the order r -> gamma -> eta -> lambda, each update being the exact
 coordinate maximizer of the evidence lower bound given the others, so the
 bound never decreases across sweeps.
 
+The sweeps converge linearly, so after one plain sweep each task takes
+SQUAREM cycles (SqS3, Varadhan & Roland 2008): two sweeps x0 -> x1 -> x2,
+a step from them in (ln gamma, ln eta) of length max(1, |r| / |v|) per
+task, and one stabilizing sweep from that point, kept only where its bound
+is at least x0's; elsewhere the task keeps x2, whose bound the sweeps
+never let fall below x0's.  So the bound never falls across the states a
+task keeps.  The safeguard's bound is the one `Posterior.bound` reads
+(`_sweep_bound`), once per cycle, and x2's only where the safeguard fails.
+A task stops at the first sweep whose own mean absolute lambda change
+drops below the configured tolerance; max_e_iters counts every sweep, and
+the last three before it are plain.
+
 Given the model, task posteriors are independent.  `estep_blocks` stacks
 the samples of consecutive tasks into blocks of up to 16384 rows with class
 and task segment indices, and sweeps each block at once with segment sums
-(`np.add.reduceat`); each task stops at the sweep where the mean absolute
-change of its lambda drops below the configured tolerance, exactly as it
-would alone.  All arrays are theme-major, as numpy reduces over K
-contiguous rows in K elementwise passes but loops per row along a short
-inner axis: r and the log-densities are (K, rows), gamma (K, classes), eta
-(L, classes), lambda (L, tasks).
+(`np.add.reduceat`); step lengths, safeguards and stops are per task, and
+a stopped task leaves the block's arrays when its cycle ends, so each task
+stops where it would alone, with the same bits.  All arrays are
+theme-major, as numpy reduces over K contiguous rows in K elementwise
+passes but loops per row along a short inner axis: r and the
+log-densities are (K, rows), gamma (K, classes), eta (L, classes),
+lambda (L, tasks).
 
 Responsibilities are r = normalize(w[class] * P) per sample: the densities
 P = exp(log_pdfs - the sample's max) are exponentiated once per block, and
 each sweep exponentiates only w = exp(E[ln theta] - the class's max) over
 (K, classes).  A sample whose K products all underflow is normalized in
 log space instead, and NaN, +inf or all -inf logits raise NumericError.
-A sweep keeps only r's class sums.  When a task stops, the block keeps
-the per-class E[ln theta] its last sweep used and drops the task's rows
-from the next sweeps.  The result's r is built when it is first read, from
+A sweep keeps only r's class sums, and r's totals only until its bound
+is read.  When a task stops, the block keeps the per-class E[ln theta]
+its last sweep used.  The result's r is built when it is first read, from
 those and the block's densities by the same per-sample arithmetic, so it
 has the bits the task's last sweep computed; a caller that reads only
 lambda, as `run_estep` and `ldcc infer` do, never builds it.  The build
@@ -32,8 +45,8 @@ keeps each sample's total before normalizing, and the result's `bound`,
 each task's evidence lower bound, is read from those totals, the class
 sums and the final gamma, eta and lambda (`_sweep_bound`), with no pass
 over (K, rows) of its own; `elbo` stays the term-by-term definition.
-Per-model constants (alpha - 1, the rows' log-normalizers) come from the
-`ThemeModel`.
+Per-model constants (alpha - 1, the rows' log-normalizers, ln B(delta))
+come from the `ThemeModel`.
 
 A `_Block` holds what no sweep changes: segments and the samples stacked
 by `stack_samples`.  `_plan_blocks` checks every task's dimension, then
@@ -52,6 +65,7 @@ counters.
 from __future__ import annotations
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, psi
@@ -220,7 +234,7 @@ class Posterior:
         self._r_inputs = None  # a sweep's (per-class E[ln theta], densities) until r is read
         self._r_totals = None  # r's sample totals before normalizing, until bound is read
         self._bound = None
-        self._bound_inputs = None  # a sweep's `_sweep_bound` arguments until bound is read
+        self._bound_inputs = None  # (shift, final `_Sweep`, model) until bound is read
 
     def _build_r(self):
         self._r, self._r_totals = _responsibilities(*self._r_inputs, self.seg, self.log_pdfs)
@@ -243,8 +257,9 @@ class Posterior:
         if self._bound_inputs is not None:
             if self._r_inputs is not None:
                 self._build_r()
-            self._bound = _sweep_bound(self.seg, self.log_pdfs, self._r_totals,
-                                       *self._bound_inputs)
+            shift, final, model = self._bound_inputs
+            self._bound = _sweep_bound(self.seg, self.log_pdfs, shift, final,
+                                       self._r_totals, model)
             self._r_totals = self._bound_inputs = None
         return self._bound
 
@@ -298,46 +313,63 @@ def _responsibilities(expected_log_theta, dens, seg, log_pdfs):
     return r, total
 
 
-def _sweep_bound(seg, log_pdfs, total, expected_log_theta, shift, counts, gamma, eta, lam,
-                 model):
-    """`elbo` of each task of a swept block, from its last sweep's normalizers
-    (as `onlineldavb` reads its bound from phinorm; Hoffman, Blei & Bach 2010).
+class _Sweep(NamedTuple):
+    """One sweep's arrays over its tasks, theme-major: the E[ln theta] r was
+    built from (used), r's class sums (counts), the new gamma, its E[ln
+    theta] (log_theta), eta and lam, and which tasks' mean |lambda change|
+    fell below e_tol."""
 
-    expected_log_theta is the E[ln theta] (K, classes) r was built from, total
-    and shift r's sample totals and the samples' max log-densities (rows,),
-    counts r's class sums; gamma, eta and lam are the final theme-major
-    values.  Each sample's ln Z = ln sum_k exp(E[ln theta_k] + log p_k(x))
-    is ln total + its class's max E[ln theta] + its shift (a log-space
+    used: np.ndarray
+    counts: np.ndarray
+    gamma: np.ndarray
+    log_theta: np.ndarray
+    eta: np.ndarray
+    lam: np.ndarray
+    done: np.ndarray | None = None
+
+
+def _sweep_bound(seg, log_pdfs, shift, s, total, model):
+    """`elbo` of each task of the `_Sweep` s over seg's classes, from its
+    normalizers (as `onlineldavb` reads its bound from phinorm; Hoffman,
+    Blei & Bach 2010): total is r's sample totals before normalizing and
+    shift the samples' max log-densities (rows,).
+
+    Each sample's ln Z = ln sum_k exp(E[ln theta_k] + log p_k(x)) is ln
+    total + its class's max used E[ln theta] + its shift (a log-space
     sample's logsumexp), and as ln r = E[ln theta] + log p(x) - ln Z,
-    log p(x) + log p(z) - log q(z) = sum ln Z + counts . (E_final[ln theta]
-    - E[ln theta]).  The other terms are per class (log p(theta) -
-    log q(theta) - log q(y)) and per task: lam = delta + the task's eta
-    sums, so log p(y) + log p(phi) - log q(phi) = ln B(lam) - ln B(delta).
-    No term is a pass over (K, rows).
+    log p(x) + log p(z) - log q(z) = sum ln Z + counts . (log_theta - used).
+    The other terms are per class (log p(theta) - log q(theta) - log q(y))
+    and per task: lam = delta + the task's eta sums, so log p(y) +
+    log p(phi) - log q(phi) = ln B(lam) - ln B(delta).  No term is a pass
+    over (K, rows), and every E[ln theta] is the sweep's own.
     """
-    log_z = np.maximum(total, _TINY)
-    np.log(log_z, out=log_z)
-    log_z += np.maximum.reduce(expected_log_theta, axis=0).repeat(seg.class_counts)
+    rows = None
+    if np.minimum.reduce(total) >= _TINY:
+        log_z = np.log(total)
+    else:
+        log_z = np.log(np.maximum(total, _TINY))
+        rows = np.flatnonzero(total < _TINY)
+    log_z += np.maximum.reduce(s.used, axis=0).repeat(seg.class_counts)
     log_z += shift
-    rows = np.flatnonzero(total < _TINY)
-    if rows.size:
-        logits = _log_space_logits(expected_log_theta, rows, seg, log_pdfs)
+    if rows is not None:
+        logits = _log_space_logits(s.used, rows, seg, log_pdfs)
         peak = np.maximum.reduce(logits, axis=0)
         logits -= peak
         log_z[rows] = peak + np.log(_column_sums(np.exp(logits, out=logits)))
-    final_log_theta = _expected_log(gamma)
     # E_final[ln theta]'s weight in log p(z) + log p(theta) - log q(theta)
     # is gamma's update from the final eta less gamma: 0 but for the last
     # eta change and the floor.  So where gamma is near 0 and E_final[ln
     # theta] huge, no huge products are summed to cancel.
-    weight = counts + 1.0 + _gemm(model.alpha_m1.T, eta) - gamma
-    weight *= final_log_theta
-    weight -= counts * expected_log_theta
-    per_class = _column_sums(weight) + _log_beta(gamma)
-    per_class -= _column_sums(eta * model.log_norm + xlogy(eta, eta))
+    weight = s.counts + 1.0 + _gemm(model.alpha_m1.T, s.eta) - s.gamma
+    weight *= s.log_theta
+    weight -= s.counts * s.used
+    weight += gammaln(s.gamma)  # with the next line, ln B(gamma)
+    per_class = _column_sums(weight) - gammaln(_column_sums(s.gamma))
+    # eta ln eta is 0 where eta is: it is eta times ln eta floored at _TINY.
+    per_class -= _column_sums(s.eta * (model.log_norm + np.log(np.maximum(s.eta, _TINY))))
     return (np.add.reduceat(log_z, seg.task_row_starts)
             + np.add.reduceat(per_class, seg.task_starts)
-            + _log_beta(lam) - _log_beta(model.delta_col))
+            + _log_beta(s.lam) - model.log_beta_delta)
 
 
 def _gemm(a, b):
@@ -365,78 +397,196 @@ def _start(block, dens, num_task_themes):
     return counts0, np.full((num_task_themes, counts0.shape[1]), 1.0 / num_task_themes)
 
 
+def _sweep(used, eta, lam, dens, live, log_pdfs, model, e_tol, clamps):
+    """One sweep r -> gamma -> eta -> lambda of the tasks of live from
+    E[ln theta] (used), eta and lam: a `_Sweep`, and r's sample totals
+    before normalizing (rows,); adds gamma's floored entries per task to
+    clamps."""
+    r, total = _responsibilities(used, dens, live, log_pdfs)
+    counts = np.add.reduceat(r, live.class_starts, axis=1)
+    del r  # only its class sums are needed
+    gamma = _update_gamma(counts, eta, model.alpha_m1, live, clamps)
+    log_theta = _expected_log(gamma)
+    eta = _expected_log(lam).repeat(live.task_classes, axis=1)
+    eta -= model.log_norm
+    eta += _gemm(model.alpha_m1, log_theta)
+    _softmax(eta, axis=0)
+    new_lam = model.delta_col + np.add.reduceat(eta, live.task_starts, axis=1)
+    change = np.subtract(new_lam, lam)
+    done = _column_sums(np.abs(change, out=change)) / model.L < e_tol
+    return _Sweep(used, counts, gamma, log_theta, eta, new_lam, done), total
+
+
+def _log_state(s):
+    """ln gamma over ln eta (K + L, classes) of a `_Sweep`: the coordinates
+    SQUAREM extrapolates in.  eta is floored at _TINY first, as a softmax
+    can underflow to 0; gamma is positive."""
+    x = np.concatenate((s.gamma, s.eta))
+    return np.log(np.maximum(x, _TINY, out=x), out=x)
+
+
+# The extrapolated ln gamma is capped here, so its exp, and K sums of it, stay finite.
+_LOG_GAMMA_CAP = 600.0
+
+
+def _extrapolate(x0, x1, x2, live, model):
+    """The SqS3 point (Varadhan & Roland 2008) of each task of live from
+    x0 -> x1 -> x2, two sweeps in `_log_state` coordinates: x0 - 2 a r +
+    a^2 v, with r = x1 - x0, v = x2 - 2 x1 + x0 and the task's step
+    a = -max(1, |r| / |v|), the norms summed over its classes (a = -1,
+    which gives x2, where v is 0).  Returns the point as a `_Sweep`'s
+    state: its gamma, floored at _GAMMA_FLOOR, and E[ln theta] (K,
+    classes), eta renormalized by `_softmax` (L, classes), and lambda =
+    delta + the task's eta sums (L, tasks)."""
+    r = np.subtract(x1, x0)
+    v = np.subtract(x2, x1)
+    v -= r
+    rr = np.add.reduceat(_column_sums(r * r), live.task_starts)
+    vv = np.add.reduceat(_column_sums(v * v), live.task_starts)
+    ratio = np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0.0)
+    step = np.sqrt(np.maximum(ratio, 1.0, out=ratio), out=ratio).repeat(live.task_classes)
+    # x0 - 2 a r + a^2 v with a = -step: x0 + step (step v + 2 r).
+    v *= step
+    r *= 2.0
+    v += r
+    v *= step
+    v += x0
+    K = model.K
+    gamma = np.exp(np.minimum(v[:K], _LOG_GAMMA_CAP))
+    np.maximum(gamma, _GAMMA_FLOOR, out=gamma)
+    eta = _softmax(v[K:], axis=0)
+    lam = model.delta_col + np.add.reduceat(eta, live.task_starts, axis=1)
+    return _Sweep(None, None, gamma, _expected_log(gamma), eta, lam)
+
+
+def _safeguard(start_bound, bound, fallback_bound):
+    """SQUAREM's safeguard per task: accept the stabilizing sweep where its
+    bound is at least the cycle's start's.  Returns which tasks accept, and
+    each task's bound at the next cycle's start: bound where accepted, else
+    fallback_bound(), the bound of the state a rejecting task keeps, which
+    is computed only when some task rejects."""
+    accept = bound >= start_bound
+    if not np.logical_and.reduce(accept):
+        bound = np.where(accept, bound, fallback_bound())
+    return accept, bound
+
+
 def _estep_block(block, model, config):
     """`estep_blocks` for one `_Block`, on theme-major arrays (module docstring)."""
     seg = block.seg
     log_pdfs = model.log_pdfs(block.samples)
-    dens, shift = _densities(log_pdfs)
-    all_dens = dens
-    alpha_m1, log_norm, delta = model.alpha_m1, model.log_norm, model.delta_col
-    num_tasks = len(block.tasks)
+    dens, shift = all_dens, all_shift = _densities(log_pdfs)
+    num_tasks, cap = len(block.tasks), config.max_e_iters
 
     counts0, eta = _start(block, dens, model.L)
     clamps = np.zeros(num_tasks, dtype=np.int64)
-    gamma = _update_gamma(counts0, eta, alpha_m1, seg, clamps)
-    lam = delta + np.add.reduceat(eta, seg.task_starts, axis=1)
+    gamma = _update_gamma(counts0, eta, model.alpha_m1, seg, clamps)
+    lam = model.delta_col + np.add.reduceat(eta, seg.task_starts, axis=1)
+    s = _Sweep(None, counts0, gamma, _expected_log(gamma), eta, lam)  # the first sweep's input
 
     # Final values, filled in per class as tasks stop: r is rebuilt from
-    # each class's last E[ln theta] once the block is done, and r's class
-    # sums and eta are the block's next start.  The arrays above always
-    # hold the running tasks only; `live_tasks` and `live_classes` map them back.
-    out_log_theta, out_gamma, out_counts = (np.empty_like(gamma) for _ in range(3))
-    out_eta, out_lam = np.empty_like(eta), np.empty_like(lam)
+    # each class's last used E[ln theta] once the block is done, and r's
+    # class sums and eta are the block's next start.  s always holds the
+    # running tasks only; `live_tasks` and `live_classes` map them back.
+    out = _Sweep(*(np.empty_like(gamma) for _ in range(4)), np.empty_like(eta),
+                 np.empty_like(lam))
     out_clamps = np.zeros(num_tasks, dtype=np.int64)
     iterations = np.zeros(num_tasks, dtype=np.int64)
     converged = np.zeros(num_tasks, dtype=bool)
     live = seg
     live_tasks = np.arange(num_tasks)
     live_classes = np.arange(gamma.shape[1])
-    expected_log_theta = _expected_log(gamma)
 
-    for it in range(1, config.max_e_iters + 1):
-        r = _responsibilities(expected_log_theta, dens, live, log_pdfs)[0]
-        counts = np.add.reduceat(r, live.class_starts, axis=1)
-        del r  # only its class sums are needed
-        gamma = _update_gamma(counts, eta, alpha_m1, live, clamps)
-        used_log_theta, expected_log_theta = expected_log_theta, _expected_log(gamma)
-        eta = _expected_log(lam).repeat(live.task_classes, axis=1)
-        eta -= log_norm
-        eta += _gemm(alpha_m1, expected_log_theta)
-        _softmax(eta, axis=0)
-        new_lam = delta + np.add.reduceat(eta, live.task_starts, axis=1)
-        change = np.abs(np.subtract(lam, new_lam, out=lam), out=lam)
-        done = _column_sums(change) / model.L < config.e_tol
-        lam = new_lam
-
-        stop = done if it < config.max_e_iters else np.ones_like(done)
+    def record(s, stop):
+        """Keep the sweep s of the live tasks where stop is true, at sweep it."""
         if not np.logical_or.reduce(stop):
-            continue
+            return
         stopped = live_tasks[stop]
         iterations[stopped] = it
-        converged[stopped] = done[stop]
+        converged[stopped] = s.done[stop]
         out_clamps[stopped] = clamps[stop]
-        out_lam[:, stopped] = lam[:, stop]
+        out.lam[:, stopped] = s.lam[:, stop]
         stop_classes = stop[live.class_task]
         stopped_classes = live_classes[stop_classes]
-        out_log_theta[:, stopped_classes] = used_log_theta[:, stop_classes]
-        out_gamma[:, stopped_classes] = gamma[:, stop_classes]
-        out_counts[:, stopped_classes] = counts[:, stop_classes]
-        out_eta[:, stopped_classes] = eta[:, stop_classes]
+        for final, value in zip(out[:5], s[:5]):
+            final[:, stopped_classes] = value[:, stop_classes]
+
+    def sweep(x):
+        """`_sweep` from the state x, the output of a sweep or `_extrapolate`."""
+        return _sweep(x.log_theta, x.eta, x.lam, dens, live, log_pdfs, model, config.e_tol,
+                      clamps)
+
+    def bound_of(s, total=None):
+        """The `_sweep_bound` of s; its totals are rebuilt if not given."""
+        if total is None:
+            total = _responsibilities(s.used, dens, live, log_pdfs)[1]
+        return _sweep_bound(live, log_pdfs, shift, s, total, model)
+
+    # A SQUAREM cycle starts from x0 = s, the last accepted sweep: two sweeps
+    # x0 -> x1 -> x2, the SqS3 point from them (`_extrapolate`) and one
+    # stabilizing sweep from it, which a task keeps if its bound is at
+    # least x0's (start_bound, by `_safeguard`) and else keeps x2.  The first
+    # x0 is the first sweep.  A task stops at the first sweep whose own
+    # lambda change is below e_tol, in a cycle or out of one; a stopped
+    # task stays in the arrays until its cycle ends.  Within 3 sweeps of the
+    # cap, sweeps are plain.
+    it, start_bound, total = 0, None, None
+    while True:
+        if start_bound is None or it + 3 >= cap:
+            it += 1
+            s, total = sweep(s)
+            stop = s.done if it < cap else np.ones_like(s.done)
+            record(s, stop)
+        else:
+            stop = np.zeros(live_tasks.size, dtype=bool)
+            x = [_log_state(s)]
+            for _ in range(2):
+                it += 1
+                s = sweep(s)[0]
+                if np.logical_or.reduce(s.done):
+                    record(s, s.done & ~stop)
+                    stop |= s.done
+                    if np.logical_and.reduce(stop):
+                        break
+                x.append(_log_state(s))
+            else:
+                s2 = s
+                it += 1
+                s, total = sweep(_extrapolate(*x, live, model))
+                bound = bound_of(s, total)
+                total = None
+                accept, start_bound = _safeguard(start_bound, bound, lambda: bound_of(s2))
+                if np.logical_or.reduce(s.done):
+                    done = s.done & accept
+                    record(s, done & ~stop)
+                    stop |= done
+                if not np.logical_and.reduce(accept):
+                    accepting = accept[live.class_task]
+                    s = _Sweep(*(np.where(accepting, a, b) for a, b in zip(s[:5], s2[:5])),
+                               np.where(accept, s.lam, s2.lam), s.done)
         if np.logical_and.reduce(stop):
             break
-        keep = ~stop
-        live, keep_classes, keep_rows = live.subset(keep)
-        live_tasks, clamps, lam = live_tasks[keep], clamps[keep], np.compress(keep, lam, axis=1)
-        live_classes, eta = live_classes[keep_classes], np.compress(keep_classes, eta, axis=1)
-        expected_log_theta = np.compress(keep_classes, expected_log_theta, axis=1)
-        dens = np.compress(keep_rows, dens, axis=1)
+        if np.logical_or.reduce(stop):
+            keep = ~stop
+            live, keep_classes, keep_rows = live.subset(keep)
+            live_tasks, clamps = live_tasks[keep], clamps[keep]
+            live_classes = live_classes[keep_classes]
+            s = _Sweep(*(np.compress(keep_classes, a, axis=1) for a in s[:5]),
+                       np.compress(keep, s.lam, axis=1), s.done[keep])
+            dens, shift = np.compress(keep_rows, dens, axis=1), shift[keep_rows]
+            if start_bound is not None:
+                start_bound = start_bound[keep]
+            elif it + 3 < cap:
+                total = total[keep_rows]
+        if start_bound is None and it + 3 < cap:
+            start_bound = bound_of(s, total)
+        total = None  # only the last sweep's row totals are ever alive
 
-    posterior = Posterior(seg, None, out_gamma.T.copy(), out_eta.T.copy(), out_lam.T.copy(),
+    posterior = Posterior(seg, None, out.gamma.T.copy(), out.eta.T.copy(), out.lam.T.copy(),
                           iterations, converged, out_clamps, log_pdfs, block.samples)
-    posterior._r_inputs = (out_log_theta, all_dens)
-    posterior._bound_inputs = (out_log_theta, shift, out_counts, out_gamma, out_eta, out_lam,
-                               model)
-    block.start = (out_counts, out_eta)
+    posterior._r_inputs = (out.used, all_dens)
+    posterior._bound_inputs = (all_shift, out, model)
+    block.start = (out.counts, out.eta)
     return posterior
 
 

@@ -30,8 +30,9 @@ _LOG_PDF_ROWS = 4096
 
 class ThemeModel:
     """Immutable container for (mu, sigma, alpha, delta) with cached factors:
-    chol_factors, log_dets, alpha_m1 = alpha - 1, and log_norm and delta_col,
-    the (L, 1) columns of log_beta_rows(alpha) and delta, all read-only."""
+    chol_factors, log_dets, alpha_m1 = alpha - 1, log_norm and delta_col,
+    the (L, 1) columns of log_beta_rows(alpha) and delta, and log_beta_delta,
+    ln B(delta) as a (1,) array, all read-only."""
 
     def __init__(self, mu, sigma, alpha, delta):
         mu = np.array(mu, dtype=np.float64)
@@ -71,8 +72,10 @@ class ThemeModel:
 
         with np.errstate(over="ignore", invalid="ignore"):  # NaN for huge alpha; E-steps reject it
             alpha_m1, log_norm = alpha - 1.0, log_beta_rows(alpha)[:, None]
+            log_beta_delta = log_beta_rows(delta[None])
         log_pdf_const = D * _LOG_2PI + log_dets[:, None]
-        for arr in (mu, sigma, alpha, delta, chol, log_dets, alpha_m1, log_norm, log_pdf_const):
+        for arr in (mu, sigma, alpha, delta, chol, log_dets, alpha_m1, log_norm, log_beta_delta,
+                    log_pdf_const):
             arr.flags.writeable = False
         self.mu = mu
         self.sigma = sigma
@@ -81,6 +84,7 @@ class ThemeModel:
         self.chol_factors = chol
         self.log_dets = log_dets
         self.alpha_m1, self.log_norm, self.delta_col = alpha_m1, log_norm, delta[:, None]
+        self.log_beta_delta = log_beta_delta
         # Feature i's step of the forward substitution in `log_pdfs`.
         self._solve_steps = [(chol[:, i, :i], chol[:, i, i, None]) for i in range(D)]
         self._log_pdf_const = log_pdf_const
@@ -225,6 +229,8 @@ class TrainConfig:
     not summable, which is what lets the stochastic updates settle.  They
     apply to mini-batches only: when batch_size covers the whole collection,
     `train` continues each E-step from the last posterior and uses rho = 1.
+    max_e_iters caps each E-step's sweeps: every sweep of its SQUAREM
+    cycles counts, the stabilizing sweep included.
     """
 
     tau0: float = 100.0

@@ -16,10 +16,11 @@ import numpy as np
 from scipy import special as sp
 
 from ldcc import inference
-from ldcc.data import Task, stack_samples
+from ldcc.data import Task, generate_synthetic, stack_samples
 from ldcc.inference import Posterior, _floor_gamma, _Segments, _softmax, dirichlet_expected_log
 from ldcc.inference import elbo, elbo_terms, estep_blocks
 from ldcc.learning import _ALPHA_FLOOR, _MAX_HALVINGS
+from ldcc.model import ThemeModel
 from ldcc.similarity import DiagramBin
 from ldcc.special import log_beta_rows
 
@@ -126,6 +127,22 @@ def softmax_start(task, model):
     r = _softmax(model.log_pdfs(stack_samples([task])), axis=0)
     starts = np.cumsum((0, *task.counts[:-1]))
     return np.add.reduceat(r, starts, axis=1), np.full((model.L, task.num_classes), 1.0 / model.L)
+
+
+def query_model():
+    """The query-select benchmark's model: L=4, K=6, D=8, means 4 x N(0, 1),
+    identity covariances, alpha rows uniform in [0.5, 2] and delta 0.5,
+    drawn in that order from seed 0 (the CLI's --random-model recipe)."""
+    rng = np.random.default_rng(0)
+    return ThemeModel(4.0 * rng.standard_normal((6, 8)), np.stack([np.eye(8)] * 6),
+                      rng.uniform(0.5, 2.0, (4, 6)), np.full(4, 0.5))
+
+
+def query_bank():
+    """query-select's queries under its benchmark seed: `query_model()` and
+    128 tasks of 5 classes x 16 shots drawn from it with data seed 4242."""
+    model = query_model()
+    return model, list(generate_synthetic(model, 128, 5, 16, seed=4242)[0])
 
 
 def array_dirichlet(rng, concentration):

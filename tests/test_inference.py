@@ -15,6 +15,8 @@ from helpers import (
     continued_estep_states,
     estep_states,
     naive_elbo_terms,
+    query_bank,
+    query_model,
     softmax_start,
     stack_states,
     task_elbo,
@@ -496,9 +498,10 @@ class TestRunEstep:
 class TestEstepBatch:
     """A mixed batch must give every task the state it reaches alone."""
 
-    # At max_e_iters=7 three tasks (ambig, near, mix) stop at the cap and top
-    # converges at sweep 6, so the capped case does not rest on one task
-    # whose gamma entries cancel to about zero and clamp chaotically.
+    # At max_e_iters=7 (one SQUAREM cycle, then plain sweeps) two tasks
+    # (ambig, mix) stop at the cap, near converges at sweep 4 and top and
+    # top3 at sweep 6, so the capped case does not rest on one task whose
+    # gamma entries cancel to about zero and clamp chaotically.
     config = TrainConfig(seed=3, e_tol=1e-3, max_e_iters=7)
 
     def model(self):
@@ -628,9 +631,7 @@ class TestEstepBatch:
         # The query path (L=4, K=6, D=8, tasks of 5 x 16): run_estep keeps the
         # batch of one's lambda bytes and counters, and a result's r, read
         # only after later queries ran, has the bytes built when it came back.
-        rng = np.random.default_rng(0)
-        model = ThemeModel(4.0 * rng.standard_normal((6, 8)), np.stack([np.eye(8)] * 6),
-                           rng.uniform(0.5, 2.0, (4, 6)), np.full(4, 0.5))
+        model = query_model()
         cfg = TrainConfig(seed=0)
         kept = []
         for task in generate_synthetic(model, 40, 5, 16, seed=1)[0]:
@@ -670,9 +671,11 @@ class TestEstepBatch:
     def test_block_size_is_bit_invariant(self, monkeypatch, K, L, D):
         # The benchmark workloads' shapes (5 classes of 16 shots); 110 tasks
         # are 8800 rows, so 4096- and 8192-row blocks both split the batch.
+        # At 10 sweeps (two SQUAREM cycles, then plain sweeps) each shape
+        # has capped and converged tasks: 40, 26 and 70 capped.
         model = make_model(K=K, L=L, D=D, seed=K)
         tasks = list(generate_synthetic(model, 110, 5, 16, seed=K)[0])
-        cfg = TrainConfig(seed=4, max_e_iters=20)
+        cfg = TrainConfig(seed=4, max_e_iters=10)
         alone = [estep_states([task], model, cfg)[0] for task in tasks]
         assert any(s.converged for s in alone) and not all(s.converged for s in alone)
         for block_rows in (12, 4096, 8192, 2**20):
@@ -745,6 +748,102 @@ class TestSweepBound:
             assert continued[-1].gamma_clamps > 0 and log_space.called
         for task, state in zip(tasks, continued, strict=True):
             assert bound_gap(task, state, model) <= 1e-12
+
+
+class TestSquarem:
+    """The E-step's SQUAREM cycles: the bound never falls across the states
+    they keep, and they reach the fixed point in fewer sweeps."""
+
+    def test_bound_never_falls_across_accepted_steps(self, monkeypatch):
+        # Every E-step runs alone, so each safeguard sees one task: the bound
+        # of the cycle's start and of the state the task keeps next, which
+        # the next cycle must start from.  Cases: the query bank, and the
+        # query model's tasks of 16 x 5, two of whose first 15 reject a
+        # stabilizing sweep; the clamping model, whose gamma keeps 1.1e-16
+        # residues, at several caps; a task continued from all its samples
+        # on theme 0, whose sample at (0, 60) is normalized in log space;
+        # and a model whose second alpha row underflows eta to 0 (e_tol
+        # 1e-10, so the underflowed state is extrapolated), all with
+        # RuntimeWarnings as errors.
+        chains, points, zeros, rejected = [], [], [], []
+        estep_block, safeguard = inference._estep_block, inference._safeguard
+        extrapolate = inference._extrapolate
+
+        def spy_block(*args):
+            chains.append([])
+            return estep_block(*args)
+
+        def spy_safeguard(start_bound, bound, fallback_bound):
+            accept, kept = safeguard(start_bound, bound, fallback_bound)
+            chains[-1].append((start_bound.copy(), kept.copy()))
+            rejected.append(int(np.count_nonzero(~accept)))
+            return accept, kept
+
+        def spy_extrapolate(x0, x1, x2, live, model):
+            zeros.append(int(np.count_nonzero(x2[model.K:] == np.log(inference._TINY))))
+            point = extrapolate(x0, x1, x2, live, model)
+            points.append((point.gamma.copy(), point.eta.copy(), point.lam.copy(), model))
+            return point
+
+        monkeypatch.setattr(inference, "_estep_block", spy_block)
+        monkeypatch.setattr(inference, "_safeguard", spy_safeguard)
+        monkeypatch.setattr(inference, "_extrapolate", spy_extrapolate)
+        clamping = TestEstepBatch().model()
+        rng = np.random.default_rng(1)
+        far = rng.normal(size=(4, 2))
+        far[3, 1] += 60.0
+        far = Task("far", [far.astype(np.float32)])
+        under = ThemeModel(np.array([[0.0, 0.0], [8.0, 0.0]]), np.stack([np.eye(2)] * 2),
+                           np.array([[1.0, 1.0], [1000.0, 1.0]]), np.array([0.5, 0.5]))
+        rng = np.random.default_rng(2)
+        lopsided = Task("lopsided", [(rng.normal(size=(n, 2)) + c).astype(np.float32)
+                                     for c, n in (([8, 0], 16), ([0, 0], 5), ([8, 0], 9))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model, bank = query_bank()
+            for task in [*bank, *generate_synthetic(model, 15, 16, 5, seed=11)[0]]:
+                run_estep(task, model, TrainConfig())
+            assert sum(rejected) >= 2
+            for cap in (7, 20, 100):
+                cfg = TrainConfig(seed=3, e_tol=1e-3, max_e_iters=cap)
+                for task in TestEstepBatch().tasks():
+                    estep_states([task], clamping, cfg)
+                (state,) = estep_states([far], clamping, cfg)
+                on_zero = VariationalState([np.eye(3)[np.zeros(4, dtype=int)]], state.gamma,
+                                           np.full((1, 2), 0.5), state.lam)
+                with patch.object(inference, "_log_space_logits",
+                                  wraps=inference._log_space_logits) as log_space:
+                    (continued,) = continued_estep_states([far], [on_zero], clamping, cfg)
+                assert log_space.called and continued.gamma_clamps > 0
+            before = len(points)
+            run_estep(lopsided, under, TrainConfig(e_tol=1e-10))
+            assert len(points) > before and zeros[-1] > 0
+        assert sum(map(len, chains)) > 400
+        for chain in chains:
+            for (start_bound, kept), (next_start, _) in zip(chain, chain[1:]):
+                assert next_start.tobytes() == kept.tobytes()
+            for start_bound, kept in chain:
+                assert np.all(kept >= start_bound - 1e-12 * np.abs(start_bound))
+        for gamma, eta, lam, model in points:
+            assert gamma.min() >= inference._GAMMA_FLOOR
+            assert np.abs(eta.sum(axis=0) - 1.0).max() <= 1e-12
+            assert np.allclose(lam, model.delta_col + eta.sum(axis=1, keepdims=True),
+                               rtol=1e-14, atol=0)
+
+    def test_sweeps_and_distance_to_fixed_point_on_query_bank(self):
+        # The plain sweep loop took a mean of 21.8 sweeps and a maximum of
+        # 100 here, and ended a median 3.26e-3 from the fixed point.
+        model, bank = query_bank()
+        reference = TrainConfig(e_tol=1e-13, max_e_iters=5000)
+        sweeps, distances = [], []
+        for task in bank:
+            state = run_estep(task, model, TrainConfig())
+            sweeps.append(int(state.iterations))
+            fixed = run_estep(task, model, reference)
+            assert fixed.converged
+            distances.append(float(np.abs(state.lam - fixed.lam).max()))
+        assert np.mean(sweeps) <= 12 and max(sweeps) <= 50
+        assert np.median(distances) < 2e-3
 
 
 class TestExactMaximizers:
