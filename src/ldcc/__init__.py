@@ -23,9 +23,6 @@ from .data import (
 )
 from .inference import (
     Posterior,
-    dirichlet_expected_log,
-    elbo,
-    elbo_terms,
     estep_blocks,
     read_lambda_csv,
     run_estep,
@@ -78,11 +75,8 @@ __all__ = [
     "save_model",
     "load_model",
     "Posterior",
-    "dirichlet_expected_log",
     "run_estep",
     "estep_blocks",
-    "elbo",
-    "elbo_terms",
     "write_lambda_csv",
     "read_lambda_csv",
     "LocalThemeStats",

@@ -44,9 +44,10 @@ lambda, as `run_estep` and `ldcc infer` do, never builds it.  The build
 keeps each sample's total before normalizing, and the result's `bound`,
 each task's evidence lower bound, is read from those totals, the class
 sums and the final gamma, eta and lambda (`_sweep_bound`), with no pass
-over (K, rows) of its own; `elbo` stays the term-by-term definition.
-Per-model constants (alpha - 1, the rows' log-normalizers, ln B(delta))
-come from the `ThemeModel`.
+over (K, rows) of its own.  Per-model constants (alpha - 1, the rows'
+log-normalizers, ln B(delta)) come from the `ThemeModel`; E[ln theta],
+E[ln phi] and ln B(lambda) come from `special`'s theme-major pair,
+unchecked, as the sweep's gamma and lambda are positive by construction.
 
 A `_Block` holds what no sweep changes: segments and the samples stacked
 by `stack_samples`.  `_plan_blocks` checks every task's dimension, then
@@ -57,7 +58,7 @@ uniform, so a task's result depends only on its samples and the model.
 A reused block continues from its own last posterior (`block.start`).
 Each block's result is a `Posterior`, the one posterior type: its tasks'
 arrays stacked, with the log-densities its sweep used and its samples, so
-`elbo` and `learning.accumulate_stats` read it as it is.
+`learning.accumulate_stats` reads it as it is.
 `run_estep` is a batch of one that keeps only the task's lambda and
 counters.
 """
@@ -68,42 +69,15 @@ import logging
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, psi
+from scipy.special import gammaln
 
 from .data import read_table, stack_samples, write_table
 from .errors import DataError, FormatError, NumericError
-from .special import dirichlet_expected_log, log_beta_rows, xlogy
+from .special import _column_sums, expected_log, log_beta
 
 logger = logging.getLogger(__name__)
 
 _GAMMA_FLOOR = 1e-8
-
-
-def _column_sums(a, keepdims=False):
-    """np.add.reduce(a, axis=0), row after row for a 2-D a of any width.
-
-    numpy sums a lone column of 8 or more rows pairwise, so that one is
-    summed as the first of two, and a task alone gets the bits it gets in
-    a block (as `_gemm` pads a one-column product).
-    """
-    lone = a.ndim == 2 and a.shape[1] == 1 and len(a) >= 8
-    total = np.add.reduce(a.repeat(2, axis=1) if lone else a, axis=0, keepdims=keepdims)
-    return total[..., :1] if lone else total
-
-
-def _expected_log(u):
-    """dirichlet_expected_log of theme-major (K, n) columns without the
-    domain check, for the sweep's gamma and lambda, which are positive by
-    construction."""
-    total = _column_sums(u)
-    out = psi(u)
-    out -= psi(total, out=total)
-    return out
-
-
-def _log_beta(u):
-    """log_beta_rows of theme-major (K, n) columns without the domain check."""
-    return _column_sums(gammaln(u)) - gammaln(_column_sums(u))
 
 
 def _check_shift(m):
@@ -223,7 +197,9 @@ class Posterior:
 
     From a sweep it also holds the per-task iterations, converged and
     gamma_clamps, the (K, rows) log_pdfs the sweep used and its block's
-    (rows, D) samples, and `bound`.
+    (rows, D) samples, and `bound`, each task's evidence lower bound; the
+    tests define that bound term by term (`tests/helpers.py`) and check
+    `bound` against it.
     """
 
     def __init__(self, seg, r, gamma, eta, lam, iterations=None, converged=None,
@@ -248,8 +224,9 @@ class Posterior:
 
     @property
     def bound(self):
-        """A sweep's evidence lower bound of each task (tasks,), the value `elbo`
-        gives, read from the normalizers its last sweep computed (`_sweep_bound`).
+        """A sweep's evidence lower bound of each task (tasks,): the nine
+        expectations of the mean-field bound, summed, read from the
+        normalizers its last sweep computed (`_sweep_bound`).
 
         It is built on first read, with r if r was not read yet; None for
         a posterior that no sweep returned.
@@ -329,10 +306,10 @@ class _Sweep(NamedTuple):
 
 
 def _sweep_bound(seg, log_pdfs, shift, s, total, model):
-    """`elbo` of each task of the `_Sweep` s over seg's classes, from its
-    normalizers (as `onlineldavb` reads its bound from phinorm; Hoffman,
-    Blei & Bach 2010): total is r's sample totals before normalizing and
-    shift the samples' max log-densities (rows,).
+    """The evidence lower bound of each task of the `_Sweep` s over seg's
+    classes, from its normalizers (as `onlineldavb` reads its bound from
+    phinorm; Hoffman, Blei & Bach 2010): total is r's sample totals before
+    normalizing and shift the samples' max log-densities (rows,).
 
     Each sample's ln Z = ln sum_k exp(E[ln theta_k] + log p_k(x)) is ln
     total + its class's max used E[ln theta] + its shift (a log-space
@@ -369,7 +346,7 @@ def _sweep_bound(seg, log_pdfs, shift, s, total, model):
     per_class -= _column_sums(s.eta * (model.log_norm + np.log(np.maximum(s.eta, _TINY))))
     return (np.add.reduceat(log_z, seg.task_row_starts)
             + np.add.reduceat(per_class, seg.task_starts)
-            + _log_beta(s.lam) - model.log_beta_delta)
+            + log_beta(s.lam) - model.log_beta_delta)
 
 
 def _gemm(a, b):
@@ -406,8 +383,8 @@ def _sweep(used, eta, lam, dens, live, log_pdfs, model, e_tol, clamps):
     counts = np.add.reduceat(r, live.class_starts, axis=1)
     del r  # only its class sums are needed
     gamma = _update_gamma(counts, eta, model.alpha_m1, live, clamps)
-    log_theta = _expected_log(gamma)
-    eta = _expected_log(lam).repeat(live.task_classes, axis=1)
+    log_theta = expected_log(gamma)
+    eta = expected_log(lam).repeat(live.task_classes, axis=1)
     eta -= model.log_norm
     eta += _gemm(model.alpha_m1, log_theta)
     _softmax(eta, axis=0)
@@ -456,7 +433,7 @@ def _extrapolate(x0, x1, x2, live, model):
     np.maximum(gamma, _GAMMA_FLOOR, out=gamma)
     eta = _softmax(v[K:], axis=0)
     lam = model.delta_col + np.add.reduceat(eta, live.task_starts, axis=1)
-    return _Sweep(None, None, gamma, _expected_log(gamma), eta, lam)
+    return _Sweep(None, None, gamma, expected_log(gamma), eta, lam)
 
 
 def _safeguard(start_bound, bound, fallback_bound):
@@ -482,7 +459,7 @@ def _estep_block(block, model, config):
     clamps = np.zeros(num_tasks, dtype=np.int64)
     gamma = _update_gamma(counts0, eta, model.alpha_m1, seg, clamps)
     lam = model.delta_col + np.add.reduceat(eta, seg.task_starts, axis=1)
-    s = _Sweep(None, counts0, gamma, _expected_log(gamma), eta, lam)  # the first sweep's input
+    s = _Sweep(None, counts0, gamma, expected_log(gamma), eta, lam)  # the first sweep's input
 
     # Final values, filled in per class as tasks stop: r is rebuilt from
     # each class's last used E[ln theta] once the block is done, and r's
@@ -632,55 +609,6 @@ def warn_estep_waste(where, parts, config) -> None:
             "%s: %d of %d E-steps stopped at max_e_iters=%d; %d gamma entries clamped",
             where, capped, converged.size, config.max_e_iters, clamps,
         )
-
-
-def elbo_terms(posterior, model):
-    """The nine evidence-lower-bound expectations of each task of a `Posterior`.
-
-    Each value is an array over the posterior's tasks, read from its r,
-    log_pdfs and the model's cached alpha_m1 and log_norm.  Keys log_px,
-    log_pz, log_ptheta, log_py, log_pphi are added and log_qz, log_qtheta,
-    log_qy, log_qphi subtracted to form the bound; entropies use 0 ln 0 = 0.
-    """
-    seg, r, gamma, eta, lam = (posterior.seg, posterior.r, posterior.gamma, posterior.eta,
-                               posterior.lam)
-    expected_log_theta = dirichlet_expected_log(gamma)
-    expected_log_phi = dirichlet_expected_log(lam)
-    theta_affinity = expected_log_theta @ model.alpha_m1.T - model.log_norm.T
-    counts = np.add.reduceat(r, seg.class_starts, axis=1).T
-
-    def over_rows(values):
-        return np.add.reduceat(np.add.reduce(values, axis=0), seg.task_row_starts)
-
-    def over_classes(values):
-        return np.add.reduceat(values, seg.task_starts)
-
-    return {
-        "log_px": over_rows(r * posterior.log_pdfs),
-        "log_pz": over_classes((counts * expected_log_theta).sum(axis=1)),
-        "log_ptheta": over_classes((eta * theta_affinity).sum(axis=1)),
-        "log_py": over_classes((eta * expected_log_phi[seg.class_task]).sum(axis=1)),
-        "log_pphi": -log_beta_rows(model.delta[None])
-        + ((model.delta - 1.0) * expected_log_phi).sum(axis=1),
-        "log_qz": over_rows(xlogy(r, r)),
-        "log_qtheta": over_classes(
-            ((gamma - 1.0) * expected_log_theta).sum(axis=1) - log_beta_rows(gamma)
-        ),
-        "log_qy": over_classes(xlogy(eta, eta).sum(axis=1)),
-        "log_qphi": -log_beta_rows(lam) + ((lam - 1.0) * expected_log_phi).sum(axis=1),
-    }
-
-
-def elbo(posterior, model):
-    """Evidence lower bound of each task of a `Posterior`: its `elbo_terms` summed.
-
-    This is the bound's definition, for any posterior.  A sweep's result
-    also carries the same value as `Posterior.bound`, read from the sweep's
-    normalizers, which is what `train` logs.
-    """
-    t = elbo_terms(posterior, model)
-    return (t["log_px"] + t["log_pz"] + t["log_ptheta"] + t["log_py"] + t["log_pphi"]
-            - t["log_qz"] - t["log_qtheta"] - t["log_qy"] - t["log_qphi"])
 
 
 def write_lambda_csv(path, ids, lambdas) -> None:

@@ -15,8 +15,8 @@ batch's expected sufficient statistics, so `train` folds each block's
 `Posterior` into the statistics (`accumulate_stats`) and the bound as the
 block is solved, and keeps only its per-class and per-task arrays for the
 alpha step.  The bound is the one each E-step read from its own
-normalizers (`Posterior.bound`, the value `elbo` defines), so the log
-costs no pass over the block's responsibilities.
+normalizers (`Posterior.bound`), so the log costs no pass over the
+block's responsibilities.
 
 The statistics are raw moments (count, weighted sum, weighted second
 moment), summed per task over the theme-major responsibilities and folded
@@ -37,7 +37,7 @@ from .data import write_table
 from .errors import ModelError, NumericError
 from .inference import _estep_block, _plan_blocks, warn_estep_waste
 from .model import ThemeModel, TrainConfig, init_model
-from .special import dirichlet_expected_log
+from .special import _column_sums, _positive_array, expected_log
 from .streams import shuffle_stream
 
 logger = logging.getLogger(__name__)
@@ -128,14 +128,20 @@ def alpha_newton_work(posteriors, alpha) -> AlphaNewtonWork:
     """Assemble gradient, Hessian diagonal, and rank-one terms per row, from
     the eta and gamma of a batch's `Posterior`s."""
     eta = np.concatenate([part.eta for part in posteriors])
-    gamma = np.concatenate([part.gamma for part in posteriors])
+    classes = len(eta)
+    # Each class's gamma and each alpha row, as the theme-major columns of one array.
+    params = np.concatenate([*(part.gamma for part in posteriors), alpha]).T.copy()
+    _positive_array(params, "alpha_newton_work")
+    with np.errstate(over="ignore"):  # an overflowing column sum is refused
+        totals = _positive_array(_column_sums(params), "alpha_newton_work")
+    expected = expected_log(params).T
     mass = eta.sum(axis=0)  # S_l = sum_{d,c} eta_dcl
     active = mass > 0.0
-    gradient = eta.T @ dirichlet_expected_log(gamma) - mass[:, None] * dirichlet_expected_log(alpha)
+    gradient = eta.T @ expected[:classes] - mass[:, None] * expected[classes:]
     gradient = np.where(active[:, None], gradient, 0.0)
-    # Trigamma is zeta(2, x); dirichlet_expected_log(alpha) has checked alpha and its row sums.
+    # Trigamma is zeta(2, x) of alpha and its row sums, both checked above.
     q_diag = np.where(active[:, None], -mass[:, None] * zeta(2.0, alpha), -1.0)
-    u = np.where(active, mass * zeta(2.0, alpha.sum(axis=1)), 0.0)
+    u = np.where(active, mass * zeta(2.0, totals[classes:]), 0.0)
 
     inv_u = np.where(u > 0.0, 1.0 / np.where(u > 0.0, u, 1.0), 0.0)
     inv_q = 1.0 / q_diag

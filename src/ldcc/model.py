@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import TaskCollection, is_json_int, read_json_object, stack_samples
 from .errors import CheckpointError, DataError, ModelError
-from .special import log_beta_rows
+from .special import _positive_array, log_beta
 from .streams import check_seed, init_stream
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -31,8 +31,9 @@ _LOG_PDF_ROWS = 4096
 class ThemeModel:
     """Immutable container for (mu, sigma, alpha, delta) with cached factors:
     chol_factors, log_dets, alpha_m1 = alpha - 1, log_norm and delta_col,
-    the (L, 1) columns of log_beta_rows(alpha) and delta, and log_beta_delta,
-    ln B(delta) as a (1,) array, all read-only."""
+    the (L, 1) columns of ln B(alpha_l) and delta, and log_beta_delta,
+    ln B(delta) as a (1,) array, all read-only.  alpha and delta entries
+    below 1e-300 raise DomainError."""
 
     def __init__(self, mu, sigma, alpha, delta):
         mu = np.array(mu, dtype=np.float64)
@@ -69,10 +70,12 @@ class ThemeModel:
                 except np.linalg.LinAlgError:
                     raise ModelError(f"sigma[{k}] is not positive definite") from exc
         log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        _positive_array(alpha, "ThemeModel alpha")
+        _positive_array(delta, "ThemeModel delta")
 
         with np.errstate(over="ignore", invalid="ignore"):  # NaN for huge alpha; E-steps reject it
-            alpha_m1, log_norm = alpha - 1.0, log_beta_rows(alpha)[:, None]
-            log_beta_delta = log_beta_rows(delta[None])
+            alpha_m1, log_norm = alpha - 1.0, log_beta(alpha.T.copy())[:, None]
+            log_beta_delta = log_beta(delta[:, None])
         log_pdf_const = D * _LOG_2PI + log_dets[:, None]
         for arr in (mu, sigma, alpha, delta, chol, log_dets, alpha_m1, log_norm, log_beta_delta,
                     log_pdf_const):

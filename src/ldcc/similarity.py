@@ -17,10 +17,10 @@ import numpy as np
 
 from .data import read_table, write_table
 from .errors import DataError, DomainError, FormatError, NumericError
-from .special import dirichlet_expected_log, log_beta_rows
+from .special import _positive_array, expected_log, log_beta
 
 _NEGATIVE_KL_TOL = -1e-9
-# The last training pool `_mean_kl` was given, as (a copy, its log_beta_rows).
+# The last training pool `_mean_kl` was given, as (a theme-major copy, its ln B rows).
 # It is read and replaced in single assignments, so threads may share it.
 _pool_terms = (np.empty((0, 0)), None)
 
@@ -39,8 +39,9 @@ def dirichlet_kl(a, b) -> float:
     with np.errstate(over="ignore"):
         if not (np.isfinite(a.sum()) and np.isfinite(b.sum())):
             raise NumericError("dirichlet parameters overflow the KL computation")
-    log_beta_b, log_beta_a = log_beta_rows(np.stack([b, a]))
-    return float(log_beta_b - log_beta_a + ((a - b) * dirichlet_expected_log(a)).sum())
+    pair = _positive_array(np.stack([b, a], axis=1), "dirichlet_kl")  # theme-major
+    log_beta_b, log_beta_a = log_beta(pair)
+    return float(log_beta_b - log_beta_a + ((a - b) * expected_log(pair)[:, 1]).sum())
 
 
 def _dot(x, y):
@@ -67,10 +68,11 @@ def _mean_kl(test_lambdas, train_lambdas, axis) -> np.ndarray:
     grouped, an identical pair gives exactly 0.  Means are summed pairwise:
     a sequential column sum over 10^5 equal rows errs by up to 2e-8.
 
-    The pool's ln B(b_d) are kept with a copy of the last pool (8 bytes per
-    entry) and reused, exactly, for a pool of equal shape and values: a NaN
-    never equals, and a 0 or an overflowing row sum fails before it is kept,
-    so the pool's checks run only when the kept terms are refreshed.
+    The pool's ln B(b_d) are kept with a theme-major copy of the last pool
+    (8 bytes per entry) and reused, exactly, for a pool of equal shape and
+    values: a NaN never equals, and a 0 or an overflowing row sum fails
+    before it is kept, so the pool's checks run only when the kept terms
+    are refreshed.
     """
     global _pool_terms
     test = np.asarray(test_lambdas, dtype=np.float64)
@@ -88,21 +90,25 @@ def _mean_kl(test_lambdas, train_lambdas, axis) -> np.ndarray:
     if test.shape[1] == 0:
         raise DomainError("dirichlet parameters need at least one theme")
     pool, pool_log_beta = _pool_terms
-    fresh = not np.array_equal(pool, train)
+    fresh = not np.array_equal(pool, train.T)
     with np.errstate(over="ignore"):
         if not (np.isfinite(test.sum(axis=1)).all()
                 and (not fresh or np.isfinite(train.sum(axis=1)).all())):
             raise NumericError("dirichlet parameters overflow the KL computation")
-    expected = dirichlet_expected_log(test)
+    # Theme-major copies (`special`): a `.T` view sums a lone row in another order.
+    test_t = _positive_array(test.T.copy(), "the mean KL")
+    expected = expected_log(test_t).T
     with np.errstate(over="ignore", invalid="ignore"):
         if fresh:
-            pool_log_beta = log_beta_rows(train)
-            _pool_terms = (train.copy(), pool_log_beta)
-        log_beta, a_e = log_beta_rows(test), _dot(test, expected)
+            pool = _positive_array(train.T.copy(), "the mean KL")
+            pool_log_beta = log_beta(pool)
+            _pool_terms = (pool, pool_log_beta)
+        test_log_beta, a_e = log_beta(test_t), _dot(test, expected)
         if axis == 1:
-            mean_kl = (_mean(pool_log_beta) - log_beta) + (a_e - _dot(expected, _mean(train)))
+            mean_kl = (_mean(pool_log_beta) - test_log_beta) + (a_e - _dot(expected, _mean(train)))
         else:
-            mean_kl = (pool_log_beta - _mean(log_beta)) + (_mean(a_e) - _dot(_mean(expected), train))
+            mean_kl = ((pool_log_beta - _mean(test_log_beta))
+                       + (_mean(a_e) - _dot(_mean(expected), train)))
     if mean_kl.min() < _NEGATIVE_KL_TOL or not np.isfinite(mean_kl).all():
         raise NumericError(f"mean KL contains invalid entries (min {mean_kl.min()})")
     return np.maximum(mean_kl, 0.0)
@@ -133,7 +139,8 @@ def correlation_diagram(distances, accuracies, num_bins: int) -> list[DiagramBin
 
     Bin j covers ((j - 1) w, j w] with w = max(distances) / num_bins; exact
     zeros land in bin 1, empty bins are omitted.  If every distance is zero
-    the single degenerate bin (0, 0] holds everything.
+    the single degenerate bin (0, 0] holds everything.  num_bins is an
+    integer (a bool is refused).
     """
     distances = np.asarray(distances, dtype=np.float64)
     accuracies = np.asarray(accuracies, dtype=np.float64)
@@ -141,6 +148,8 @@ def correlation_diagram(distances, accuracies, num_bins: int) -> list[DiagramBin
         raise ValueError("distances and accuracies must be matching vectors")
     if distances.size == 0:
         raise ValueError("cannot bin an empty distance vector")
+    if type(num_bins) is bool or not isinstance(num_bins, (int, np.integer)):
+        raise ValueError(f"num_bins must be an integer, got {num_bins!r}")
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     if (distances < 0).any() or not np.isfinite(distances).all():

@@ -1,12 +1,15 @@
-"""The checked Dirichlet kernels that scipy lacks.
+"""The one pair of Dirichlet kernels, and the check their inputs pass first.
 
-log_beta_rows sums scipy.special.gammaln, and dirichlet_expected_log
-subtracts scipy.special.psi of the row sums; callers that need digamma
-or trigamma alone call scipy.special.psi and scipy.special.zeta(2, x)
-themselves.  Arguments are validated rather than clamped: non-positive,
-non-finite, or denormal-range inputs raise DomainError so silent upstream
-corruption cannot hide here.  xlogy keeps its own arithmetic, which
-differs from scipy.special.xlogy in the last bit on some inputs.
+Both take theme-major u (K, n), one Dirichlet per column, and sum over the
+themes with `_column_sums`, so a column gets the same bits whatever the
+other columns; a row-major caller passes `u.T.copy()`, not a `.T` view,
+whose sums run in another order.  The kernels are unchecked, as the
+sweep's gamma and lambda are positive by construction.  Values enter
+through `ThemeModel`, `alpha_newton_work`, `dirichlet_kl` and `_mean_kl`,
+which validate them with `_positive_array` rather than clamp them:
+non-positive, non-finite or denormal-range inputs raise DomainError, so
+silent upstream corruption cannot hide here.  Digamma and trigamma alone
+are scipy.special.psi and scipy.special.zeta(2, x).
 """
 
 import numpy as np
@@ -32,33 +35,26 @@ def _positive_array(x, name):
     return arr
 
 
-def log_beta_rows(u):
-    """ln of the multivariate beta function of each row of a 2-d array of
-    positive rows: sum ln Gamma(u_k) - ln Gamma(sum u_k)."""
-    arr = _positive_array(u, "log_beta_rows")
-    if arr.ndim != 2:
-        raise DomainError("log_beta_rows expects a 2-d array")
-    return gammaln(arr).sum(axis=1) - gammaln(arr.sum(axis=1))
+def _column_sums(a, keepdims=False):
+    """np.add.reduce(a, axis=0), row after row for a 2-D a of any width.
 
-
-def dirichlet_expected_log(u):
-    """E[ln x] under Dirichlet(u): psi(u_k) - psi(sum u).
-
-    Accepts a single parameter vector or a stack of rows.
+    numpy sums a lone column of 8 or more rows pairwise, so that one is
+    summed as the first of two, and a task alone gets the bits it gets in
+    a block (as `inference._gemm` pads a one-column product).
     """
-    u = _positive_array(u, "dirichlet_expected_log")
-    if u.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or matrix, got ndim={u.ndim}")
-    with np.errstate(over="ignore"):  # an overflowing row sum is refused below
-        total = u.sum(axis=-1, keepdims=True)
-    return psi(u) - psi(_positive_array(total, "dirichlet_expected_log"))
+    lone = a.ndim == 2 and a.shape[1] == 1 and len(a) >= 8
+    total = np.add.reduce(a.repeat(2, axis=1) if lone else a, axis=0, keepdims=keepdims)
+    return total[..., :1] if lone else total
 
 
-def xlogy(x, y):
-    """x * ln y with the 0 * ln 0 = 0 convention, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    safe = np.where(x == 0.0, 1.0, y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(x == 0.0, 0.0, x * np.log(safe))
+def expected_log(u):
+    """E[ln x] under Dirichlet(u) of each column of theme-major u (K, n), as (K, n)."""
+    total = _column_sums(u)
+    out = psi(u)
+    out -= psi(total, out=total)
     return out
+
+
+def log_beta(u):
+    """ln of the multivariate beta function of each column of theme-major u (K, n), as (n,)."""
+    return _column_sums(gammaln(u)) - gammaln(_column_sums(u))

@@ -8,8 +8,14 @@ time, built from the library's log-densities, special functions, softmax
 and gamma floor; composing them checks the stacked sweep's segment sums.
 They work on `VariationalState`, one task's posterior with its
 responsibilities split by class; `stack_states` and `unstack` convert
-between it and the library's `Posterior`.  `bound_gap` checks a sweep's
-bound against `elbo`.
+between it and the library's `Posterior`.
+
+`dirichlet_expected_log` and `log_beta_rows` are the row-major faces of
+`ldcc.special`'s theme-major kernel pair, unchecked like it.  `elbo_terms`
+is the bound's definition, its nine expectations term by term (with
+`xlogy` for 0 ln 0 = 0), for any `Posterior`; `elbo` sums them.  The
+library reads a sweep's bound from its normalizers instead
+(`Posterior.bound`), and `bound_gap` checks it against `elbo`.
 """
 
 import numpy as np
@@ -17,12 +23,82 @@ from scipy import special as sp
 
 from ldcc import inference
 from ldcc.data import Task, generate_synthetic, stack_samples
-from ldcc.inference import Posterior, _floor_gamma, _Segments, _softmax, dirichlet_expected_log
-from ldcc.inference import elbo, elbo_terms, estep_blocks
+from ldcc.inference import Posterior, _floor_gamma, _Segments, _softmax, estep_blocks
 from ldcc.learning import _ALPHA_FLOOR, _MAX_HALVINGS
 from ldcc.model import ThemeModel
 from ldcc.similarity import DiagramBin
-from ldcc.special import log_beta_rows
+from ldcc.special import expected_log, log_beta
+
+
+def dirichlet_expected_log(u):
+    """E[ln x] under Dirichlet(u) of one vector u, or of each row of a stack,
+    from `special.expected_log` of the theme-major copy."""
+    u = np.asarray(u, dtype=np.float64)
+    return expected_log(np.atleast_2d(u).T.copy()).T.reshape(u.shape)
+
+
+def log_beta_rows(u):
+    """ln B of each row of a 2-d array, from `special.log_beta` of the theme-major copy."""
+    return log_beta(np.asarray(u, dtype=np.float64).T.copy())
+
+
+def xlogy(x, y):
+    """x * ln y with the 0 * ln 0 = 0 convention, elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    safe = np.where(x == 0.0, 1.0, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(x == 0.0, 0.0, x * np.log(safe))
+    return out
+
+
+def elbo_terms(posterior, model):
+    """The nine evidence-lower-bound expectations of each task of a `Posterior`.
+
+    Each value is an array over the posterior's tasks, read from its r,
+    log_pdfs and the model's cached alpha_m1 and log_norm.  Keys log_px,
+    log_pz, log_ptheta, log_py, log_pphi are added and log_qz, log_qtheta,
+    log_qy, log_qphi subtracted to form the bound; entropies use 0 ln 0 = 0.
+    """
+    seg, r, gamma, eta, lam = (posterior.seg, posterior.r, posterior.gamma, posterior.eta,
+                               posterior.lam)
+    expected_log_theta = dirichlet_expected_log(gamma)
+    expected_log_phi = dirichlet_expected_log(lam)
+    theta_affinity = expected_log_theta @ model.alpha_m1.T - model.log_norm.T
+    counts = np.add.reduceat(r, seg.class_starts, axis=1).T
+
+    def over_rows(values):
+        return np.add.reduceat(np.add.reduce(values, axis=0), seg.task_row_starts)
+
+    def over_classes(values):
+        return np.add.reduceat(values, seg.task_starts)
+
+    return {
+        "log_px": over_rows(r * posterior.log_pdfs),
+        "log_pz": over_classes((counts * expected_log_theta).sum(axis=1)),
+        "log_ptheta": over_classes((eta * theta_affinity).sum(axis=1)),
+        "log_py": over_classes((eta * expected_log_phi[seg.class_task]).sum(axis=1)),
+        "log_pphi": -log_beta_rows(model.delta[None])
+        + ((model.delta - 1.0) * expected_log_phi).sum(axis=1),
+        "log_qz": over_rows(xlogy(r, r)),
+        "log_qtheta": over_classes(
+            ((gamma - 1.0) * expected_log_theta).sum(axis=1) - log_beta_rows(gamma)
+        ),
+        "log_qy": over_classes(xlogy(eta, eta).sum(axis=1)),
+        "log_qphi": -log_beta_rows(lam) + ((lam - 1.0) * expected_log_phi).sum(axis=1),
+    }
+
+
+def elbo(posterior, model):
+    """Evidence lower bound of each task of a `Posterior`: its `elbo_terms` summed.
+
+    This is the bound's definition, for any posterior.  A sweep's result
+    also carries the same value as `Posterior.bound`, read from the sweep's
+    normalizers, which is what `train` logs.
+    """
+    t = elbo_terms(posterior, model)
+    return (t["log_px"] + t["log_pz"] + t["log_ptheta"] + t["log_py"] + t["log_pphi"]
+            - t["log_qz"] - t["log_qtheta"] - t["log_qy"] - t["log_qphi"])
 
 
 class VariationalState:

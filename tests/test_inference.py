@@ -13,6 +13,9 @@ from helpers import (
     VariationalState,
     bound_gap,
     continued_estep_states,
+    dirichlet_expected_log,
+    elbo,
+    elbo_terms,
     estep_states,
     naive_elbo_terms,
     query_bank,
@@ -30,9 +33,6 @@ from ldcc.data import Task, generate_synthetic, stack_samples
 from ldcc.errors import DataError, FormatError, NumericError
 import ldcc.inference as inference
 from ldcc.inference import (
-    dirichlet_expected_log,
-    elbo,
-    elbo_terms,
     estep_blocks,
     read_lambda_csv,
     run_estep,
@@ -701,7 +701,8 @@ class TestEstepBatch:
 
 
 class TestSweepBound:
-    """A sweep's `Posterior.bound`, read from its normalizers, is `elbo`."""
+    """A sweep's `Posterior.bound`, read from its normalizers, is the tests'
+    term-by-term `elbo`."""
 
     @settings(max_examples=60, deadline=None)
     @given(K=st.integers(1, 9), L=st.integers(1, 9), clamping=st.booleans(), data=st.data())

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import psi
 
-from helpers import mc_dirichlet_kl, per_bin_diagram
+from helpers import log_beta_rows, mc_dirichlet_kl, per_bin_diagram
 from ldcc import similarity
 from ldcc.errors import DataError, DomainError, FormatError, NumericError
-from ldcc.special import log_beta_rows
 from ldcc.similarity import (
     DiagramBin,
     correlation_diagram,
@@ -150,6 +149,18 @@ class TestDistanceMatrix:
             gap = np.abs(got - kl.mean(axis=axis))
             assert (gap <= 1e-12 * (1.0 + magnitude.mean(axis=axis))).all()
 
+    @pytest.mark.parametrize("themes", [3, 8, 10])
+    def test_each_row_alone_gets_its_bits_in_a_stack(self, themes):
+        # From 8 themes on, numpy sums a lone row of a `.T` view pairwise and
+        # a row of a stack one theme after another; the theme-major copies
+        # give each test row the bits it gets alone.
+        rng = np.random.default_rng(themes)
+        test = rng.uniform(0.05, 40.0, size=(12, themes))
+        pool = rng.uniform(0.05, 40.0, size=(30, themes))
+        together = distance_matrix(test, pool)
+        for i in range(len(test)):
+            assert distance_matrix(test[i:i + 1], pool)[0] == together[i]
+
     def test_no_test_by_train_array(self):
         # 100 x 100 000 pairs: a float64 matrix of them alone would take 80 MB.
         rng = np.random.default_rng(18)
@@ -262,6 +273,11 @@ class TestCorrelationDiagram:
             correlation_diagram([-1.0], [0.5], num_bins=2)
         with pytest.raises(ValueError):
             correlation_diagram([1.0, 2.0], [0.5], num_bins=2)
+        # A float gave overlapping bins with float indices, and a bool one bin.
+        for num_bins in (2.5, 2.0, True, False, "2"):
+            with pytest.raises(ValueError, match="num_bins must be an integer"):
+                correlation_diagram([0.1, 0.5, 0.9, 1.0], [0.2] * 4, num_bins)
+        assert len(correlation_diagram([0.1, 1.0], [0.2, 0.3], np.int64(2))) == 2
 
 
 class TestSelectTasks:

@@ -1,8 +1,13 @@
 """The special functions as the library evaluates them.
 
-psi reaches the library through `dirichlet_expected_log`, and trigamma,
-scipy's zeta(2, x), through the Hessian diagonal of `alpha_newton_work`, so
-each is checked there, with the domain checks those callers own.
+psi and ln Gamma reach the library through `ldcc.special`'s one pair of
+theme-major Dirichlet kernels, `expected_log` and `log_beta`, checked here
+through their row-major faces in the test helpers (`dirichlet_expected_log`
+and `log_beta_rows`).  Trigamma, scipy's zeta(2, x), reaches it through
+the Hessian diagonal of `alpha_newton_work`.  The kernels are unchecked:
+the domain checks run where values enter the library, so each `test_domain`
+pins them there.  `xlogy` is the 0 ln 0 convention of the helpers'
+term-by-term bound.
 """
 
 import math
@@ -12,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dirichlet_expected_log, log_beta_rows, xlogy
 from ldcc.errors import DomainError
 from ldcc.inference import Posterior
 from ldcc.learning import alpha_newton_work
-from ldcc.special import dirichlet_expected_log, log_beta_rows, xlogy
+from ldcc.model import ThemeModel
+from ldcc.similarity import dirichlet_kl, distance_matrix
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -88,11 +95,16 @@ class TestDigamma:
     @pytest.mark.parametrize("bad", [0.0, -3.0, np.nan, np.inf, 1e-301,
                                      pytest.param(1e308, id="row-sum-overflow")])
     def test_domain(self, bad):
-        # A row of two bad entries; [1e308, 1e308] is valid but its sum overflows.
+        # E[ln x] enters through `alpha_newton_work`, for alpha's rows and
+        # each class's gamma: a row of two bad entries in either raises.
+        # [1e308, 1e308] is valid entry by entry, but its sum overflows.
+        rows = np.array([[2.0, 3.0], [bad, bad]])
+        part = Posterior(None, None, np.ones((1, 2)), np.full((1, 2), 0.5), np.ones((1, 2)))
         with pytest.raises(DomainError):
-            dirichlet_expected_log(np.array([[2.0, 3.0], [bad, bad]]))
+            alpha_newton_work([part], rows)
+        part = Posterior(None, None, rows, np.ones((2, 1)), np.ones((1, 1)))
         with pytest.raises(DomainError):
-            dirichlet_expected_log(np.array([bad, bad]))
+            alpha_newton_work([part], np.ones((1, 2)))
 
 
 class TestTrigamma:
@@ -132,7 +144,7 @@ class TestTrigamma:
 
 
 def log_beta(u):
-    """log_beta_rows of one vector, as a float."""
+    """`log_beta_rows` of one vector, as a float."""
     return float(log_beta_rows(np.asarray(u)[None])[0])
 
 
@@ -163,10 +175,25 @@ class TestLogBeta:
         assert log_beta(a) == pytest.approx(log_beta(shuffled), rel=1e-12, abs=1e-12)
 
     def test_domain(self):
+        # ln B enters through `ThemeModel` (alpha and delta), `dirichlet_kl`
+        # and the mean KL of `distance_matrix` and `select_tasks`, each of
+        # which refuses an entry of 0 or below 1e-300.
+        mu, sigma = np.zeros((2, 1)), np.ones((2, 1, 1))
         with pytest.raises(DomainError):
-            log_beta(np.array([1.0, 0.0]))
+            ThemeModel(mu, sigma, [[1.0, 1e-310]], [1.0])
+        # Entries valid but a sum past the float range: the model is built,
+        # and only an E-step or alpha step that reads the row refuses it.
+        ThemeModel(mu, sigma, [[1e308, 1e308]], [1.0])
         with pytest.raises(DomainError):
-            log_beta(np.array([1.0, np.nan]))
+            ThemeModel(mu, sigma, [[1.0, 1.0]], [1e-310])
+        with pytest.raises(DomainError):
+            dirichlet_kl([1.0, 1e-301], [1.0, 1.0])
+        with pytest.raises(DomainError):
+            dirichlet_kl([1.0, 1.0], [1.0, 0.0])
+        with pytest.raises(DomainError):
+            distance_matrix([[1.0, 1e-301]], [[1.0, 1.0]])
+        with pytest.raises(DomainError):
+            distance_matrix([[1.0, 1.0]], [[1.0, 0.0]])
 
 
 class TestXlogy:
