@@ -11,11 +11,12 @@ Feature blocks are kept as float32 in memory, mirroring the file format, so
 save/load round-trips are bit-exact.  Numerical work promotes them to
 float64 through `stack_samples`.  Each task file is written with one write and
 read with one read, and a task's values are checked for finiteness once.
-The generator's categorical draws are numpy's `Generator.choice` algorithm
-written out (`_categorical`), without its per-call argument checks, and its
-Dirichlet draws are one scalar `standard_gamma` call per entry
-(`_dirichlet`): the same values and stream position as numpy's array calls,
-at less cost per task.  One generator is re-keyed from task to task.
+The generator draws task by task and computes chunk by chunk
+(`generate_synthetic`).  Its Dirichlet draws are one scalar `standard_gamma`
+call per entry (`_gammas`): the same values and stream position as numpy's
+array call, without its argument checks.  Its categorical draws are numpy's
+`Generator.choice` algorithm: a cdf scaled to end at 1 (`_cdf`), searched
+on the right.
 
 Every CSV artifact (lambdas, distances, accuracies, diagrams, training logs)
 is one table format, written and read by `write_table` and `read_table`: a
@@ -27,7 +28,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
+from bisect import bisect_right
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -112,7 +116,7 @@ class TaskCollection:
             raise DataError(f"tasks disagree on feature dimension: {sorted(dims)}")
         ids = [t.id for t in tasks]
         if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
             raise DataError(f"duplicate task ids: {dupes}")
         self.tasks = tasks
         self.dimension = tasks[0].dimension
@@ -175,34 +179,39 @@ class LatentRecord:
         )
 
 
-def _dirichlet(rng: np.random.Generator, concentration) -> np.ndarray:
-    """Normalized independent gamma draws, entry by entry: a scalar
-    `standard_gamma` call per concentration (a sequence of floats) gives
-    the values and the stream position of one `standard_gamma(array)` call
-    without its array argument checks."""
+def _gammas(rng: np.random.Generator, concentration) -> list[float]:
+    """Independent gamma draws, entry by entry: a scalar `standard_gamma`
+    call per concentration (a sequence of floats) gives the values and the
+    stream position of one `standard_gamma(array)` call without its array
+    argument checks."""
     # With very small concentrations the draws can all underflow to zero;
-    # redraw rather than emit NaN.
+    # redraw rather than normalize by zero.
     draw = rng.standard_gamma
     for _ in range(100):
-        g = np.array([draw(a) for a in concentration])
-        s = g.sum()
-        if s > 0:
-            return g / s
+        g = [draw(a) for a in concentration]
+        if any(g):
+            return g
     raise DataError("dirichlet sampling underflowed repeatedly; concentration too small")
 
 
+def _dirichlet(rng: np.random.Generator, concentration) -> np.ndarray:
+    """A Dirichlet draw: `_gammas` normalized by their sum."""
+    g = np.array(_gammas(rng, concentration))
+    return g / g.sum()
+
+
 def _cdf(p: np.ndarray) -> np.ndarray:
-    """The cumulative sums of a normalized p, scaled to end at 1, as
-    `Generator.choice` builds them."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
+    """The cumulative sums of each normalized row of p, scaled to end at 1,
+    as `Generator.choice` builds them."""
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
 
 
-def _categorical(rng: np.random.Generator, p: np.ndarray, size=None):
-    """`rng.choice(len(p), size, p=p)` for a normalized p, without its argument
-    checks: numpy's own algorithm, so the same draws and the same stream position."""
-    return _cdf(p).searchsorted(rng.random(size), side="right")
+# The most entries of its largest temporaries that a chunk of
+# `generate_synthetic` holds: each sample's K cdf comparisons and its
+# gathered D x D Cholesky factor.  A count of samples would not bound them.
+_CHUNK_ENTRIES = 2**16
 
 
 def generate_synthetic(
@@ -213,35 +222,54 @@ def generate_synthetic(
     For each task: a task-theme mixture phi ~ Dir(delta); for each class a
     theme y ~ Cat(phi) and an image-theme mixture theta ~ Dir(alpha_y); for
     each of `shots` samples an image theme z ~ Cat(theta) and a feature
-    vector x ~ N(mu_z, Sigma_z).
+    vector x ~ N(mu_z, Sigma_z).  The counts are integers >= 1 (a bool is
+    refused).
 
     Each task draws from its own counter-based stream keyed by (seed, task
     index), in the order phi, then per class y, theta, z and the noise, so
     generation is order-independent and parallelizable.  One generator is
-    re-keyed from task to task (`streams.task_rekey`), and phi's cdf is built
-    once per task.
+    re-keyed from task to task (`streams.task_rekey`).  Only the draws run
+    task by task: phi with its cdf and y, theta's raw gammas, z's uniforms
+    and the noise, the last two written into the buffers of a chunk of
+    tasks (one task, or as many as keep the chunk within `_CHUNK_ENTRIES`).
+    The arithmetic on them runs once per chunk: theta's normalization and
+    cdf, z (the count of cdf entries <= its uniform, as `Generator.choice`
+    finds it), x = mu_z + chol_z eps and its float32 rounding.
     """
-    if num_tasks < 1 or num_classes < 1 or shots < 1:
-        raise ValueError("num_tasks, num_classes, and shots must all be >= 1")
-    L, D = model.L, model.D
+    for name, value in (("num_tasks", num_tasks), ("num_classes", num_classes), ("shots", shots)):
+        if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    M, C, N, L, D = int(num_tasks), int(num_classes), int(shots), model.L, model.D
     delta, alpha = model.delta.tolist(), model.alpha.tolist()
+    per_chunk = max(1, _CHUNK_ENTRIES // (C * N * (model.K + D * D)))
+    phis = np.empty((M, L))
+    ys = np.empty((M, C), dtype=np.int64)
+    zs = np.empty((M, C, N), dtype=np.int64)
+    u = np.empty((per_chunk * C, N))
+    eps = np.empty((per_chunk * C, N, D))
     tasks = []
-    phis = np.empty((num_tasks, L))
-    ys = np.empty((num_tasks, num_classes), dtype=np.int64)
-    zs = np.empty((num_tasks, num_classes, shots), dtype=np.int64)
-    eps = np.empty((num_classes, shots, D))
     rng = task_stream(seed, 0)
-    for d in range(num_tasks):
-        if d:
-            task_rekey(rng, seed, d)
-        phis[d] = _dirichlet(rng, delta)
-        phi_cdf = _cdf(phis[d])
-        for c in range(num_classes):
-            ys[d, c] = y = phi_cdf.searchsorted(rng.random(), side="right")
-            zs[d, c] = _categorical(rng, _dirichlet(rng, alpha[y]), shots)
-            rng.standard_normal(out=eps[c])
-        x = model.mu[zs[d]] + np.einsum("cnij,cnj->cni", model.chol_factors[zs[d]], eps)
-        tasks.append(Task(f"task_{d:05d}", x.astype(np.float32)))
+    for start in range(0, M, per_chunk):
+        stop = min(start + per_chunk, M)
+        gammas, row = [], 0
+        for d in range(start, stop):
+            if d:
+                task_rekey(rng, seed, d)
+            phis[d] = _dirichlet(rng, delta)
+            phi_cdf = _cdf(phis[d]).tolist()
+            for c in range(C):
+                ys[d, c] = y = bisect_right(phi_cdf, rng.random())
+                gammas.append(_gammas(rng, alpha[y]))
+                rng.random(out=u[row])
+                rng.standard_normal(out=eps[row])
+                row += 1
+        g = np.array(gammas)
+        cdf = _cdf(g / g.sum(axis=-1, keepdims=True))
+        z = (cdf[:, None, :] <= u[:row, :, None]).sum(axis=-1)
+        x = model.mu[z] + np.einsum("rnij,rnj->rni", model.chol_factors[z], eps[:row])
+        zs[start:stop] = z.reshape(-1, C, N)
+        x = x.astype(np.float32).reshape(-1, C, N, D)
+        tasks += [Task(f"task_{d:05d}", x[d - start]) for d in range(start, stop)]
     return TaskCollection(tasks), LatentRecord(phis, ys, zs)
 
 
@@ -249,13 +277,15 @@ def save_tasks(collection: TaskCollection, out_dir) -> Path:
     """Write one binary file per task plus manifest.json; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    base = str(out_dir)
     entries = []
     for task in collection:
         filename = f"{task.id}.task"
         parts = [_HEADER.pack(_MAGIC, _VERSION, task.num_classes, task.dimension)]
         for block in task.classes:
             parts += [_COUNT.pack(block.shape[0]), np.ascontiguousarray(block, dtype="<f4").tobytes()]
-        (out_dir / filename).write_bytes(b"".join(parts))
+        with open(os.path.join(base, filename), "wb") as fh:
+            fh.write(b"".join(parts))
         entries.append({"id": task.id, "path": filename})
     manifest_path = out_dir / "manifest.json"
     manifest = {"dimension": collection.dimension, "tasks": entries}
@@ -332,8 +362,8 @@ def is_json_int(value) -> bool:
 
 def load_tasks(manifest_path) -> TaskCollection:
     """Load a collection from its manifest."""
-    manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path, "manifest", ("dimension", "tasks"), FormatError)
+    base = os.path.dirname(os.fspath(manifest_path))
     if not isinstance(manifest["tasks"], list):
         raise FormatError("manifest 'tasks' must be a list")
     dim = manifest["dimension"]
@@ -344,7 +374,7 @@ def load_tasks(manifest_path) -> TaskCollection:
         if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
                 and isinstance(entry.get("path"), str)):
             raise FormatError(f"manifest task entries need string 'id' and 'path': {entry!r}")
-        path = manifest_path.parent / entry["path"]
+        path = os.path.join(base, entry["path"])
         tasks.append(load_task_file(path, entry["id"], expected_dim=dim))
     return TaskCollection(tasks)
 

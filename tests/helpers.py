@@ -16,18 +16,24 @@ is the bound's definition, its nine expectations term by term (with
 `xlogy` for 0 ln 0 = 0), for any `Posterior`; `elbo` sums them.  The
 library reads a sweep's bound from its normalizers instead
 (`Posterior.bound`), and `bound_gap` checks it against `elbo`.
+`per_task_synthetic` is the generator one task at a time, draws and
+arithmetic together, with `categorical` as numpy's `Generator.choice`; the
+library's chunked `generate_synthetic` must write its bytes.
 """
 
 import numpy as np
 from scipy import special as sp
 
 from ldcc import inference
-from ldcc.data import Task, generate_synthetic, stack_samples
+from ldcc.data import (
+    LatentRecord, Task, TaskCollection, _dirichlet, generate_synthetic, stack_samples,
+)
 from ldcc.inference import Posterior, _floor_gamma, _Segments, _softmax, estep_blocks
 from ldcc.learning import _ALPHA_FLOOR, _MAX_HALVINGS
 from ldcc.model import ThemeModel
 from ldcc.similarity import DiagramBin
 from ldcc.special import expected_log, log_beta
+from ldcc.streams import task_stream
 
 
 def dirichlet_expected_log(u):
@@ -229,6 +235,38 @@ def array_dirichlet(rng, concentration):
         if g.sum() > 0:
             return g / g.sum()
     raise AssertionError("every attempt underflowed")
+
+
+def categorical(rng, p, size=None):
+    """`rng.choice(len(p), size, p=p)` for a normalized p, without its argument
+    checks: numpy's own algorithm (cumulative sums scaled to end at 1, then a
+    right-sided search of uniforms), so the same draws and stream position."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+def per_task_synthetic(model, num_tasks, num_classes, shots, seed):
+    """`generate_synthetic` one task at a time: per task the draws and the
+    arithmetic on them, in stream order (phi, then per class y, theta, z and
+    the noise), then the task's features and their float32 rounding."""
+    L, D = model.L, model.D
+    delta, alpha = model.delta.tolist(), model.alpha.tolist()
+    tasks = []
+    phis = np.empty((num_tasks, L))
+    ys = np.empty((num_tasks, num_classes), dtype=np.int64)
+    zs = np.empty((num_tasks, num_classes, shots), dtype=np.int64)
+    eps = np.empty((num_classes, shots, D))
+    for d in range(num_tasks):
+        rng = task_stream(seed, d)
+        phis[d] = _dirichlet(rng, delta)
+        for c in range(num_classes):
+            ys[d, c] = y = categorical(rng, phis[d])
+            zs[d, c] = categorical(rng, _dirichlet(rng, alpha[y]), shots)
+            rng.standard_normal(out=eps[c])
+        x = model.mu[zs[d]] + np.einsum("cnij,cnj->cni", model.chol_factors[zs[d]], eps)
+        tasks.append(Task(f"task_{d:05d}", x.astype(np.float32)))
+    return TaskCollection(tasks), LatentRecord(phis, ys, zs)
 
 
 def update_r(task, c, state, model, log_pdfs=None):

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import array_dirichlet
+from helpers import array_dirichlet, categorical, per_task_synthetic
 from ldcc.cli import _random_model
 from ldcc.data import (
     LatentRecord,
     Task,
     TaskCollection,
-    _categorical,
     _dirichlet,
     generate_synthetic,
     load_latents,
@@ -77,8 +76,11 @@ class TestTaskCollection:
     def test_rejects_duplicate_ids(self):
         a = Task("same", [np.zeros((1, 2))])
         b = Task("same", [np.ones((1, 2))])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"duplicate task ids: \['same'\]$"):
             TaskCollection([a, b])
+        tasks = [Task(f"t{i % 3}", [np.zeros((1, 2))]) for i in range(5)] + [a]
+        with pytest.raises(DataError, match=r"duplicate task ids: \['t0', 't1'\]$"):
+            TaskCollection(tasks)
 
     def test_rejects_mixed_dimensions(self):
         a = Task("a", [np.zeros((1, 2))])
@@ -213,18 +215,21 @@ class TestGenerator:
         seed = data.draw(st.integers(0, 2**32 - 1))
         p = _dirichlet(task_stream(seed, 1), np.full(n, concentration))
         ours, numpy_s = task_stream(seed, 2), task_stream(seed, 2)
-        got, want = _categorical(ours, p, size), numpy_s.choice(n, size, p=p)
+        got, want = categorical(ours, p, size), numpy_s.choice(n, size, p=p)
         assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
         assert ours.random() == numpy_s.random()
 
     @pytest.mark.parametrize("name, digest", [
         ("planted", "b051abcc56dddfa48aed4a1bb70c21535bcfb8e396822661f6d302784d4dafab"),
         ("random", "6074e377c165643e9bb18caee37491e2193965c518b5eacee9283d59250fc922"),
+        ("random-100", "d6ff67c067597137350b7976a7bdabf23dcaf241d2f36c923d1a0bf2a19ea54c"),
     ])
     def test_golden_bytes(self, tmp_path, name, digest):
-        # The written task files, manifest and latents of two fixed draws.
-        # A change to the draw order, the arithmetic or the formats moves
-        # these digests; they must then be re-recorded deliberately.
+        # The written task files, manifest and latents of three fixed draws
+        # of 12 tasks, or of 100 (5 x 16 samples each), which span three
+        # chunks of 40, the last one part full.  A change to the draw order, the
+        # arithmetic or the formats moves these digests; they must then be
+        # re-recorded deliberately.
         if name == "planted":  # the acceptance model; delta 0.01 gives phi exact zeros
             model, seed = ThemeModel(
                 np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]]),
@@ -234,7 +239,7 @@ class TestGenerator:
             ), 7
         else:  # ldcc gen --random-model 3 4 4 --seed 3
             model, seed = _random_model((3, 4, 4), 0.5, 3), 3
-        coll, rec = generate_synthetic(model, 12, 5, 16, seed)
+        coll, rec = generate_synthetic(model, 100 if name == "random-100" else 12, 5, 16, seed)
         save_tasks(coll, tmp_path)
         save_latents(rec, tmp_path / "latents.json")
         h = hashlib.sha256()
@@ -271,12 +276,60 @@ class TestGenerator:
             _dirichlet(task_stream(0, 1), [0.0, 0.0])
 
     def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            generate_synthetic(simple_model(), 0, 2, 3, seed=0)
-        with pytest.raises(ValueError):
-            generate_synthetic(simple_model(), 2, 0, 3, seed=0)
-        with pytest.raises(ValueError):
-            generate_synthetic(simple_model(), 2, 2, 0, seed=0)
+        # Each bad count is named: below 1, a bool, or not an integer.
+        for counts, name in [
+            ((0, 2, 3), "num_tasks"),
+            ((2, 0, 3), "num_classes"),
+            ((2, 2, 0), "shots"),
+            ((True, 2, 3), "num_tasks"),
+            ((2.0, 2, 3), "num_tasks"),
+            ((2, 2.5, 3), "num_classes"),
+            ((2, 2, np.float64(3.0)), "shots"),
+            ((2, np.bool_(True), 3), "num_classes"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+                generate_synthetic(simple_model(), *counts, seed=0)
+
+    def test_accepts_numpy_integer_counts(self):
+        counts = (np.int64(3), np.int32(2), np.uint8(4))
+        got = generate_synthetic(simple_model(), *counts, 5)
+        want = generate_synthetic(simple_model(), 3, 2, 4, 5)
+        assert got[0] == want[0] and got[1] == want[1]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_chunks_write_the_per_task_bytes(self, data):
+        # The chunked generator against the per-task oracle, byte for byte:
+        # every task's samples and the latents.  The chunk is patched small,
+        # so a collection spans three or more chunks and ends mid-chunk; tiny
+        # alpha forces theta redraws, and delta 0.01 gives phi exact zeros.
+        draw = data.draw
+        L, K, D = draw(st.integers(1, 5)), draw(st.integers(1, 32)), draw(st.integers(1, 16))
+        C, N = draw(st.integers(1, 6)), draw(st.integers(1, 20))
+        per_chunk = draw(st.integers(1, 4))
+        M = draw(st.integers(2 * per_chunk + 1, 3 * per_chunk + 2))
+        if M % per_chunk == 0:
+            M += 1
+        delta = draw(st.sampled_from([0.01, 0.5, 2.0]))
+        scale = draw(st.sampled_from([1e-3, 0.05, 1.0]))
+        seed = draw(st.integers(0, 2**64 - 1))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = rng.standard_normal((K, D, D))
+        model = ThemeModel(4.0 * rng.standard_normal((K, D)), a @ a.transpose(0, 2, 1) + np.eye(D),
+                           scale * rng.uniform(0.5, 2.0, (L, K)), np.full(L, delta))
+        with pytest.MonkeyPatch.context() as patch:
+            task_entries = C * N * (K + D * D)
+            extra = draw(st.integers(0, task_entries - 1))
+            patch.setattr("ldcc.data._CHUNK_ENTRIES", per_chunk * task_entries + extra)
+            coll, rec = generate_synthetic(model, M, C, N, seed)
+        want_coll, want_rec = per_task_synthetic(model, M, C, N, seed)
+        assert coll.ids == want_coll.ids
+        for got, want in zip(coll, want_coll):
+            assert [b.tobytes() for b in got.classes] == [b.tobytes() for b in want.classes]
+        for name in ("phi", "y", "z"):
+            got, want = getattr(rec, name), getattr(want_rec, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRoundTrip:
