@@ -10,13 +10,16 @@ little-endian binary file per task plus a JSON manifest:
 Feature blocks are kept as float32 in memory, mirroring the file format, so
 save/load round-trips are bit-exact.  Numerical work promotes them to
 float64 through `stack_samples`.  Each task file is written with one write and
-read with one read, and a task's values are checked for finiteness once.
+read with one read, and a loaded task's values are checked for finiteness
+once; an error in a task file names the task and its path (`load_tasks`).
 The generator draws task by task and computes chunk by chunk
-(`generate_synthetic`).  Its Dirichlet draws are one scalar `standard_gamma`
-call per entry (`_gammas`): the same values and stream position as numpy's
-array call, without its argument checks.  Its categorical draws are numpy's
-`Generator.choice` algorithm: a cdf scaled to end at 1 (`_cdf`), searched
-on the right.
+(`generate_synthetic`): it takes each chunk's stream keys at once
+(`streams.task_keys`), checks the chunk's samples for finiteness in one call
+and builds its tasks with `Task._checked`.  Its Dirichlet draws are one
+scalar `standard_gamma` call per entry (`_gammas`): the same values and
+stream position as numpy's array call, without its argument checks.  Its
+categorical draws are numpy's `Generator.choice` algorithm: a cdf scaled to
+end at 1 (`_cdf`), searched on the right.
 
 Every CSV artifact (lambdas, distances, accuracies, diagrams, training logs)
 is one table format, written and read by `write_table` and `read_table`: a
@@ -38,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import DataError, FormatError
-from .streams import task_rekey, task_stream
+from .streams import set_key, task_keys, task_stream
 
 if TYPE_CHECKING:
     from .model import ThemeModel
@@ -68,8 +71,20 @@ class Task:
         widths = {b.shape[1] for b in blocks}
         if len(widths) != 1:
             raise DataError(f"task {task_id!r}: classes disagree on dimension {widths}")
+        self._fill(task_id, tuple(blocks))
+
+    @classmethod
+    def _checked(cls, task_id: str, blocks: tuple) -> "Task":
+        """A task whose caller has made every check of `__init__`: a non-empty
+        id, and a tuple of C-contiguous float32 (N_c, D) blocks with N_c,
+        D >= 1 and finite values."""
+        task = cls.__new__(cls)
+        task._fill(task_id, blocks)
+        return task
+
+    def _fill(self, task_id, blocks):
         self.id = task_id
-        self.classes = tuple(blocks)
+        self.classes = blocks
         self.counts = tuple(b.shape[0] for b in blocks)
         self.total_samples = sum(self.counts)
 
@@ -228,13 +243,15 @@ def generate_synthetic(
     Each task draws from its own counter-based stream keyed by (seed, task
     index), in the order phi, then per class y, theta, z and the noise, so
     generation is order-independent and parallelizable.  One generator is
-    re-keyed from task to task (`streams.task_rekey`).  Only the draws run
-    task by task: phi with its cdf and y, theta's raw gammas, z's uniforms
-    and the noise, the last two written into the buffers of a chunk of
-    tasks (one task, or as many as keep the chunk within `_CHUNK_ENTRIES`).
+    set to each task's key in turn, the chunk's keys derived at once
+    (`streams.task_keys`).  Only the draws run task by task: phi with its
+    cdf and y, theta's raw gammas, z's uniforms and the noise, the last
+    two written into the buffers of a chunk of tasks (one task, or as many
+    as keep the chunk within `_CHUNK_ENTRIES`).
     The arithmetic on them runs once per chunk: theta's normalization and
     cdf, z (the count of cdf entries <= its uniform, as `Generator.choice`
-    finds it), x = mu_z + chol_z eps and its float32 rounding.
+    finds it), x = mu_z + chol_z eps, its float32 rounding and the check
+    that it is finite.
     """
     for name, value in (("num_tasks", num_tasks), ("num_classes", num_classes), ("shots", shots)):
         if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 1:
@@ -252,9 +269,8 @@ def generate_synthetic(
     for start in range(0, M, per_chunk):
         stop = min(start + per_chunk, M)
         gammas, row = [], 0
-        for d in range(start, stop):
-            if d:
-                task_rekey(rng, seed, d)
+        for d, key in enumerate(task_keys(seed, start, stop), start):
+            set_key(rng, key)
             phis[d] = _dirichlet(rng, delta)
             phi_cdf = _cdf(phis[d]).tolist()
             for c in range(C):
@@ -269,7 +285,8 @@ def generate_synthetic(
         x = model.mu[z] + np.einsum("rnij,rnj->rni", model.chol_factors[z], eps[:row])
         zs[start:stop] = z.reshape(-1, C, N)
         x = x.astype(np.float32).reshape(-1, C, N, D)
-        tasks += [Task(f"task_{d:05d}", x[d - start]) for d in range(start, stop)]
+        make = Task._checked if np.isfinite(x).all() else Task  # which raises, naming the task
+        tasks += [make(f"task_{d:05d}", tuple(x[d - start])) for d in range(start, stop)]
     return TaskCollection(tasks), LatentRecord(phis, ys, zs)
 
 
@@ -361,7 +378,8 @@ def is_json_int(value) -> bool:
 
 
 def load_tasks(manifest_path) -> TaskCollection:
-    """Load a collection from its manifest."""
+    """Load a collection from its manifest, file by file.  An error raised
+    for a task file names the task and the path before its message."""
     manifest = read_json_object(manifest_path, "manifest", ("dimension", "tasks"), FormatError)
     base = os.path.dirname(os.fspath(manifest_path))
     if not isinstance(manifest["tasks"], list):
@@ -375,7 +393,11 @@ def load_tasks(manifest_path) -> TaskCollection:
                 and isinstance(entry.get("path"), str)):
             raise FormatError(f"manifest task entries need string 'id' and 'path': {entry!r}")
         path = os.path.join(base, entry["path"])
-        tasks.append(load_task_file(path, entry["id"], expected_dim=dim))
+        try:
+            tasks.append(load_task_file(path, entry["id"], expected_dim=dim))
+        except (FormatError, DataError) as exc:
+            exc.args = (f"task {entry['id']!r} ({path}): {exc}",)
+            raise
     return TaskCollection(tasks)
 
 

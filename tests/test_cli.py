@@ -571,6 +571,16 @@ class TestMalformedFiles:
         with pytest.raises(FormatError):
             load_latents(number)
 
+    def test_truncated_task_file_is_named(self, small_collection, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in small_collection.iterdir():
+            (data / path.name).write_bytes(path.read_bytes())
+        bad = data / "task_00007.task"
+        bad.write_bytes(bad.read_bytes()[:-3])
+        err = self.train(capsys, data / "manifest.json", tmp_path)
+        assert f"task 'task_00007' ({bad}): truncated task file while reading samples" in err
+
     @pytest.mark.parametrize("entry", [{"id": "t", "path": 5}, {"id": "t", "path": None},
                                        {"id": 5, "path": "task_00000.task"}, ["t", "x.task"]])
     def test_manifest_entry_types(self, small_collection, tmp_path, capsys, entry):

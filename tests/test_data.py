@@ -296,6 +296,17 @@ class TestGenerator:
         want = generate_synthetic(simple_model(), 3, 2, 4, 5)
         assert got[0] == want[0] and got[1] == want[1]
 
+    @pytest.mark.parametrize("entries", [1, 2**16])
+    def test_non_finite_samples_name_the_task(self, monkeypatch, entries):
+        # A mean beyond float32's range rounds to inf.  The first task that
+        # draws it is named, in a chunk of its own or in one of all 40.
+        model = ThemeModel(np.array([[0.0], [1e39]]), np.ones((2, 1, 1)),
+                           np.array([[1.0, 0.02]]), np.ones(1))
+        monkeypatch.setattr("ldcc.data._CHUNK_ENTRIES", entries)
+        with np.errstate(over="ignore"), pytest.raises(
+                DataError, match=r"^task 'task_00003': sample values must be finite"):
+            generate_synthetic(model, 40, 2, 3, seed=1)
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_chunks_write_the_per_task_bytes(self, data):
@@ -466,6 +477,76 @@ class TestFormatErrors:
         path.write_bytes(raw)
         with pytest.raises(DataError, match="task id"):
             load_task_file(path, "")
+
+    def collection(self, tmp_path, tasks=7):
+        # Tasks of 5 classes of 4 samples in D = 2: class c's samples start
+        # at byte 18 + 36 c of each 194-byte file.
+        coll, _ = generate_synthetic(simple_model(), tasks, 5, 4, seed=3)
+        return coll, save_tasks(coll, tmp_path)
+
+    def file_error(self, path, task_id):
+        # The error load_task_file raises for one file, and what load_tasks
+        # makes of it: the task and the path in front of the same message.
+        with pytest.raises((FormatError, DataError)) as err:
+            load_task_file(path, task_id, expected_dim=2)
+        return type(err.value), f"task {task_id!r} ({path}): {err.value}", err.value.offset
+
+    def load_error(self, manifest):
+        with pytest.raises((FormatError, DataError)) as err:
+            load_tasks(manifest)
+        return type(err.value), str(err.value), getattr(err.value, "offset", None)
+
+    def test_load_names_the_task_file(self, tmp_path):
+        _, manifest = self.collection(tmp_path)
+        path = tmp_path / "task_00003.task"
+        path.write_bytes(path.read_bytes()[:14 + 36 * 4 + 9])
+        want = self.file_error(path, "task_00003")
+        assert self.load_error(manifest) == want
+        assert want[1] == (f"task 'task_00003' ({path}): truncated task file while reading "
+                           "samples of class 4 (byte offset 162)")
+
+    def test_fault_order_across_files(self, tmp_path):
+        # Task 2 holds a NaN in class 1 and task 4 is truncated: task 2's
+        # fault is raised, at its offset.
+        _, manifest = self.collection(tmp_path)
+        nan, cut = tmp_path / "task_00002.task", tmp_path / "task_00004.task"
+        raw = bytearray(nan.read_bytes())
+        raw[54 + 4:54 + 8] = struct.pack("<f", np.nan)
+        nan.write_bytes(raw)
+        cut.write_bytes(cut.read_bytes()[:100])
+        got = self.load_error(manifest)
+        assert got == self.file_error(nan, "task_00002")
+        assert got[0] is FormatError and got[2] == 54 and "non-finite value in class 1" in got[1]
+
+    def test_non_finite_in_the_last_task(self, tmp_path):
+        # An infinity only in the last task of the collection.
+        _, manifest = self.collection(tmp_path)
+        path = tmp_path / "task_00006.task"
+        raw = bytearray(path.read_bytes())
+        raw[18 + 36 * 4 + 12:18 + 36 * 4 + 16] = struct.pack("<f", -np.inf)
+        path.write_bytes(raw)
+        got = self.load_error(manifest)
+        assert got == self.file_error(path, "task_00006")
+        assert got[2] == 18 + 36 * 4 and "non-finite value in class 4" in got[1]
+
+    def test_missing_file_and_empty_id(self, tmp_path):
+        # The errors of the in-order reader: the first faulty entry raises.
+        _, manifest = self.collection(tmp_path, tasks=3)
+        doc = json.loads(manifest.read_text())
+        doc["tasks"][1]["id"] = ""
+        doc["tasks"][2]["path"] = "missing.task"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"^task '' \(.*task_00001\.task\): task id must be"):
+            load_tasks(manifest)
+        doc["tasks"][1]["id"] = "task_00001"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(FileNotFoundError, match="missing.task"):
+            load_tasks(manifest)
+        (tmp_path / "folder.task").mkdir()
+        doc["tasks"][2]["path"] = "folder.task"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(OSError, match="folder.task"):  # the OS error names the path
+            load_tasks(manifest)
 
     def test_manifest_not_json(self, tmp_path):
         bad = tmp_path / "manifest.json"

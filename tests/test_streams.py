@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldcc.data import generate_synthetic
 from ldcc.model import ThemeModel, TrainConfig
 from ldcc.streams import (
-    TASK_STREAM, rekey, stream, task_rekey, task_stream,
+    TASK_STREAM, _words, set_key, stream, task_keys, task_stream,
 )
 
 seeds = st.integers(0, 2**64 - 1)
@@ -30,7 +30,8 @@ class TestRekey:
         if odd:
             rng.integers(0, 2**32, dtype=np.uint32)
         want = stream(seed, tag, *key)
-        assert rekey(rng, seed, tag, *key) is rng
+        philox_key = np.random.SeedSequence(_words(seed, tag, key)).generate_state(2, np.uint64)
+        assert set_key(rng, philox_key) is rng
         assert state(rng) == state(want)
         for draw in (lambda g: g.standard_gamma(100.0, 5), lambda g: g.random(3),
                      lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
@@ -39,9 +40,25 @@ class TestRekey:
         assert state(rng) == state(want)
 
     def test_named_streams(self):
-        # gen re-keys with the keys of its named stream.
-        rng = task_rekey(task_stream(3, 0), 3, 41)
+        # gen sets the derived keys of its named stream.
+        rng = set_key(task_stream(3, 0), task_keys(3, 41, 42)[0])
         assert state(rng) == state(task_stream(3, 41))
+
+
+class TestTaskKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=seeds, start=st.integers(0, 2**33), count=st.integers(1, 64))
+    @example(seed=2**64 - 1, start=2**32 - 3, count=6)  # the index wraps to 32 bits
+    def test_equal_seed_sequence(self, seed, start, count):
+        # Each derived key is SeedSequence's, task by task.
+        keys = task_keys(seed, start, start + count)
+        assert keys.dtype == np.uint64 and keys.shape == (count, 2)
+        for d, key in enumerate(keys, start):
+            want = np.random.SeedSequence(_words(seed, TASK_STREAM, (d,))).generate_state(2, np.uint64)
+            assert key.tobytes() == want.tobytes()
+
+    def test_empty_range(self):
+        assert task_keys(5, 7, 7).shape == (0, 2)
 
 
 class TestSeedRange:
@@ -50,7 +67,7 @@ class TestSeedRange:
         with pytest.raises(ValueError, match=r"integer in \[0, 2\^64\)"):
             stream(seed, TASK_STREAM, 0)
         with pytest.raises(ValueError, match=r"integer in \[0, 2\^64\)"):
-            rekey(stream(0, TASK_STREAM, 0), seed, TASK_STREAM, 0)
+            task_keys(seed, 0, 1)
         with pytest.raises(ValueError, match=r"integer in \[0, 2\^64\)"):
             TrainConfig(seed=seed)
 
