@@ -224,8 +224,8 @@ def _cdf(p: np.ndarray) -> np.ndarray:
 
 
 # The most entries of its largest temporaries that a chunk of
-# `generate_synthetic` holds: each sample's K cdf comparisons and its
-# gathered D x D Cholesky factor.  A count of samples would not bound them.
+# `generate_synthetic` holds: each sample's K cdf comparisons and, per slice
+# of samples, its gathered D x D Cholesky factor.  A count would not bound them.
 _CHUNK_ENTRIES = 2**16
 
 
@@ -250,8 +250,8 @@ def generate_synthetic(
     as keep the chunk within `_CHUNK_ENTRIES`).
     The arithmetic on them runs once per chunk: theta's normalization and
     cdf, z (the count of cdf entries <= its uniform, as `Generator.choice`
-    finds it), x = mu_z + chol_z eps, its float32 rounding and the check
-    that it is finite.
+    finds it), x = mu_z + chol_z eps, rounded to float32 in place slice by
+    slice within `_CHUNK_ENTRIES`, and the check that x is finite.
     """
     for name, value in (("num_tasks", num_tasks), ("num_classes", num_classes), ("shots", shots)):
         if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 1:
@@ -259,6 +259,7 @@ def generate_synthetic(
     M, C, N, L, D = int(num_tasks), int(num_classes), int(shots), model.L, model.D
     delta, alpha = model.delta.tolist(), model.alpha.tolist()
     per_chunk = max(1, _CHUNK_ENTRIES // (C * N * (model.K + D * D)))
+    per_slice = max(1, _CHUNK_ENTRIES // (D * D))
     phis = np.empty((M, L))
     ys = np.empty((M, C), dtype=np.int64)
     zs = np.empty((M, C, N), dtype=np.int64)
@@ -282,9 +283,14 @@ def generate_synthetic(
         g = np.array(gammas)
         cdf = _cdf(g / g.sum(axis=-1, keepdims=True))
         z = (cdf[:, None, :] <= u[:row, :, None]).sum(axis=-1)
-        x = model.mu[z] + np.einsum("rnij,rnj->rni", model.chol_factors[z], eps[:row])
         zs[start:stop] = z.reshape(-1, C, N)
-        x = x.astype(np.float32).reshape(-1, C, N, D)
+        z, noise = z.reshape(-1), eps[:row].reshape(-1, D)
+        x = np.empty((len(z), D), dtype=np.float32)
+        for b in (slice(a, a + per_slice) for a in range(0, len(z), per_slice)):
+            # One slice's factors at a time; take is twice as fast as fancy indexing here.
+            x[b] = model.mu.take(z[b], axis=0) + np.einsum(
+                "nij,nj->ni", model.chol_factors.take(z[b], axis=0), noise[b])
+        x = x.reshape(-1, C, N, D)
         make = Task._checked if np.isfinite(x).all() else Task  # which raises, naming the task
         tasks += [make(f"task_{d:05d}", tuple(x[d - start])) for d in range(start, stop)]
     return TaskCollection(tasks), LatentRecord(phis, ys, zs)

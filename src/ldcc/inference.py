@@ -14,10 +14,11 @@ task, and one stabilizing sweep from that point, kept only where its bound
 is at least x0's; elsewhere the task keeps x2, whose bound the sweeps
 never let fall below x0's.  So the bound never falls across the states a
 task keeps.  The safeguard's bound is the one `Posterior.bound` reads
-(`_sweep_bound`), once per cycle, and x2's only where the safeguard fails.
-A task stops at the first sweep whose own mean absolute lambda change
-drops below the configured tolerance; max_e_iters counts every sweep, and
-the last three before it are plain.
+(`_sweep_bound`), once per cycle, and x2's only where the safeguard fails,
+from the row totals x2's own sweep computed.  A task stops at the first
+sweep whose own mean absolute lambda change drops below the configured
+tolerance; max_e_iters counts every sweep, and the last three before it
+are plain.
 
 Given the model, task posteriors are independent.  `estep_blocks` stacks
 the samples of consecutive tasks into blocks of up to 16384 rows with class
@@ -27,8 +28,11 @@ a stopped task leaves the block's arrays when its cycle ends, so each task
 stops where it would alone, with the same bits.  All arrays are
 theme-major, as numpy reduces over K contiguous rows in K elementwise
 passes but loops per row along a short inner axis: r and the
-log-densities are (K, rows), gamma (K, classes), eta (L, classes),
-lambda (L, tasks).
+log-densities are (K, rows), lambda (L, tasks).  A sweep's per-class
+state is one (4K + L, classes) array whose row blocks are the E[ln theta]
+it used, r's class sums, E[ln theta], gamma and eta (`_Sweep`), and the
+densities over the samples' max shifts are one (K + 1, rows) buffer, so
+each stop, compaction and safeguard merge is one numpy call per array.
 
 Responsibilities are r = normalize(w[class] * P) per sample: the densities
 P = exp(log_pdfs - the sample's max) are exponentiated once per block, and
@@ -36,18 +40,19 @@ each sweep exponentiates only w = exp(E[ln theta] - the class's max) over
 (K, classes).  A sample whose K products all underflow is normalized in
 log space instead, and NaN, +inf or all -inf logits raise NumericError.
 A sweep keeps only r's class sums, and r's totals only until its bound
-is read.  When a task stops, the block keeps the per-class E[ln theta]
-its last sweep used.  The result's r is built when it is first read, from
-those and the block's densities by the same per-sample arithmetic, so it
-has the bits the task's last sweep computed; a caller that reads only
-lambda, as `run_estep` and `ldcc infer` do, never builds it.  The build
-keeps each sample's total before normalizing, and the result's `bound`,
-each task's evidence lower bound, is read from those totals, the class
-sums and the final gamma, eta and lambda (`_sweep_bound`), with no pass
-over (K, rows) of its own.  Per-model constants (alpha - 1, the rows'
-log-normalizers, ln B(delta)) come from the `ThemeModel`; E[ln theta],
-E[ln phi] and ln B(lambda) come from `special`'s theme-major pair,
-unchecked, as the sweep's gamma and lambda are positive by construction.
+is read (x2's until its cycle's safeguard).  When a task stops, the
+block keeps the per-class E[ln theta] its last sweep used.  The result's
+r is built when it is first read, from those and the block's densities
+by the same per-sample arithmetic, so it has the bits the task's last
+sweep computed; a caller that reads only lambda, as `run_estep` and
+`ldcc infer` do, never builds it.  The build keeps each sample's total
+before normalizing, and the result's `bound`, each task's evidence lower
+bound, is read from those totals, the class sums and the final gamma,
+eta and lambda (`_sweep_bound`), with no pass over (K, rows) of its own.
+Per-model constants (alpha - 1, the rows' log-normalizers, ln B(delta))
+come from the `ThemeModel`; E[ln theta], E[ln phi] and ln B(lambda) come
+from `special`'s theme-major pair, unchecked, as the sweep's gamma and
+lambda are positive by construction.
 
 A `_Block` holds what no sweep changes: segments and the samples stacked
 by `stack_samples`.  `_plan_blocks` checks every task's dimension, then
@@ -66,7 +71,7 @@ counters.
 from __future__ import annotations
 
 import logging
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -250,12 +255,13 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _densities(log_pdfs):
-    """exp(log_pdfs - each sample's max), r's factor (K, rows) that no sweep
-    changes, and that max (rows,)."""
-    shift = np.maximum.reduce(log_pdfs, axis=0)
-    _check_shift(shift)
-    dens = np.subtract(log_pdfs, shift)
-    return np.exp(dens, out=dens), shift
+    """One (K + 1, rows) buffer: exp(log_pdfs - each sample's max), r's
+    factor that no sweep changes, over that max."""
+    buf = np.empty((len(log_pdfs) + 1, log_pdfs.shape[1]))
+    _check_shift(np.maximum.reduce(log_pdfs, axis=0, out=buf[-1]))
+    dens = np.subtract(log_pdfs, buf[-1], out=buf[:-1])
+    np.exp(dens, out=dens)
+    return buf
 
 
 def _log_space_logits(expected_log_theta, rows, seg, log_pdfs):
@@ -290,19 +296,22 @@ def _responsibilities(expected_log_theta, dens, seg, log_pdfs):
     return r, total
 
 
-class _Sweep(NamedTuple):
-    """One sweep's arrays over its tasks, theme-major: the E[ln theta] r was
-    built from (used), r's class sums (counts), the new gamma, its E[ln
-    theta] (log_theta), eta and lam, and which tasks' mean |lambda change|
-    fell below e_tol."""
+class _Sweep:
+    """One sweep's arrays over its tasks, theme-major: state (4K + L, classes)
+    stacks as row views the E[ln theta] r was built from (used), r's class
+    sums (counts), the new E[ln theta] (log_theta), gamma and eta; then lam
+    (L, tasks) and done, which tasks' mean |lambda change| fell below e_tol."""
 
-    used: np.ndarray
-    counts: np.ndarray
-    gamma: np.ndarray
-    log_theta: np.ndarray
-    eta: np.ndarray
-    lam: np.ndarray
-    done: np.ndarray | None = None
+    __slots__ = ("state", "lam", "done", "used", "counts", "log_theta", "gamma", "eta")
+
+    def __init__(self, state, K, lam=None, done=None):
+        self.state, self.lam, self.done = state, lam, done
+        self.used, self.counts, self.log_theta = state[:K], state[K:2 * K], state[2 * K:3 * K]
+        self.gamma, self.eta = state[3 * K:4 * K], state[4 * K:]
+
+
+# A state a sweep starts from: gamma and E[ln theta] (K, classes), eta (L, classes), lam (L, tasks).
+_Point = namedtuple("_Point", "gamma log_theta eta lam")
 
 
 def _sweep_bound(seg, log_pdfs, shift, s, total, model):
@@ -354,9 +363,10 @@ def _gemm(a, b):
     return a @ b if b.shape[1] > 1 else (a @ b.repeat(2, axis=1))[:, :1]
 
 
-def _update_gamma(counts, eta, alpha_m1, seg, clamps):
-    """Gamma (K, classes) from r's class sums; adds floored entries per task to clamps."""
-    gamma = counts + 1.0 + _gemm(alpha_m1.T, eta)
+def _update_gamma(counts, eta, alpha_m1, seg, clamps, out=None):
+    """Gamma (K, classes) from r's class sums, into out; adds floored entries per task to clamps."""
+    gamma = np.add(counts, 1.0, out=out)
+    gamma += _gemm(alpha_m1.T, eta)
     if np.minimum.reduce(gamma, axis=None) <= 0.0:
         clamps += np.bincount(seg.class_task, _floor_gamma(gamma), clamps.size).astype(np.int64)
     return gamma
@@ -374,32 +384,34 @@ def _start(block, dens, num_task_themes):
     return counts0, np.full((num_task_themes, counts0.shape[1]), 1.0 / num_task_themes)
 
 
-def _sweep(used, eta, lam, dens, live, log_pdfs, model, e_tol, clamps):
-    """One sweep r -> gamma -> eta -> lambda of the tasks of live from
-    E[ln theta] (used), eta and lam: a `_Sweep`, and r's sample totals
+def _sweep(x, dens, live, log_pdfs, model, e_tol, clamps):
+    """One sweep r -> gamma -> eta -> lambda of the tasks of live from the
+    state x (a `_Sweep` or `_Point`): a `_Sweep`, and r's sample totals
     before normalizing (rows,); adds gamma's floored entries per task to
     clamps."""
-    r, total = _responsibilities(used, dens, live, log_pdfs)
-    counts = np.add.reduceat(r, live.class_starts, axis=1)
+    K, L = len(x.log_theta), len(x.eta)
+    s = _Sweep(np.empty((4 * K + L, x.eta.shape[1])), K)
+    r, total = _responsibilities(x.log_theta, dens, live, log_pdfs)
+    s.used[...] = x.log_theta
+    np.add.reduceat(r, live.class_starts, axis=1, out=s.counts)
     del r  # only its class sums are needed
-    gamma = _update_gamma(counts, eta, model.alpha_m1, live, clamps)
-    log_theta = expected_log(gamma)
-    eta = expected_log(lam).repeat(live.task_classes, axis=1)
-    eta -= model.log_norm
-    eta += _gemm(model.alpha_m1, log_theta)
-    _softmax(eta, axis=0)
-    new_lam = model.delta_col + np.add.reduceat(eta, live.task_starts, axis=1)
-    change = np.subtract(new_lam, lam)
-    done = _column_sums(np.abs(change, out=change)) / model.L < e_tol
-    return _Sweep(used, counts, gamma, log_theta, eta, new_lam, done), total
+    _update_gamma(s.counts, x.eta, model.alpha_m1, live, clamps, out=s.gamma)
+    expected_log(s.gamma, out=s.log_theta)
+    np.subtract(expected_log(x.lam).repeat(live.task_classes, axis=1), model.log_norm, out=s.eta)
+    s.eta += _gemm(model.alpha_m1, s.log_theta)
+    _softmax(s.eta, axis=0)
+    s.lam = model.delta_col + np.add.reduceat(s.eta, live.task_starts, axis=1)
+    change = np.subtract(s.lam, x.lam)
+    s.done = _column_sums(np.abs(change, out=change)) / L < e_tol
+    return s, total
 
 
 def _log_state(s):
-    """ln gamma over ln eta (K + L, classes) of a `_Sweep`: the coordinates
-    SQUAREM extrapolates in.  eta is floored at _TINY first, as a softmax
-    can underflow to 0; gamma is positive."""
-    x = np.concatenate((s.gamma, s.eta))
-    return np.log(np.maximum(x, _TINY, out=x), out=x)
+    """ln gamma over ln eta (K + L, classes) of a `_Sweep`, the adjacent rows
+    of its state: the coordinates SQUAREM extrapolates in.  eta is floored
+    at _TINY first, as a softmax can underflow to 0; gamma is positive."""
+    x = np.maximum(s.state[3 * len(s.gamma):], _TINY)
+    return np.log(x, out=x)
 
 
 # The extrapolated ln gamma is capped here, so its exp, and K sums of it, stay finite.
@@ -411,10 +423,10 @@ def _extrapolate(x0, x1, x2, live, model):
     x0 -> x1 -> x2, two sweeps in `_log_state` coordinates: x0 - 2 a r +
     a^2 v, with r = x1 - x0, v = x2 - 2 x1 + x0 and the task's step
     a = -max(1, |r| / |v|), the norms summed over its classes (a = -1,
-    which gives x2, where v is 0).  Returns the point as a `_Sweep`'s
-    state: its gamma, floored at _GAMMA_FLOOR, and E[ln theta] (K,
-    classes), eta renormalized by `_softmax` (L, classes), and lambda =
-    delta + the task's eta sums (L, tasks)."""
+    which gives x2, where v is 0).  Returns the point as a `_Point`: its
+    gamma, floored at _GAMMA_FLOOR, and E[ln theta] (K, classes), eta
+    renormalized by `_softmax` (L, classes), and lambda = delta + the
+    task's eta sums (L, tasks)."""
     r = np.subtract(x1, x0)
     v = np.subtract(x2, x1)
     v -= r
@@ -433,7 +445,7 @@ def _extrapolate(x0, x1, x2, live, model):
     np.maximum(gamma, _GAMMA_FLOOR, out=gamma)
     eta = _softmax(v[K:], axis=0)
     lam = model.delta_col + np.add.reduceat(eta, live.task_starts, axis=1)
-    return _Sweep(None, None, gamma, expected_log(gamma), eta, lam)
+    return _Point(gamma, expected_log(gamma), eta, lam)
 
 
 def _safeguard(start_bound, bound, fallback_bound):
@@ -450,23 +462,23 @@ def _safeguard(start_bound, bound, fallback_bound):
 
 def _estep_block(block, model, config):
     """`estep_blocks` for one `_Block`, on theme-major arrays (module docstring)."""
-    seg = block.seg
+    seg, K = block.seg, model.K
     log_pdfs = model.log_pdfs(block.samples)
-    dens, shift = all_dens, all_shift = _densities(log_pdfs)
+    buf = all_buf = _densities(log_pdfs)  # dens over shift, cut to the live rows
+    dens, shift = buf[:-1], buf[-1]
     num_tasks, cap = len(block.tasks), config.max_e_iters
 
     counts0, eta = _start(block, dens, model.L)
     clamps = np.zeros(num_tasks, dtype=np.int64)
     gamma = _update_gamma(counts0, eta, model.alpha_m1, seg, clamps)
     lam = model.delta_col + np.add.reduceat(eta, seg.task_starts, axis=1)
-    s = _Sweep(None, counts0, gamma, expected_log(gamma), eta, lam)  # the first sweep's input
+    s = _Point(gamma, expected_log(gamma), eta, lam)  # the first sweep's input
 
     # Final values, filled in per class as tasks stop: r is rebuilt from
     # each class's last used E[ln theta] once the block is done, and r's
     # class sums and eta are the block's next start.  s always holds the
     # running tasks only; `live_tasks` and `live_classes` map them back.
-    out = _Sweep(*(np.empty_like(gamma) for _ in range(4)), np.empty_like(eta),
-                 np.empty_like(lam))
+    out = _Sweep(np.empty((4 * K + model.L, gamma.shape[1])), K, np.empty_like(lam))
     out_clamps = np.zeros(num_tasks, dtype=np.int64)
     iterations = np.zeros(num_tasks, dtype=np.int64)
     converged = np.zeros(num_tasks, dtype=bool)
@@ -484,29 +496,24 @@ def _estep_block(block, model, config):
         out_clamps[stopped] = clamps[stop]
         out.lam[:, stopped] = s.lam[:, stop]
         stop_classes = stop[live.class_task]
-        stopped_classes = live_classes[stop_classes]
-        for final, value in zip(out[:5], s[:5]):
-            final[:, stopped_classes] = value[:, stop_classes]
+        out.state[:, live_classes[stop_classes]] = np.compress(stop_classes, s.state, axis=1)
 
     def sweep(x):
         """`_sweep` from the state x, the output of a sweep or `_extrapolate`."""
-        return _sweep(x.log_theta, x.eta, x.lam, dens, live, log_pdfs, model, config.e_tol,
-                      clamps)
+        return _sweep(x, dens, live, log_pdfs, model, config.e_tol, clamps)
 
-    def bound_of(s, total=None):
-        """The `_sweep_bound` of s; its totals are rebuilt if not given."""
-        if total is None:
-            total = _responsibilities(s.used, dens, live, log_pdfs)[1]
+    def bound_of(s, total):
         return _sweep_bound(live, log_pdfs, shift, s, total, model)
 
     # A SQUAREM cycle starts from x0 = s, the last accepted sweep: two sweeps
     # x0 -> x1 -> x2, the SqS3 point from them (`_extrapolate`) and one
     # stabilizing sweep from it, which a task keeps if its bound is at
-    # least x0's (start_bound, by `_safeguard`) and else keeps x2.  The first
-    # x0 is the first sweep.  A task stops at the first sweep whose own
-    # lambda change is below e_tol, in a cycle or out of one; a stopped
-    # task stays in the arrays until its cycle ends.  Within 3 sweeps of the
-    # cap, sweeps are plain.
+    # least x0's (start_bound, by `_safeguard`) and else keeps x2, whose
+    # bound is read from the row totals of its own sweep.  The first x0 is
+    # the first sweep.  A task stops at the first sweep whose own lambda
+    # change is below e_tol, in a cycle or out of one; a stopped task stays
+    # in the arrays until its cycle ends.  Within 3 sweeps of the cap,
+    # sweeps are plain.
     it, start_bound, total = 0, None, None
     while True:
         if start_bound is None or it + 3 >= cap:
@@ -519,7 +526,7 @@ def _estep_block(block, model, config):
             x = [_log_state(s)]
             for _ in range(2):
                 it += 1
-                s = sweep(s)[0]
+                s, total = sweep(s)
                 if np.logical_or.reduce(s.done):
                     record(s, s.done & ~stop)
                     stop |= s.done
@@ -527,19 +534,18 @@ def _estep_block(block, model, config):
                         break
                 x.append(_log_state(s))
             else:
-                s2 = s
+                s2, total2 = s, total
                 it += 1
                 s, total = sweep(_extrapolate(*x, live, model))
-                bound = bound_of(s, total)
-                total = None
-                accept, start_bound = _safeguard(start_bound, bound, lambda: bound_of(s2))
+                accept, start_bound = _safeguard(start_bound, bound_of(s, total),
+                                                 lambda: bound_of(s2, total2))
+                total = total2 = None
                 if np.logical_or.reduce(s.done):
                     done = s.done & accept
                     record(s, done & ~stop)
                     stop |= done
                 if not np.logical_and.reduce(accept):
-                    accepting = accept[live.class_task]
-                    s = _Sweep(*(np.where(accepting, a, b) for a, b in zip(s[:5], s2[:5])),
+                    s = _Sweep(np.where(accept[live.class_task], s.state, s2.state), K,
                                np.where(accept, s.lam, s2.lam), s.done)
         if np.logical_and.reduce(stop):
             break
@@ -548,9 +554,10 @@ def _estep_block(block, model, config):
             live, keep_classes, keep_rows = live.subset(keep)
             live_tasks, clamps = live_tasks[keep], clamps[keep]
             live_classes = live_classes[keep_classes]
-            s = _Sweep(*(np.compress(keep_classes, a, axis=1) for a in s[:5]),
+            s = _Sweep(np.compress(keep_classes, s.state, axis=1), K,
                        np.compress(keep, s.lam, axis=1), s.done[keep])
-            dens, shift = np.compress(keep_rows, dens, axis=1), shift[keep_rows]
+            buf = np.compress(keep_rows, buf, axis=1)
+            dens, shift = buf[:-1], buf[-1]
             if start_bound is not None:
                 start_bound = start_bound[keep]
             elif it + 3 < cap:
@@ -561,8 +568,8 @@ def _estep_block(block, model, config):
 
     posterior = Posterior(seg, None, out.gamma.T.copy(), out.eta.T.copy(), out.lam.T.copy(),
                           iterations, converged, out_clamps, log_pdfs, block.samples)
-    posterior._r_inputs = (out.used, all_dens)
-    posterior._bound_inputs = (all_shift, out, model)
+    posterior._r_inputs = (out.used, all_buf[:-1])
+    posterior._bound_inputs = (all_buf[-1], out, model)
     block.start = (out.counts, out.eta)
     return posterior
 

@@ -25,7 +25,7 @@ from .streams import check_seed, init_stream
 _LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_JITTER = 1e-6
-_LOG_PDF_ROWS = 4096
+_LOG_PDF_ENTRIES = 2**17
 
 
 class ThemeModel:
@@ -108,11 +108,12 @@ class ThemeModel:
         """Gaussian log-densities of the rows of x, (n, D), under every theme, as (K, n).
 
         Mahalanobis terms come from forward substitution against the cached
-        Cholesky factors, one feature at a time over the (D, K, rows)
-        differences of up to _LOG_PDF_ROWS rows to all themes; no covariance
-        is inverted.  The sums run in a fixed order without BLAS or LAPACK,
-        so results depend neither on the thread count nor on the row split.
-        A lone row is solved as the first of two: einsum sums it in another order.
+        Cholesky factors, one feature at a time (the first only divides)
+        over the (D, K, rows) differences to all themes, in near-equal pieces
+        of about _LOG_PDF_ENTRIES entries; no covariance is inverted.  The
+        sums run in a fixed order without BLAS or LAPACK, so results depend
+        neither on the thread count nor on the row split.  A lone row is
+        solved as the first of two: einsum sums it in another order.
         Factor slices and the constant term are cached; one piece is not split.
         """
         if x.ndim != 2 or x.shape[1] != self.D:
@@ -120,7 +121,7 @@ class ThemeModel:
         n = len(x)
         x = x if n > 1 else x.repeat(2, axis=0)
         out = np.empty((self.K, len(x)))
-        pieces = min(-(-len(x) // _LOG_PDF_ROWS), len(x) // 2) or 1  # near-equal, two rows or more
+        pieces = min(-(-len(x) * self.D * self.K // _LOG_PDF_ENTRIES), len(x) // 2) or 1
         split = (zip(np.array_split(x, pieces), np.array_split(out, pieces, axis=1))
                  if pieces > 1 else [(x, out)])
         for rows, part in split:
@@ -128,7 +129,8 @@ class ThemeModel:
             # with feature i of the solution of L_k z = x_n - mu_k.
             z = np.ascontiguousarray(rows.T)[:, None, :] - self.mu.T[:, :, None]
             for i, (lower, diag) in enumerate(self._solve_steps):
-                z[i] -= np.einsum("kj,jkn->kn", lower, z[:i])
+                if i:
+                    z[i] -= np.einsum("kj,jkn->kn", lower, z[:i])
                 z[i] /= diag
             np.einsum("ikn,ikn->kn", z, z, out=part)
         out += self._log_pdf_const

@@ -47,10 +47,10 @@ def _column_sums(a, keepdims=False):
     return total[..., :1] if lone else total
 
 
-def expected_log(u):
-    """E[ln x] under Dirichlet(u) of each column of theme-major u (K, n), as (K, n)."""
+def expected_log(u, out=None):
+    """E[ln x] under Dirichlet(u) of each column of theme-major u (K, n), as (K, n) or into out."""
     total = _column_sums(u)
-    out = psi(u)
+    out = psi(u, out=out)
     out -= psi(total, out=total)
     return out
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,13 +308,34 @@ class TestGenerator:
                 DataError, match=r"^task 'task_00003': sample values must be finite"):
             generate_synthetic(model, 40, 2, 3, seed=1)
 
+    @pytest.mark.parametrize("D", [128, 256])
+    def test_memory_stays_within_the_chunk_bound(self, D):
+        # One task of 5 x 16 samples holds more than _CHUNK_ENTRIES entries
+        # of Cholesky factors (C N D^2), so it is computed in slices of
+        # samples, one slice's factors alive at a time: the peak is 0.76
+        # and 0.99 MB for 0.16 and 0.31 MB of float32 output, where
+        # gathering the whole task's factors took 10.4 and 40.7 MB.
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((4, D, D)) / np.sqrt(D)
+        model = ThemeModel(rng.standard_normal((4, D)), a @ a.transpose(0, 2, 1) + np.eye(D),
+                           rng.uniform(0.5, 2.0, (2, 4)), np.full(2, 0.5))
+        tracemalloc.start()
+        try:
+            generate_synthetic(model, 4, 5, 16, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_chunks_write_the_per_task_bytes(self, data):
         # The chunked generator against the per-task oracle, byte for byte:
         # every task's samples and the latents.  The chunk is patched small,
-        # so a collection spans three or more chunks and ends mid-chunk; tiny
-        # alpha forces theta redraws, and delta 0.01 gives phi exact zeros.
+        # so a collection spans three or more chunks and ends mid-chunk, or
+        # below one task's C N D^2, so that slices of samples cut a task;
+        # tiny alpha forces theta redraws, and delta 0.01 gives phi exact
+        # zeros.
         draw = data.draw
         L, K, D = draw(st.integers(1, 5)), draw(st.integers(1, 32)), draw(st.integers(1, 16))
         C, N = draw(st.integers(1, 6)), draw(st.integers(1, 20))
@@ -331,7 +353,11 @@ class TestGenerator:
         with pytest.MonkeyPatch.context() as patch:
             task_entries = C * N * (K + D * D)
             extra = draw(st.integers(0, task_entries - 1))
-            patch.setattr("ldcc.data._CHUNK_ENTRIES", per_chunk * task_entries + extra)
+            if draw(st.booleans()):  # slices of 1 to C N - 1 samples
+                slice_samples = draw(st.integers(1, max(1, C * N - 1)))
+                patch.setattr("ldcc.data._CHUNK_ENTRIES", slice_samples * D * D)
+            else:
+                patch.setattr("ldcc.data._CHUNK_ENTRIES", per_chunk * task_entries + extra)
             coll, rec = generate_synthetic(model, M, C, N, seed)
         want_coll, want_rec = per_task_synthetic(model, M, C, N, seed)
         assert coll.ids == want_coll.ids

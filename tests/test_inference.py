@@ -38,6 +38,7 @@ from ldcc.inference import (
     run_estep,
     write_lambda_csv,
 )
+import ldcc.learning as learning
 from ldcc.model import ThemeModel, TrainConfig
 
 
@@ -182,7 +183,7 @@ class TestResponsibilityKernel:
         # log_pdfs (K, rows) of a block of one task per class; with keep,
         # only those tasks' rows, as in a sweep after others stopped.
         seg = inference._Segments.of([[n] for n in counts])
-        dens = inference._densities(log_pdfs)[0]
+        dens = inference._densities(log_pdfs)[:-1]
         if keep is not None:
             seg, keep_classes, keep_rows = seg.subset(keep)
             expected_log_theta = expected_log_theta[:, keep_classes]
@@ -233,7 +234,7 @@ class TestResponsibilityKernel:
             assert np.allclose(got, want[:, cols], rtol=0, atol=1e-12)
         # The products of block row 2 are exactly zero.
         weights = np.exp(expected_log_theta[:, 1] - expected_log_theta[:, 1].max())
-        assert not (weights * inference._densities(log_pdfs)[0][:, 2]).any()
+        assert not (weights * inference._densities(log_pdfs)[:-1][:, 2]).any()
 
     @pytest.mark.parametrize("where", ["log_pdfs", "theta"])
     @pytest.mark.parametrize("bad, message", [
@@ -830,6 +831,97 @@ class TestSquarem:
             assert np.abs(eta.sum(axis=0) - 1.0).max() <= 1e-12
             assert np.allclose(lam, model.delta_col + eta.sum(axis=1, keepdims=True),
                                rtol=1e-14, atol=0)
+
+    @staticmethod
+    def mixed_block():
+        # The query bank and the query model's 15 tasks of 16 x 5, two of
+        # which reject a stabilizing sweep, as one block of 11 440 rows.
+        model, bank = query_bank()
+        return model, [*bank, *generate_synthetic(model, 15, 16, 5, seed=11)[0]], TrainConfig()
+
+    def test_mixed_block_keeps_solo_bytes(self, monkeypatch):
+        # Some safeguards see tasks accept and reject side by side, so the
+        # state merges per class, and some tasks stop at the first or
+        # second sweep of a cycle while others run on, so they are recorded
+        # mid-cycle and leave the arrays at its end.  Every task's result
+        # is still its batch-of-one result, byte for byte.
+        model, tasks, cfg = self.mixed_block()
+        safeguard, mixed = inference._safeguard, []
+
+        def spy_safeguard(start_bound, bound, fallback_bound):
+            accept, kept = safeguard(start_bound, bound, fallback_bound)
+            mixed.append(accept.size > 1 and accept.any() and not accept.all())
+            return accept, kept
+
+        monkeypatch.setattr(inference, "_safeguard", spy_safeguard)
+        parts = list(estep_blocks(tasks, model, cfg))
+        assert len(parts) == 1 and any(mixed)
+        states = unstack(parts[0])
+        # After the first sweep, cycles of 3 sweeps start at sweeps 1, 4, ...,
+        # 94: sweeps 2 and 3 (mod 3) up to 96 are a cycle's first or second.
+        iterations = [s.iterations for s in states]
+        assert any(i % 3 != 1 and i <= 96 and max(iterations) > i + 2 for i in iterations)
+        for task, got in zip(tasks, states, strict=True):
+            (want,) = estep_states([task], model, cfg)
+            assert_same_bits([*got.r, got.gamma, got.eta, got.lam],
+                             [*want.r, want.gamma, want.eta, want.lam])
+            assert (got.iterations, got.converged, got.gamma_clamps, got.bound) == (
+                want.iterations, want.converged, want.gamma_clamps, want.bound)
+
+    def test_every_bound_reads_its_own_totals(self, monkeypatch):
+        # Each `_sweep_bound` call gets the row totals of the state it is
+        # given, rebuilt here from that state's used E[ln theta] and the
+        # block's log-densities at the live classes' rows: the start bound,
+        # each cycle's bound, the fallback from x2's kept totals and the
+        # final `Posterior.bound`, in the mixed block, its tasks alone and a
+        # whole-collection `train`.
+        sweep_bound, safeguard = inference._sweep_bound, inference._safeguard
+        estep_block = inference._estep_block
+        calls, where = [], ["final"]
+
+        def spy_bound(seg, log_pdfs, shift, s, total, model):
+            rows = (np.repeat(seg.rows0 - seg.class_starts, seg.class_counts)
+                    + np.arange(seg.class_counts.sum()))
+            dens = np.exp(log_pdfs[:, rows] - shift)
+            want = inference._responsibilities(s.used, dens, seg, log_pdfs)[1]
+            assert total.tobytes() == want.tobytes()
+            calls.append(where[-1])
+            if where[-1] == "start":
+                where[-1] = "cycle"
+            return sweep_bound(seg, log_pdfs, shift, s, total, model)
+
+        def spy_block(*args):
+            where.append("start")
+            try:
+                return estep_block(*args)
+            finally:
+                where.pop()
+
+        def spy_safeguard(start_bound, bound, fallback_bound):
+            def fallback():
+                where.append("fallback")
+                try:
+                    return fallback_bound()
+                finally:
+                    where.pop()
+            return safeguard(start_bound, bound, fallback)
+
+        monkeypatch.setattr(inference, "_sweep_bound", spy_bound)
+        monkeypatch.setattr(inference, "_estep_block", spy_block)
+        monkeypatch.setattr(learning, "_estep_block", spy_block)
+        monkeypatch.setattr(inference, "_safeguard", spy_safeguard)
+        model, tasks, cfg = self.mixed_block()
+        estep_states(tasks, model, cfg)
+        for task in tasks:
+            estep_states([task], model, cfg)
+        assert {"start", "cycle", "fallback", "final"} <= set(calls)
+        before = len(calls)
+        planted = ThemeModel(np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]]),
+                             np.stack([np.eye(2)] * 3),
+                             np.array([[6.0, 1.0, 1.0], [1.0, 1.0, 6.0]]), np.array([0.01, 0.01]))
+        collection, _ = generate_synthetic(planted, 200, 5, 16, seed=7)
+        learning.train(collection, 2, 3, TrainConfig(seed=0, max_batches=3))
+        assert {"start", "cycle", "final"} <= set(calls[before:])
 
     def test_sweeps_and_distance_to_fixed_point_on_query_bank(self):
         # The plain sweep loop took a mean of 21.8 sweeps and a maximum of

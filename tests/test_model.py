@@ -181,9 +181,10 @@ class TestGaussianLogPdf:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_row_split_keeps_bytes(self, data):
-        # log_pdfs works through the rows in near-equal pieces of at most
-        # _LOG_PDF_ROWS; pieces of two rows or more (any limit of 4 or more)
-        # must give the bytes of all rows in one pass.
+        # log_pdfs works through the rows in near-equal pieces of about
+        # _LOG_PDF_ENTRIES (D, K, rows) entries; pieces of two rows or more
+        # (any limit of 4 rows' entries or more) must give the bytes of all
+        # rows in one pass.
         K, D = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
         n = data.draw(st.integers(1, 60))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -192,8 +193,9 @@ class TestGaussianLogPdf:
         m = ThemeModel(rng.normal(size=(K, D)) * 3, sigma, np.ones((1, K)), np.ones(1))
         x = rng.normal(size=(n, D)) * 4
         want = one_pass_log_pdfs(m, x)
-        for rows in (4, data.draw(st.integers(4, max(4, n))), n, 4096):
-            with mock.patch.object(model_module, "_LOG_PDF_ROWS", rows):
+        row = D * K
+        for entries in (4 * row, data.draw(st.integers(4 * row, max(4, n) * row)), n * row, 2**17):
+            with mock.patch.object(model_module, "_LOG_PDF_ENTRIES", entries):
                 assert m.log_pdfs(x).tobytes() == want.tobytes()
 
     @given(st.data())
